@@ -22,7 +22,8 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 
-from . import acceptance, config as config_mod, fenchel, synth, transfer
+from . import acceptance, config as config_mod, fenchel, learners, synth, \
+    transfer
 from .errors import (
     ConfigError,
     DivergenceError,
@@ -78,8 +79,9 @@ def cmd_train(args):
         name = entry["name"]
         pred_path = os.path.join(out_dir, f"{name}.predictor.txt")
         with open(pred_path, "w") as fh:
-            fh.write(predictor.serialize())
-        report = transfer.evaluate(predictor, eval_ds, pairs=pairs)
+            fh.write(learners.write_predictor(predictor))
+        report = transfer.evaluate(predictor.predict(eval_ds.features),
+                                   eval_ds, pairs=pairs)
         rep_path = os.path.join(out_dir, f"{name}.report.json")
         with open(rep_path, "w") as fh:
             fh.write(report.to_json())
@@ -95,38 +97,22 @@ def cmd_train(args):
 
 
 def cmd_distortion_check(args):
+    """Print the rows of acceptance criterion 1 for the requested pairs."""
     grid_n = args.grid_density
     if grid_n < 4:
         print(f"warning: grid density {grid_n} is too low to be informative",
               file=sys.stderr)
-    tags = args.pairs.split(",") if args.pairs else ["identity",
-                                                     "leaky_relu(0.1)"]
-    floor = -1e-9
-    failures = []
+    tags = [t.strip() for t in args.pairs.split(",")] if args.pairs \
+        else ["identity", "leaky_relu(0.1)"]
+    res = acceptance.criterion_1(grid_n=grid_n, tags=tags)
+    violations = res.details["violations"]
     print(f"{'suite':34s} {'pair':22s} {'worst slack':>14s}")
-    for tag in tags:
-        pair = fenchel.pair_from_tag(tag.strip())
-        rep = fenchel.bilipschitz_sandwich_report(pair, grid_n=grid_n)
-        worst = min(rep["lower_slack"], rep["upper_slack"])
-        bad = worst < floor or rep["identity_gap"] > 10 * pair.inversion_tolerance
-        print(f"{'bilipschitz_sandwich':34s} {pair.tag:22s} {worst:14.3e}"
-              + ("  VIOLATED" if bad else ""))
-        if bad:
-            failures.append(("bilipschitz_sandwich", pair.tag))
-    kl = fenchel.kl_sandwich_report(grid_n=grid_n)
-    worst = min(kl["lower_slack"], kl["upper_slack"])
-    print(f"{'kl_sandwich':34s} {'sigmoid':22s} {worst:14.3e}"
-          + ("  VIOLATED" if worst < floor else ""))
-    if worst < floor:
-        failures.append(("kl_sandwich", "sigmoid"))
-    ce = fenchel.crossentropy_absolute_report(grid_n=grid_n)
-    worst = min(ce["lower_slack"], ce["upper_slack"])
-    print(f"{'crossentropy_absolute_sandwich':34s} {'sigmoid':22s} {worst:14.3e}"
-          + ("  VIOLATED" if worst < floor else ""))
-    if worst < floor:
-        failures.append(("crossentropy_absolute_sandwich", "sigmoid"))
-    if failures:
-        print("violations: " + ", ".join(f"{s} ({p})" for s, p in failures))
+    for row in res.rows:
+        print(f"{row.theorem:34s} {row.learner:22s} {row.slack:14.3e}"
+              + ("  VIOLATED" if (row.theorem, row.learner) in violations
+                 else ""))
+    if violations:
+        print("violations: " + ", ".join(f"{s} ({p})" for s, p in violations))
         return 1
     return EXIT_OK
 
@@ -141,67 +127,36 @@ def _row_key(row):
 
 
 def _run_instance(payload):
-    """One (instance, seed, learner) unit: train once, run all its checks."""
+    """One (instance, seed, learner) unit: train and predict once, then run
+    every configured check on the predictions."""
     cfg, inst_name, model, seed, entry = payload
     train_ds = synth.make_dataset(cfg.marginal, model, cfg.n_train, seed)
     eval_ds = synth.make_dataset(cfg.marginal, model, cfg.n_eval, seed + 1)
     t0 = time.time()
     predictor = config_mod.train_learner(entry, train_ds, seed)
     train_ms = int((time.time() - t0) * 1000)
-    report = transfer.evaluate(predictor, eval_ds)
-    rows = []
-    extra = [predictor.w] if hasattr(predictor, "w") else []
+    p = predictor.predict(eval_ds.features)
+    report = transfer.evaluate(p, eval_ds)
     B = float(entry["norm_bound"])
+    premise = {"seed": seed, "extra_candidates":
+               [predictor.w] if hasattr(predictor, "w") else []}
+    instance = f"{inst_name}_s{seed}"
+    rows = []
     for check in cfg.checks:
-        parts = check.split(":")
-        kind = parts[0]
+        kind, *check_args = check.split(":")
+        _, runner = transfer.CHECKS[kind]
         try:
-            if kind == "sim_sqrt":
-                chk = transfer.check_sim_bound(
-                    predictor, eval_ds, B, cfg.marginal.second_moment, cfg.eps)
-                c_rep = chk.extras["c_needed"]
-            elif kind == "bilipschitz":
-                pair = fenchel.pair_from_tag(parts[1])
-                chk = transfer.check_bilipschitz_transfer(
-                    predictor, eval_ds, pair, B, seed=seed,
-                    extra_candidates=extra)
-                c_rep = None
-            elif kind == "general":
-                g_pair = fenchel.pair_from_tag(parts[1])
-                phi_pair = fenchel.pair_from_tag(parts[2])
-                chk = transfer.check_general_activation_transfer(
-                    predictor, eval_ds, g_pair, phi_pair, B, seed=seed,
-                    extra_candidates=extra)
-                c_rep = None
-            elif kind == "logistic_squared":
-                chk = transfer.check_logistic_squared(
-                    predictor, eval_ds, B, seed=seed, extra_candidates=extra)
-                c_rep = chk.extras["c_needed"]
-            elif kind == "logistic_absolute":
-                chk = transfer.check_logistic_absolute(
-                    predictor, eval_ds, B, seed=seed, extra_candidates=extra)
-                c_rep = chk.extras["c_needed"]
-            elif kind == "pconcept":
-                rep = transfer.pconcept_disagreement(predictor, eval_ds,
-                                                     seed=seed)
-                rows.append(acceptance.Row(
-                    f"{inst_name}_s{seed}", entry["name"], None, report.err2,
-                    report.err1, "pconcept_identity", 3.0 * rep.stderr,
-                    3.0 * rep.stderr - rep.gap, None, train_ms))
-                continue
-            else:  # pragma: no cover - filtered during config parsing
-                continue
+            chk = runner(p, eval_ds, B, cfg.eps, premise, *check_args)
         except (InvalidInputError, NoConvergenceError):
             # partial failure: record the row as inapplicable, keep going
-            rows.append(acceptance.Row(
-                f"{inst_name}_s{seed}", entry["name"],
-                eval_ds.certified_opt_upper_bound, report.err2, report.err1,
-                f"{kind}_inapplicable", 0.0, -1.0, None, train_ms))
-            continue
+            chk = transfer.BoundCheck(
+                f"{kind}_inapplicable", 0.0, 0.0, -1.0, False,
+                {"opt_hat": eval_ds.certified_opt_upper_bound})
         rows.append(acceptance.Row(
-            f"{inst_name}_s{seed}", entry["name"], chk.params.get(
-                "opt_hat", chk.params.get("opt1_hat")), report.err2,
-            report.err1, chk.theorem_tag, chk.rhs, chk.slack, c_rep, train_ms))
+            instance, entry["name"],
+            chk.params.get("opt_hat", chk.params.get("opt1_hat")),
+            report.err2, report.err1, chk.theorem_tag, chk.rhs, chk.slack,
+            chk.extras.get("c_needed"), train_ms))
     return rows
 
 
@@ -215,9 +170,14 @@ def cmd_experiment(args):
             header = fh.readline().strip()
             if header != CSV_HEADER:
                 raise ConfigError(f"cannot resume: {args.out} has a foreign header")
-            for line in fh:
-                parts = line.rstrip("\n").split(",")
-                existing[(parts[0], parts[1], parts[5])] = line.rstrip("\n")
+            for lineno, line in enumerate(fh, start=2):
+                try:
+                    row = acceptance.parse_row(line.rstrip("\n"))
+                except ConfigError as exc:
+                    raise ConfigError(
+                        f"cannot resume: {args.out} line {lineno}: {exc}") \
+                        from exc
+                existing[_row_key(row)] = row
 
     units = []
     for inst_name, model in cfg.instance_models():
@@ -227,7 +187,7 @@ def cmd_experiment(args):
     needed = []
     for unit in units:
         key_prefix = (f"{unit[1]}_s{unit[3]}", unit[4]["name"])
-        missing = any((key_prefix[0], key_prefix[1], _check_tag(c))
+        missing = any((*key_prefix, transfer.CHECKS[c.split(":")[0]][0])
                       not in existing for c in cfg.checks)
         if missing or not existing:
             needed.append(unit)
@@ -238,32 +198,16 @@ def cmd_experiment(args):
     else:
         produced = [_run_instance(u) for u in needed]
 
-    rows = {}
-    for line in existing.values():
-        parts = line.split(",")
-        rows[(parts[0], parts[1], parts[5])] = line
+    rows = dict(existing)
     for batch in produced:
         for row in batch:
             if not args.timing:
                 row.runtime_ms = 0
-            rows[_row_key(row)] = row.render()
-    ordered = sorted(rows)
+            rows[_row_key(row)] = row
     with open(args.out, "w") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for key in ordered:
-            fh.write(rows[key] + "\n")
-    print(f"wrote {len(ordered)} rows to {args.out}")
+        fh.write(acceptance.rows_to_csv([rows[key] for key in sorted(rows)]))
+    print(f"wrote {len(rows)} rows to {args.out}")
     return EXIT_OK
-
-
-def _check_tag(check):
-    kind = check.split(":")[0]
-    return {"sim_sqrt": "sim_sqrt_transfer",
-            "bilipschitz": "bilipschitz_transfer",
-            "general": "general_activation_transfer",
-            "logistic_squared": "logistic_squared_transfer",
-            "logistic_absolute": "logistic_absolute_transfer",
-            "pconcept": "pconcept_identity"}.get(kind, kind)
 
 
 # ---------------------------------------------------------------------------

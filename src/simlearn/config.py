@@ -13,15 +13,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import fenchel, learners, synth
+from . import fenchel, learners, synth, transfer
 from .errors import ConfigError, InvalidInputError
 
 SCHEMA_VERSION = 1
-
-KNOWN_ALGORITHMS = ("omnipredictor", "glmtron", "isotron", "logistic",
-                    "matching_gd")
-KNOWN_CHECKS = ("sim_sqrt", "bilipschitz", "general", "logistic_squared",
-                "logistic_absolute", "pconcept")
 
 
 @dataclass
@@ -103,11 +98,12 @@ def _label_model_from(obj, total_dim):
 
 def _learner_entry(obj, idx):
     algo = _require(obj, "algorithm", f"learners[{idx}]")
-    if algo not in KNOWN_ALGORITHMS:
+    if algo not in ALGORITHMS:
         raise ConfigError(f"unknown algorithm {algo!r}")
+    needs_activation, _ = ALGORITHMS[algo]
     entry = dict(obj)
     entry.setdefault("name", algo)
-    if algo in ("glmtron", "matching_gd"):
+    if needs_activation:
         tag = _require(obj, "activation", f"learners[{idx}]")
         try:
             fenchel.activation_from_tag(tag)
@@ -140,7 +136,7 @@ def parse_config(obj):
             raise ConfigError(f"unknown activation tag {tag!r}") from exc
     checks = obj.get("checks", ["sim_sqrt"])
     for chk in checks:
-        if chk.split(":", 1)[0] not in KNOWN_CHECKS:
+        if chk.split(":", 1)[0] not in transfer.CHECKS:
             raise ConfigError(f"unknown check {chk!r}")
     seeds = obj.get("seeds", [0])
     if not seeds:
@@ -169,37 +165,35 @@ def load_config(path):
     return parse_config(obj)
 
 
+def _options(entry, kinds):
+    """The options the entry sets, each converted by its kind (None: as
+    given); options it leaves out keep the trainer's defaults."""
+    return {key: entry[key] if kind is None else kind(entry[key])
+            for key, kind in kinds.items() if key in entry}
+
+
+OMNI_OPTIONS = {"eps_ma": float, "eps_cal": float, "eps_weak": None,
+                "step": None, "bucket_width": float, "round_cap": int,
+                "bernoulli_reduction": bool}
+GD_OPTIONS = {"step": float, "iters": int, "tol": float}
+
+# algorithm -> (needs an "activation" tag?, trainer(entry, dataset, B, seed))
+ALGORITHMS = {
+    "omnipredictor": (False, lambda e, ds, B, seed: learners.train_omnipredictor(
+        ds, B, learners.OmniConfig(**_options(e, OMNI_OPTIONS)), seed=seed)),
+    "glmtron": (True, lambda e, ds, B, seed: learners.train_glmtron(
+        ds, e["activation"], B, **_options(e, {"iters": int, "tol": float}))),
+    "isotron": (False, lambda e, ds, B, seed: learners.train_isotron(
+        ds, B, **_options(e, {"iters": int}))),
+    "logistic": (False, lambda e, ds, B, seed: learners.train_logistic(
+        ds, B, **_options(e, GD_OPTIONS))),
+    "matching_gd": (True, lambda e, ds, B, seed: learners.train_matching_gd(
+        ds, fenchel.pair_from_tag(e["activation"]), B,
+        **_options(e, GD_OPTIONS))),
+}
+
+
 def train_learner(entry, dataset, seed):
     """Run the configured algorithm on a dataset; returns the predictor."""
-    algo = entry["algorithm"]
-    B = float(entry["norm_bound"])
-    if algo == "omnipredictor":
-        cfg = learners.OmniConfig(
-            eps_ma=float(entry.get("eps_ma", 0.02)),
-            eps_cal=float(entry.get("eps_cal", 0.02)),
-            eps_weak=entry.get("eps_weak"),
-            step=entry.get("step"),
-            bucket_width=float(entry.get("bucket_width",
-                                         learners.DEFAULT_BUCKET_WIDTH)),
-            round_cap=int(entry.get("round_cap", learners.DEFAULT_ROUND_CAP)),
-            bernoulli_reduction=bool(entry.get("bernoulli_reduction", False)))
-        return learners.train_omnipredictor(dataset, B, cfg, seed=seed)
-    if algo == "glmtron":
-        return learners.train_glmtron(dataset, entry["activation"], B,
-                                      iters=int(entry.get("iters", 500)),
-                                      tol=float(entry.get("tol", 1e-8)))
-    if algo == "isotron":
-        return learners.train_isotron(dataset, B,
-                                      iters=int(entry.get("iters", 50)))
-    if algo == "logistic":
-        return learners.train_logistic(dataset, B,
-                                       step=float(entry.get("step", 1.0)),
-                                       iters=int(entry.get("iters", 300)),
-                                       tol=float(entry.get("tol", 1e-10)))
-    if algo == "matching_gd":
-        pair = fenchel.pair_from_tag(entry["activation"])
-        return learners.train_matching_gd(dataset, pair, B,
-                                          step=float(entry.get("step", 1.0)),
-                                          iters=int(entry.get("iters", 300)),
-                                          tol=float(entry.get("tol", 1e-10)))
-    raise ConfigError(f"unknown algorithm {algo!r}")
+    _, trainer = ALGORITHMS[entry["algorithm"]]
+    return trainer(entry, dataset, float(entry["norm_bound"]), seed)

@@ -788,7 +788,7 @@ def registration_gate(pair, probes=DEFAULT_PROBES):
 
 
 # ---------------------------------------------------------------------------
-# Distortion sandwich suites (used by the distortion-check command)
+# Distortion sandwich suites (acceptance criterion 1, distortion-check)
 # ---------------------------------------------------------------------------
 
 

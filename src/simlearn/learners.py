@@ -17,7 +17,6 @@ explicit generator and there is no ambient RNG use.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, field
 
@@ -125,39 +124,26 @@ class OmniConfig:
         return self.eps_weak if self.eps_weak is not None else self.eps_ma / 4.0
 
 
-@dataclass
-class CalibrationTable:
-    """Bucket-mean calibration over the unit interval."""
-
-    bucket_width: float
-    values: np.ndarray              # one value per bucket, inside (0, 1)
-
-    @property
-    def n_buckets(self):
-        return self.values.size
-
-    def bucket_of(self, raw):
-        idx = np.floor(np.asarray(raw, dtype=float) / self.bucket_width).astype(int)
-        return np.clip(idx, 0, self.n_buckets - 1)
-
-    def __call__(self, raw):
-        return self.values[self.bucket_of(raw)]
+def _buckets(raw, bucket_width, n_buckets):
+    """Calibration bucket of each raw score in [0, 1]."""
+    idx = np.floor(np.asarray(raw, dtype=float) / bucket_width).astype(int)
+    return np.clip(idx, 0, n_buckets - 1)
 
 
 def fit_calibration_table(raw, labels, bucket_width, clamp):
     """Replace each raw-score bucket by the mean label it carries.
 
-    Empty buckets inherit their midpoint value.  Values are clamped into
-    (0, 1) so downstream links stay finite.
+    Returns one value per bucket.  Empty buckets inherit their midpoint
+    value.  Values are clamped into (0, 1) so downstream links stay finite.
     """
     n_buckets = int(round(1.0 / bucket_width))
-    idx = np.clip(np.floor(raw / bucket_width).astype(int), 0, n_buckets - 1)
+    idx = _buckets(raw, bucket_width, n_buckets)
     sums = np.bincount(idx, weights=labels, minlength=n_buckets)
     counts = np.bincount(idx, minlength=n_buckets)
     mids = (np.arange(n_buckets) + 0.5) * bucket_width
     with np.errstate(invalid="ignore"):
         values = np.where(counts > 0, sums / np.maximum(counts, 1), mids)
-    return CalibrationTable(bucket_width, np.clip(values, clamp, 1.0 - clamp))
+    return np.clip(values, clamp, 1.0 - clamp)
 
 
 def calibration_error(pred, labels):
@@ -169,59 +155,31 @@ def calibration_error(pred, labels):
 
 @dataclass
 class OmniPredictor:
-    """Clipped linear-update score followed by bucket calibration."""
+    """Clipped linear score followed by bucket calibration.
 
-    updates: list                   # list of (sigma, w) pairs
-    table: CalibrationTable
+    The score is ``base + score_w.x`` clipped to [0, 1]; ``score_w`` is the
+    sum of the accepted boosting updates ``sigma * w_t``, whose steps and
+    norms the trace records.  ``values`` holds one calibrated value per
+    bucket.
+    """
+
+    KIND, HEADER = "omnipredictor", {"base": float, "bucket_width": float}
+    ARRAYS = ("score_w", "values")
+
+    score_w: np.ndarray
+    values: np.ndarray
+    bucket_width: float
     base: float = 0.5
     converged: bool = True
     trace: list = field(default_factory=list)
 
     def raw_score(self, features):
         x = np.asarray(features, dtype=float)
-        s = np.full(x.shape[0], self.base)
-        for sigma, w in self.updates:
-            s += sigma * (x @ w)
-        return np.clip(s, 0.0, 1.0)
+        return np.clip(self.base + x @ self.score_w, 0.0, 1.0)
 
     def predict(self, features):
-        return self.table(self.raw_score(features))
-
-    # -- serialization ------------------------------------------------------
-
-    def serialize(self):
-        buf = io.StringIO()
-        buf.write(f"#simlearn-predictor v1 kind=omnipredictor base={self.base!r} "
-                  f"converged={int(self.converged)}\n")
-        for sigma, w in self.updates:
-            buf.write("update %.17g %s\n"
-                      % (sigma, " ".join("%.17g" % c for c in w)))
-        buf.write("calibration %.17g\n" % self.table.bucket_width)
-        buf.write("values %s\n" % " ".join("%.17g" % v for v in self.table.values))
-        return buf.getvalue()
-
-    @staticmethod
-    def deserialize(text):
-        lines = text.strip().split("\n")
-        head = lines[0].split()
-        if head[0] != "#simlearn-predictor" or head[1] != "v1" \
-                or head[2] != "kind=omnipredictor":
-            raise ConfigError("not an omnipredictor serialization")
-        kv = dict(p.split("=", 1) for p in head[2:])
-        updates = []
-        table = None
-        width = None
-        for line in lines[1:]:
-            parts = line.split()
-            if parts[0] == "update":
-                updates.append((float(parts[1]),
-                                np.array([float(v) for v in parts[2:]])))
-            elif parts[0] == "calibration":
-                width = float(parts[1])
-            elif parts[0] == "values":
-                table = CalibrationTable(width, np.array([float(v) for v in parts[1:]]))
-        return OmniPredictor(updates, table, base=float(kv["base"]),
-                             converged=bool(int(kv["converged"])))
+        return self.values[_buckets(self.raw_score(features),
+                                    self.bucket_width, self.values.size)]
 
 
 def train_omnipredictor(dataset, B, config=None, seed=0):
@@ -229,10 +187,10 @@ def train_omnipredictor(dataset, B, config=None, seed=0):
 
     Each round rebuilds the calibration table from the current raw scores,
     then runs the weak learner on the residual y - p(x).  On accept, the
-    returned direction is appended with step ``sigma = eps_weak / (2 B^2
-    lambda)``; on reject with calibration error below ``eps_cal`` training
-    stops.  Hitting the round cap returns the best state so far flagged as
-    non-converged.
+    returned direction is added to the score with step ``sigma = eps_weak /
+    (2 B^2 lambda)``; on reject with calibration error below ``eps_cal``
+    training stops.  Hitting the round cap returns the best state so far
+    flagged as non-converged.
     """
     cfg = config or OmniConfig()
     x = dataset.features
@@ -247,17 +205,18 @@ def train_omnipredictor(dataset, B, config=None, seed=0):
     # unclipped running score; clipping happens where the predictor clips,
     # over the accumulated sum
     raw = np.full(x.shape[0], 0.5)
-    updates = []
+    w = np.zeros(dataset.d)
     trace = []
-    best = None  # (err2, n_updates, table) for the cap fallback
+    best = None  # (err2, w, values) for the cap fallback
     for round_no in range(cfg.round_cap):
-        table = fit_calibration_table(np.clip(raw, 0.0, 1.0), y,
-                                      cfg.bucket_width, cfg.output_clamp)
-        pred = table(np.clip(raw, 0.0, 1.0))
+        clipped = np.clip(raw, 0.0, 1.0)
+        values = fit_calibration_table(clipped, y, cfg.bucket_width,
+                                       cfg.output_clamp)
+        pred = values[_buckets(clipped, cfg.bucket_width, values.size)]
         cal_err = calibration_error(pred, y)
         err2 = squared_error(pred, y)
         if best is None or err2 < best[0]:
-            best = (err2, len(updates), table)
+            best = (err2, w, values)
         residual = y - pred
         result = weak_learn(x, residual, B, eps3, second_moment=lam,
                             enforce_sample_size=False)
@@ -267,14 +226,16 @@ def train_omnipredictor(dataset, B, config=None, seed=0):
         if not result.accepted:
             # recalibration already ran this round, so a residual the weak
             # learner cannot improve ends training either way
-            return OmniPredictor(updates, table,
+            return OmniPredictor(w, values, cfg.bucket_width,
                                  converged=cal_err <= cfg.eps_cal, trace=trace)
-        updates.append((sigma, result.w))
+        trace[-1].update(sigma=sigma, w_norm=float(np.linalg.norm(result.w)))
+        w = w + sigma * result.w
         raw = raw + sigma * (x @ result.w)
 
     # round cap: fall back to the best state seen, flagged non-converged
-    _, n_upd, table = best
-    return OmniPredictor(updates[:n_upd], table, converged=False, trace=trace)
+    _, w, values = best
+    return OmniPredictor(w, values, cfg.bucket_width, converged=False,
+                         trace=trace)
 
 
 @dataclass
@@ -294,6 +255,8 @@ class ConstantPredictor:
 
 @dataclass
 class GlmPredictor:
+    KIND, HEADER, ARRAYS = "glm", {"activation_tag": str}, ("w",)
+
     w: np.ndarray
     activation_tag: str
     converged: bool = True
@@ -308,23 +271,6 @@ class GlmPredictor:
 
     def predict(self, features):
         return np.clip(self.activation(self.score(features)), 0.0, 1.0)
-
-    def serialize(self):
-        buf = io.StringIO()
-        buf.write(f"#simlearn-predictor v1 kind=glm activation={self.activation_tag} "
-                  f"converged={int(self.converged)}\n")
-        buf.write("w %s\n" % " ".join("%.17g" % c for c in self.w))
-        return buf.getvalue()
-
-    @staticmethod
-    def deserialize(text):
-        lines = text.strip().split("\n")
-        head = lines[0].split()
-        if head[0] != "#simlearn-predictor" or head[2] != "kind=glm":
-            raise ConfigError("not a glm serialization")
-        kv = dict(p.split("=", 1) for p in head[2:])
-        w = np.array([float(v) for v in lines[1].split()[1:]])
-        return GlmPredictor(w, kv["activation"], converged=bool(int(kv["converged"])))
 
 
 def _check_finite(w):
@@ -403,6 +349,8 @@ def lipschitz_isotonic_fit(t_sorted, y, max_iters=2000, tol=1e-9):
 class SimPredictor:
     """Weights plus a fitted monotone 1-Lipschitz activation (knot form)."""
 
+    KIND, HEADER, ARRAYS = "sim", {}, ("w", "knots_t", "knots_u")
+
     w: np.ndarray
     knots_t: np.ndarray
     knots_u: np.ndarray
@@ -417,28 +365,6 @@ class SimPredictor:
 
     def predict(self, features):
         return np.clip(self.activation_values(self.score(features)), 0.0, 1.0)
-
-    def serialize(self):
-        buf = io.StringIO()
-        buf.write(f"#simlearn-predictor v1 kind=sim converged={int(self.converged)}\n")
-        buf.write("w %s\n" % " ".join("%.17g" % c for c in self.w))
-        buf.write("knots_t %s\n" % " ".join("%.17g" % c for c in self.knots_t))
-        buf.write("knots_u %s\n" % " ".join("%.17g" % c for c in self.knots_u))
-        return buf.getvalue()
-
-    @staticmethod
-    def deserialize(text):
-        lines = text.strip().split("\n")
-        head = lines[0].split()
-        if head[0] != "#simlearn-predictor" or head[2] != "kind=sim":
-            raise ConfigError("not a sim serialization")
-        kv = dict(p.split("=", 1) for p in head[2:])
-        arrays = {}
-        for line in lines[1:]:
-            parts = line.split()
-            arrays[parts[0]] = np.array([float(v) for v in parts[1:]])
-        return SimPredictor(arrays["w"], arrays["knots_t"], arrays["knots_u"],
-                            converged=bool(int(kv["converged"])))
 
 
 def _dedupe_knots(t_sorted, u_sorted):
@@ -490,8 +416,10 @@ def train_matching_gd(dataset, pair, B, step=1.0, iters=300, tol=1e-10,
     """Projected gradient descent with backtracking on the matching loss.
 
     The loss trace is non-increasing: a step that fails to improve is halved
-    until it does or the step floor trips a divergence error.  Returns the
-    iterate whose loss is within ``tol`` of the best seen.
+    until it does or the step floor trips a divergence error.  Stops once
+    the loss changes by at most ``tol`` in one iteration and returns the
+    best iterate; it is flagged converged only when that stop fired before
+    the iteration cap.
     """
     x, y = dataset.features, dataset.labels
     n = dataset.n
@@ -500,6 +428,7 @@ def train_matching_gd(dataset, pair, B, step=1.0, iters=300, tol=1e-10,
     best_w, best_loss = w.copy(), loss
     trace = [{"iter": 0, "loss": loss, "step": step}]
     cur_step = step
+    converged = False
     for t in range(1, iters + 1):
         grad = x.T @ (pair.g_prime(x @ w) - y) / n
         while True:
@@ -516,11 +445,61 @@ def train_matching_gd(dataset, pair, B, step=1.0, iters=300, tol=1e-10,
         if loss < best_loss:
             best_loss, best_w = loss, w.copy()
         if abs(trace[-2]["loss"] - loss) <= tol and t > 1:
+            converged = True
             break
-    return GlmPredictor(best_w, pair.tag, converged=True, trace=trace)
+    return GlmPredictor(best_w, pair.tag, converged=converged, trace=trace)
 
 
 def train_logistic(dataset, B, step=1.0, iters=300, tol=1e-10):
     """Projected gradient descent on the empirical logistic matching loss."""
     return train_matching_gd(dataset, fenchel.pair_from_tag("sigmoid"), B,
                              step=step, iters=iters, tol=tol)
+
+
+# ---------------------------------------------------------------------------
+# Predictor files
+# ---------------------------------------------------------------------------
+
+PREDICTOR_MAGIC = "#simlearn-predictor"
+PREDICTOR_VERSION = "v2"
+
+
+def write_predictor(predictor):
+    """The ``#simlearn-predictor v2`` text of a trained predictor: a header
+    of key=value pairs (``kind``, the class's ``HEADER`` fields,
+    ``converged``), then one line per ``ARRAYS`` field at 17 digits."""
+    head = [PREDICTOR_MAGIC, PREDICTOR_VERSION, f"kind={predictor.KIND}"]
+    head += [f"{key}={getattr(predictor, key)}" for key in predictor.HEADER]
+    head.append(f"converged={int(predictor.converged)}")
+    lines = [" ".join(head)] + [
+        " ".join([name] + ["%.17g" % v for v in getattr(predictor, name)])
+        for name in predictor.ARRAYS]
+    return "\n".join(lines) + "\n"
+
+
+def read_predictor(text, cls):
+    """Parse :func:`write_predictor` text into a predictor of class ``cls``.
+
+    ConfigError for anything else: empty text, another version or kind, a
+    malformed header or number, a missing header key or array.
+    """
+    lines = text.strip().split("\n")
+    head = lines[0].split()
+    expected = [PREDICTOR_MAGIC, PREDICTOR_VERSION, f"kind={cls.KIND}"]
+    if head[:3] != expected:
+        raise ConfigError(f"not a {' '.join(expected)} file")
+    try:
+        header = dict(pair.split("=", 1) for pair in head[3:])
+        arrays = {}
+        for line in lines[1:]:
+            name, *values = line.split()
+            arrays[name] = np.array([float(v) for v in values])
+        return cls(**{key: parse(header[key])
+                      for key, parse in cls.HEADER.items()},
+                   **{name: arrays[name] for name in cls.ARRAYS},
+                   converged=bool(int(header["converged"])))
+    except KeyError as exc:
+        raise ConfigError(f"{cls.KIND} predictor file lacks {exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"malformed {cls.KIND} predictor file: {exc}") \
+            from exc

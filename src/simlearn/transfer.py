@@ -13,6 +13,9 @@ assemble each bound's right-hand side from measured quantities:
   functions (planted weights, random draws from the ball, and optionally a
   gradient-descent optimum).
 
+Functions take the predictions ``p`` on ``dataset.features``, so a caller
+predicts once per sample.
+
 Constants reported as ``c_needed`` are regression values logged by the
 suites, never asserted as ground truth.
 """
@@ -29,9 +32,13 @@ from scipy.stats import norm as _gaussian
 from . import fenchel
 from .errors import InvalidInputError
 
-DEFAULT_CHECK_TOL = 1e-6
+CHECK_TOL = 1e-6
 DEFAULT_N_CANDIDATES = 10_000
 OPT_FLOOR = 1e-6
+CANDIDATE_BLOCK = 4_000_000   # score-matrix entries per candidate block
+SCAN_ROWS = 20_000            # least rows of the random-candidate scan
+LOGISTIC_C = 1.0              # constant of both logistic bounds
+TAIL_C = 4.0                  # constant of the exponential-tail bound
 
 
 # ---------------------------------------------------------------------------
@@ -64,16 +71,25 @@ class ErrorReport:
         return json.dumps(payload)
 
 
-def evaluate(predictor, dataset, pairs=(), clamp=fenchel.DEFAULT_CLAMP_MARGIN):
+def _predictions(p, dataset):
+    """``p`` as predictions on the dataset's rows, clipped into [0, 1]."""
+    p = np.asarray(p, dtype=float)
+    if p.shape != (dataset.n,):
+        raise InvalidInputError(
+            f"predictions have shape {p.shape}, expected ({dataset.n},)")
+    return np.clip(p, 0.0, 1.0)
+
+
+def _matching_loss(pair, p, labels):
+    scores = pair.clamped_link(p, fenchel.DEFAULT_CLAMP_MARGIN)
+    return float(np.mean(pair.g(scores) - labels * scores))
+
+
+def evaluate(p, dataset, pairs=()):
     """Empirical squared/absolute errors and per-pair matching losses."""
-    if dataset.n == 0:
-        raise InvalidInputError("empty dataset")
-    p = np.clip(predictor.predict(dataset.features), 0.0, 1.0)
+    p = _predictions(p, dataset)
     y = dataset.labels
-    losses = {}
-    for pair in pairs:
-        scores = pair.clamped_link(p, clamp)
-        losses[pair.tag] = float(np.mean(pair.g(scores) - y * scores))
+    losses = {pair.tag: _matching_loss(pair, p, y) for pair in pairs}
     return ErrorReport(
         err2=float(np.mean((y - p) ** 2)),
         err1=float(np.mean(np.abs(y - p))),
@@ -97,16 +113,15 @@ def random_ball_candidates(d, B, n, seed):
     return dirs * (B * radii[:, None])
 
 
-def linear_matching_losses(dataset, pair, W, chunk=None):
+def linear_matching_losses(dataset, pair, W):
     """Empirical matching loss of each linear score row of W.
 
     Candidates are processed in chunks sized so intermediate score matrices
-    stay around ~4e6 entries regardless of the dataset size.
+    stay around ``CANDIDATE_BLOCK`` entries regardless of the dataset size.
     """
     W = np.atleast_2d(np.asarray(W, dtype=float))
     x, y = dataset.features, dataset.labels
-    if chunk is None:
-        chunk = max(1, int(4_000_000 // max(dataset.n, 1)))
+    chunk = max(1, int(CANDIDATE_BLOCK // max(dataset.n, 1)))
     out = np.empty(W.shape[0])
     for start in range(0, W.shape[0], chunk):
         block = W[start:start + chunk]
@@ -125,10 +140,8 @@ class PremiseEstimate:
     raw_slack: float        # predictor_loss - best_candidate_loss, signed
 
 
-def measure_premise(predictor, dataset, pair, B,
-                    n_random=DEFAULT_N_CANDIDATES, seed=0,
-                    extra_candidates=(), include_planted=True,
-                    clamp=fenchel.DEFAULT_CLAMP_MARGIN, scan_rows=20_000):
+def measure_premise(p, dataset, pair, B, n_random=DEFAULT_N_CANDIDATES,
+                    seed=0, extra_candidates=()):
     """Measured surrogate for the matching-loss near-optimality premise.
 
     The population minimum over the ball is unobservable; the best of the
@@ -137,18 +150,16 @@ def measure_premise(predictor, dataset, pair, B,
     separately so sampling effects stay visible.
 
     The random-candidate scan may run on a strided row subsample of at least
-    ``scan_rows`` rows; the winning random candidate, the planted weights and
+    ``SCAN_ROWS`` rows; the winning random candidate, the planted weights and
     any extra candidates are always re-evaluated on the full sample, so the
     reported losses are exact and adding candidates can only tighten the
     measured slack.
     """
-    p = np.clip(predictor.predict(dataset.features), 0.0, 1.0)
-    scores = pair.clamped_link(p, clamp)
-    pred_loss = float(np.mean(pair.g(scores) - dataset.labels * scores))
+    pred_loss = _matching_loss(pair, _predictions(p, dataset), dataset.labels)
 
     sources = []
     cands = []
-    if include_planted and dataset.label_model is not None:
+    if dataset.label_model is not None:
         w_star = dataset.label_model.w
         if w_star.size == dataset.d:
             cands.append(w_star)
@@ -159,8 +170,8 @@ def measure_premise(predictor, dataset, pair, B,
     if n_random > 0:
         W = random_ball_candidates(dataset.d, B, n_random, seed)
         scan_ds = dataset
-        if dataset.n > 2 * scan_rows:
-            stride = dataset.n // scan_rows
+        if dataset.n > 2 * SCAN_ROWS:
+            stride = dataset.n // SCAN_ROWS
             from .synth import Dataset
             scan_ds = Dataset(dataset.features[::stride], dataset.labels[::stride],
                               dataset.label_space, dataset.seed)
@@ -217,14 +228,13 @@ def _certified_opt(dataset):
     return float(dataset.certified_opt_upper_bound)
 
 
-def _finish(tag, lhs, rhs, tol, params, extras):
+def _finish(tag, lhs, rhs, params, extras):
     slack = rhs - lhs
     return BoundCheck(tag, float(lhs), float(rhs), float(slack),
-                      bool(slack >= -tol), params, extras)
+                      bool(slack >= -CHECK_TOL), params, extras)
 
 
-def check_bilipschitz_transfer(predictor, dataset, pair, B, eps_hat=None,
-                               premise=None, tol=DEFAULT_CHECK_TOL,
+def check_bilipschitz_transfer(p, dataset, pair, B,
                                n_random=DEFAULT_N_CANDIDATES, seed=0,
                                extra_candidates=()):
     """err2 <= (beta/alpha) * opt_hat + 2 beta * eps_hat, bi-Lipschitz pairs."""
@@ -232,25 +242,19 @@ def check_bilipschitz_transfer(predictor, dataset, pair, B, eps_hat=None,
         raise InvalidInputError(
             f"pair {pair.tag} is not bi-Lipschitz; the transfer is inapplicable")
     opt_hat = _certified_opt(dataset)
-    if eps_hat is None:
-        if premise is None:
-            premise = measure_premise(predictor, dataset, pair, B,
-                                      n_random=n_random, seed=seed,
-                                      extra_candidates=extra_candidates)
-        eps_hat = premise.eps_hat
-    report = evaluate(predictor, dataset)
+    premise = measure_premise(p, dataset, pair, B, n_random=n_random,
+                              seed=seed, extra_candidates=extra_candidates)
+    eps_hat = premise.eps_hat
+    report = evaluate(p, dataset)
     rhs = (pair.beta / pair.alpha) * opt_hat + 2.0 * pair.beta * eps_hat
     params = {"pair": pair.tag, "alpha": pair.alpha, "beta": pair.beta,
               "B": B, "opt_hat": opt_hat, "eps_hat": float(eps_hat)}
-    extras = {}
-    if premise is not None:
-        extras["premise_raw_slack"] = premise.raw_slack
-        extras["premise_best_source"] = premise.best_source
-    return _finish("bilipschitz_transfer", report.err2, rhs, tol, params, extras)
+    extras = {"premise_raw_slack": premise.raw_slack,
+              "premise_best_source": premise.best_source}
+    return _finish("bilipschitz_transfer", report.err2, rhs, params, extras)
 
 
-def check_general_activation_transfer(predictor, dataset, g_pair, phi_pair, B,
-                                      eps_hat=None, tol=DEFAULT_CHECK_TOL,
+def check_general_activation_transfer(p, dataset, g_pair, phi_pair, B,
                                       n_random=DEFAULT_N_CANDIDATES, seed=0,
                                       extra_candidates=()):
     """Transfer through a bi-Lipschitz stand-in phi' for a general activation.
@@ -267,47 +271,42 @@ def check_general_activation_transfer(predictor, dataset, g_pair, phi_pair, B,
     w_star = dataset.label_model.w
     s = dataset.features @ w_star
     approx = float(np.mean((g_pair.g_prime(s) - phi_pair.g_prime(s)) ** 2))
-    premise = None
-    if eps_hat is None:
-        premise = measure_premise(predictor, dataset, phi_pair, B,
-                                  n_random=n_random, seed=seed,
-                                  extra_candidates=extra_candidates)
-        eps_hat = premise.eps_hat
-    report = evaluate(predictor, dataset)
+    premise = measure_premise(p, dataset, phi_pair, B, n_random=n_random,
+                              seed=seed, extra_candidates=extra_candidates)
+    eps_hat = premise.eps_hat
+    report = evaluate(p, dataset)
     ratio = 2.0 * phi_pair.beta / phi_pair.alpha
     rhs = ratio * opt_hat + ratio * approx + 2.0 * phi_pair.beta * eps_hat
     params = {"g_pair": g_pair.tag, "phi_pair": phi_pair.tag,
               "alpha": phi_pair.alpha, "beta": phi_pair.beta, "B": B,
               "opt_hat": opt_hat, "eps_hat": float(eps_hat)}
-    extras = {"approximation_term": approx}
-    if premise is not None:
-        extras["premise_raw_slack"] = premise.raw_slack
-    return _finish("general_activation_transfer", report.err2, rhs, tol,
-                   params, extras)
+    extras = {"approximation_term": approx,
+              "premise_raw_slack": premise.raw_slack}
+    return _finish("general_activation_transfer", report.err2, rhs, params,
+                   extras)
 
 
 def sim_bound_rhs(opt_hat, B, lam, eps, c_report):
     return c_report * B * math.sqrt(lam) * math.sqrt(opt_hat) + eps
 
 
-def check_sim_bound(predictor, dataset, B, lam, eps, c_report=10.0,
-                    tol=DEFAULT_CHECK_TOL):
+def check_sim_bound(p, dataset, B, lam, eps, c_report=10.0):
     """err2 <= c_report * B * sqrt(lam) * sqrt(opt_hat) + eps.
 
     ``c_report`` is a logged regression constant; ``c_needed`` in the extras
     is the smallest constant making this instance pass.
     """
     opt_hat = _certified_opt(dataset)
-    report = evaluate(predictor, dataset)
+    report = evaluate(p, dataset)
     rhs = sim_bound_rhs(opt_hat, B, lam, eps, c_report)
     denom = B * math.sqrt(lam) * math.sqrt(opt_hat) if opt_hat > 0 else 0.0
     if denom > 0:
         c_needed = max(0.0, (report.err2 - eps) / denom)
     else:
-        c_needed = 0.0 if report.err2 <= eps + tol else math.inf
+        c_needed = 0.0 if report.err2 <= eps + CHECK_TOL else math.inf
     params = {"B": B, "lambda": lam, "eps": eps, "opt_hat": opt_hat,
               "c_report": c_report}
-    return _finish("sim_sqrt_transfer", report.err2, rhs, tol, params,
+    return _finish("sim_sqrt_transfer", report.err2, rhs, params,
                    {"c_needed": c_needed})
 
 
@@ -353,28 +352,24 @@ def _require_concentration(dataset, gamma):
     return conc
 
 
-def check_logistic_squared(predictor, dataset, B, eps_hat=None, C=1.0,
-                           tol=DEFAULT_CHECK_TOL, n_random=DEFAULT_N_CANDIDATES,
-                           seed=0, extra_candidates=(), tail_C=4.0):
+def check_logistic_squared(p, dataset, B, n_random=DEFAULT_N_CANDIDATES,
+                           seed=0, extra_candidates=()):
     """Squared-error bound for approximate logistic-loss minimizers.
 
     Requires a subgaussian-declared marginal.  Also reports the intermediate
     exponential-tail quantity E[e^{|w*.x|} (y - s(w*.x))^2] against
-    ``8 e^r opt + 8 tail_C e^{B^2} e^r e^{-(r/B)^2}`` at r = B sqrt(log(1/opt)).
+    ``8 e^r opt + 8 TAIL_C e^{B^2} e^r e^{-(r/B)^2}`` at r = B sqrt(log(1/opt)).
     """
     _require_concentration(dataset, 2.0)
     pair = fenchel.pair_from_tag("sigmoid")
     opt_hat = _certified_opt(dataset)
     degenerate = opt_hat < OPT_FLOOR
     opt_eff = max(opt_hat, OPT_FLOOR)
-    premise = None
-    if eps_hat is None:
-        premise = measure_premise(predictor, dataset, pair, B,
-                                  n_random=n_random, seed=seed,
-                                  extra_candidates=extra_candidates)
-        eps_hat = premise.eps_hat
-    report = evaluate(predictor, dataset)
-    rhs = logistic_squared_rhs(opt_eff, B, C, eps_hat)
+    premise = measure_premise(p, dataset, pair, B, n_random=n_random,
+                              seed=seed, extra_candidates=extra_candidates)
+    eps_hat = premise.eps_hat
+    report = evaluate(p, dataset)
+    rhs = logistic_squared_rhs(opt_eff, B, LOGISTIC_C, eps_hat)
     growth = opt_eff * math.exp(B ** 2 + math.sqrt(B ** 2 * math.log(1.0 / opt_eff)))
     c_needed = max(0.0, (report.err2 - 2.0 * eps_hat) / growth)
     extras = {"c_needed": c_needed, "degenerate_opt": degenerate}
@@ -384,13 +379,13 @@ def check_logistic_squared(predictor, dataset, B, eps_hat=None, C=1.0,
         r = B * math.sqrt(math.log(1.0 / opt_eff))
         tail_lhs = float(np.mean(np.exp(np.abs(s)) * (dataset.labels - mean) ** 2))
         tail_rhs = 8.0 * math.exp(r) * opt_eff \
-            + 8.0 * tail_C * math.exp(B ** 2) * math.exp(r) * math.exp(-(r / B) ** 2)
+            + 8.0 * TAIL_C * math.exp(B ** 2) * math.exp(r) * math.exp(-(r / B) ** 2)
         extras.update({"tail_lhs": tail_lhs, "tail_rhs": tail_rhs, "tail_r": r,
-                       "tail_pass": bool(tail_lhs <= tail_rhs + tol)})
-    if premise is not None:
-        extras["premise_raw_slack"] = premise.raw_slack
-    params = {"B": B, "C": C, "opt_hat": opt_hat, "eps_hat": float(eps_hat)}
-    return _finish("logistic_squared_transfer", report.err2, rhs, tol, params,
+                       "tail_pass": bool(tail_lhs <= tail_rhs + CHECK_TOL)})
+    extras["premise_raw_slack"] = premise.raw_slack
+    params = {"B": B, "C": LOGISTIC_C, "opt_hat": opt_hat,
+              "eps_hat": float(eps_hat)}
+    return _finish("logistic_squared_transfer", report.err2, rhs, params,
                    extras)
 
 
@@ -399,12 +394,11 @@ def planted_absolute_error(dataset):
     best absolute error in the planted class on this sample."""
     if dataset.label_model is None:
         raise InvalidInputError("dataset lacks a planted model")
-    planted = dataset.label_model.predict(dataset.features)
+    planted = dataset.label_model.conditional_mean(dataset.features)
     return float(np.mean(np.abs(dataset.labels - planted)))
 
 
-def check_logistic_absolute(predictor, dataset, B, eps_hat=None, C=1.0,
-                            tol=DEFAULT_CHECK_TOL, n_random=DEFAULT_N_CANDIDATES,
+def check_logistic_absolute(p, dataset, B, n_random=DEFAULT_N_CANDIDATES,
                             seed=0, extra_candidates=()):
     """Absolute-error bound for approximate logistic-loss minimizers on
     binary labels over a subexponential-declared marginal."""
@@ -415,21 +409,18 @@ def check_logistic_absolute(predictor, dataset, B, eps_hat=None, C=1.0,
     opt1 = planted_absolute_error(dataset)
     degenerate = opt1 < OPT_FLOOR
     opt_eff = max(opt1, OPT_FLOOR)
-    premise = None
-    if eps_hat is None:
-        premise = measure_premise(predictor, dataset, pair, B,
-                                  n_random=n_random, seed=seed,
-                                  extra_candidates=extra_candidates)
-        eps_hat = premise.eps_hat
-    report = evaluate(predictor, dataset)
-    rhs = logistic_absolute_rhs(opt_eff, B, C, eps_hat)
+    premise = measure_premise(p, dataset, pair, B, n_random=n_random,
+                              seed=seed, extra_candidates=extra_candidates)
+    eps_hat = premise.eps_hat
+    report = evaluate(p, dataset)
+    rhs = logistic_absolute_rhs(opt_eff, B, LOGISTIC_C, eps_hat)
     denom = B * opt_eff * math.log(1.0 / opt_eff)
     c_needed = max(0.0, (report.err1 - eps_hat) / denom) if denom > 0 else math.inf
-    extras = {"c_needed": c_needed, "degenerate_opt": degenerate}
-    if premise is not None:
-        extras["premise_raw_slack"] = premise.raw_slack
-    params = {"B": B, "C": C, "opt1_hat": opt1, "eps_hat": float(eps_hat)}
-    return _finish("logistic_absolute_transfer", report.err1, rhs, tol, params,
+    extras = {"c_needed": c_needed, "degenerate_opt": degenerate,
+              "premise_raw_slack": premise.raw_slack}
+    params = {"B": B, "C": LOGISTIC_C, "opt1_hat": opt1,
+              "eps_hat": float(eps_hat)}
+    return _finish("logistic_absolute_transfer", report.err1, rhs, params,
                    extras)
 
 
@@ -445,9 +436,6 @@ class PconceptReport:
     stderr: float
     draws: int
 
-    def __float__(self):
-        return self.disagreement
-
     @property
     def gap(self):
         return abs(self.disagreement - self.err1)
@@ -456,7 +444,7 @@ class PconceptReport:
         return self.gap <= k_sigma * max(self.stderr, 1e-300)
 
 
-def pconcept_disagreement(predictor, dataset, resamples=100_000, seed=0):
+def pconcept_disagreement(p, dataset, resamples=100_000, seed=0):
     """Monte-Carlo estimate of P[y != y_p] with y_p ~ Bernoulli(p(x)).
 
     For binary labels this equals the absolute error of the predictor; the
@@ -465,7 +453,7 @@ def pconcept_disagreement(predictor, dataset, resamples=100_000, seed=0):
     if dataset.label_space != "binary":
         raise InvalidInputError("p-concept disagreement needs binary labels")
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0xDC0]))
-    p = np.clip(predictor.predict(dataset.features), 0.0, 1.0)
+    p = _predictions(p, dataset)
     y = dataset.labels
     n = dataset.n
     passes = max(1, math.ceil(resamples / n))
@@ -478,3 +466,42 @@ def pconcept_disagreement(predictor, dataset, resamples=100_000, seed=0):
     stderr = math.sqrt(max(rate * (1.0 - rate), 1e-12) / draws)
     err1 = float(np.mean(np.abs(y - p)))
     return PconceptReport(rate, err1, stderr, draws)
+
+
+# ---------------------------------------------------------------------------
+# The check table
+# ---------------------------------------------------------------------------
+
+
+def _pconcept_check(p, dataset, seed=0):
+    """The p-concept identity as a check: |disagreement - err1| <= 3 stderr."""
+    rep = pconcept_disagreement(p, dataset, seed=seed)
+    return BoundCheck("pconcept_identity", rep.gap, 3.0 * rep.stderr,
+                      3.0 * rep.stderr - rep.gap, rep.within(3.0))
+
+
+# check kind -> (theorem tag, runner).  A config names a check as ``kind`` or
+# ``kind:tag[:tag]``.  A runner takes the predictions, the evaluation sample,
+# the norm bound B, the sqrt-opt slack eps, the premise keywords (seed and
+# extra_candidates) and then the activation tags, and returns a BoundCheck
+# carrying the theorem tag, which keys the rows of a resumed sweep.
+CHECKS = {
+    "sim_sqrt": ("sim_sqrt_transfer", lambda p, ds, B, eps, premise:
+                 check_sim_bound(p, ds, B, ds.second_moment, eps)),
+    "bilipschitz": ("bilipschitz_transfer", lambda p, ds, B, eps, premise, tag:
+                    check_bilipschitz_transfer(
+                        p, ds, fenchel.pair_from_tag(tag), B, **premise)),
+    "general": ("general_activation_transfer",
+                lambda p, ds, B, eps, premise, g_tag, phi_tag:
+                check_general_activation_transfer(
+                    p, ds, fenchel.pair_from_tag(g_tag),
+                    fenchel.pair_from_tag(phi_tag), B, **premise)),
+    "logistic_squared": ("logistic_squared_transfer",
+                         lambda p, ds, B, eps, premise:
+                         check_logistic_squared(p, ds, B, **premise)),
+    "logistic_absolute": ("logistic_absolute_transfer",
+                          lambda p, ds, B, eps, premise:
+                          check_logistic_absolute(p, ds, B, **premise)),
+    "pconcept": ("pconcept_identity", lambda p, ds, B, eps, premise:
+                 _pconcept_check(p, ds, seed=premise["seed"])),
+}

@@ -86,6 +86,16 @@ def test_seed_override_changes_draws_not_outcomes():
         assert res.passed, (num, res.details)
 
 
+def test_criterion_10_fails_on_a_broken_row_renderer(monkeypatch):
+    prior = [acceptance.CRITERIA[k](SEED) for k in (1, 2, 8)]
+    assert acceptance.criterion_10(SEED, prior_results=prior).passed
+    render = acceptance.Row.render
+    # a renderer that drops the last column: the CSV no longer parses back
+    monkeypatch.setattr(acceptance.Row, "render",
+                        lambda row: render(row).rsplit(",", 1)[0])
+    assert not acceptance.criterion_10(SEED, prior_results=prior).passed
+
+
 def test_criterion_10_determinism(suite, tmp_path):
     _assert_criterion(suite[10])
     # a fresh process over the CLI must reproduce the artifact byte for byte

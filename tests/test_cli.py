@@ -1,9 +1,10 @@
 import json
 
 import numpy as np
+import pytest
 
-from simlearn import cli, synth
-from simlearn.learners import GlmPredictor
+from simlearn import cli, config, synth, transfer
+from simlearn.learners import GlmPredictor, read_predictor
 
 
 def base_config(**overrides):
@@ -73,7 +74,7 @@ def test_train_writes_predictor_and_report(tmp_path):
     assert pred_file.exists() and rep_file.exists()
     report = json.loads(rep_file.read_text())
     assert "err2" in report and 0.0 <= report["err2"] <= 1.0
-    pred = GlmPredictor.deserialize(pred_file.read_text())
+    pred = read_predictor(pred_file.read_text(), GlmPredictor)
     assert pred.activation_tag == "sigmoid"
 
 
@@ -193,6 +194,56 @@ def test_experiment_deterministic_and_resume(tmp_path):
     cli.main(["experiment", "--config", cfg_path, "--out", str(out3),
               "--resume"])
     assert out3.read_bytes() == out1.read_bytes()
+
+
+def test_experiment_resume_malformed_row(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, sweep_config())
+    out = tmp_path / "bad.csv"
+    out.write_text(cli.CSV_HEADER + "\ngarbage\n")
+    assert cli.main(["experiment", "--config", cfg_path, "--out", str(out),
+                     "--resume"]) == 2
+    assert "line 2" in capsys.readouterr().err
+
+
+GAUSS = {"kind": "standard_gaussian", "dim": 3}
+SUBGAUSS = {"kind": "standard_gaussian", "dim": 3, "scale": 2 ** -0.5}
+LAPLACE = {"kind": "laplace_product", "dim": 3, "scale": 2 ** -0.5}
+
+
+@pytest.mark.parametrize("check, marginal, label_space", [
+    ("sim_sqrt", GAUSS, "interval"),
+    ("bilipschitz:identity", GAUSS, "interval"),
+    ("general:identity_clamped:perturbed(identity_clamped,0.05)", GAUSS,
+     "interval"),
+    ("logistic_squared", SUBGAUSS, "interval"),
+    ("logistic_absolute", LAPLACE, "binary"),
+    ("pconcept", GAUSS, "binary"),
+])
+def test_unit_rows_carry_the_check_table_tag(check, marginal, label_space):
+    # the tag the table holds is the resume key of the row the unit writes
+    cfg = base_config(checks=[check])
+    cfg["data"].update(marginal=marginal, n_train=1000, n_eval=1000)
+    cfg["data"]["label_model"]["label_space"] = label_space
+    cfg["learners"][0]["iters"] = 20
+    parsed = config.parse_config(cfg)
+    (row,) = cli._run_instance((parsed, "base", parsed.label_model, 1,
+                                parsed.learners[0]))
+    assert row.theorem == transfer.CHECKS[check.split(":")[0]][0]
+    assert set(transfer.CHECKS) == {"sim_sqrt", "bilipschitz", "general",
+                                    "logistic_squared", "logistic_absolute",
+                                    "pconcept"}
+
+
+@pytest.mark.parametrize("algorithm", sorted(config.ALGORITHMS))
+def test_every_algorithm_trains_through_the_table(algorithm):
+    entry = {"name": algorithm, "algorithm": algorithm,
+             "activation": "sigmoid", "norm_bound": 2.0, "iters": 5,
+             "round_cap": 5}
+    cfg = config.parse_config(base_config(learners=[entry]))
+    ds = synth.make_dataset(cfg.marginal, cfg.label_model, 500, 1)
+    predictor = config.train_learner(cfg.learners[0], ds, 1)
+    p = predictor.predict(ds.features)
+    assert p.shape == (500,) and np.all((p >= 0.0) & (p <= 1.0))
 
 
 def test_experiment_empty_learners(tmp_path, capsys):

@@ -6,7 +6,12 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import LinearConstraint, minimize
 
 from simlearn import fenchel, learners, synth
-from simlearn.errors import DivergenceError, InvalidInputError, PreconditionError
+from simlearn.errors import (
+    ConfigError,
+    DivergenceError,
+    InvalidInputError,
+    PreconditionError,
+)
 
 GAUSS5 = synth.MarginalSpec("standard_gaussian", 5)
 
@@ -134,8 +139,10 @@ def test_omnipredictor_steps_follow_config():
     omni = learners.train_omnipredictor(ds, 2.0, cfg, seed=5)
     lam = ds.second_moment
     expect = cfg.resolved_eps_weak() / (2.0 * 2.0 ** 2 * lam)
-    assert all(sigma == pytest.approx(expect) for sigma, _ in omni.updates)
-    assert all(np.linalg.norm(w) == pytest.approx(2.0) for _, w in omni.updates)
+    accepted = [step for step in omni.trace if "sigma" in step]
+    assert accepted
+    assert all(step["sigma"] == pytest.approx(expect) for step in accepted)
+    assert all(step["w_norm"] == pytest.approx(2.0) for step in accepted)
 
 
 def test_omnipredictor_bernoulli_reduction_flag():
@@ -151,9 +158,9 @@ def test_omnipredictor_bernoulli_reduction_flag():
 def test_omnipredictor_serialization_roundtrip():
     ds, _ = planted_sigmoid(10_000, 29)
     omni = learners.train_omnipredictor(ds, 2.0, seed=7)
-    text = omni.serialize()
-    back = learners.OmniPredictor.deserialize(text)
-    assert back.serialize() == text
+    text = learners.write_predictor(omni)
+    back = learners.read_predictor(text, learners.OmniPredictor)
+    assert learners.write_predictor(back) == text
     x = ds.features[:100]
     assert np.array_equal(back.predict(x), omni.predict(x))
 
@@ -279,8 +286,9 @@ def test_isotron_ties_are_stable():
 def test_sim_predictor_serialization_roundtrip():
     ds, _ = planted_sigmoid(1000, 61)
     pred = learners.train_isotron(ds, 2.0, iters=5)
-    back = learners.SimPredictor.deserialize(pred.serialize())
-    assert back.serialize() == pred.serialize()
+    text = learners.write_predictor(pred)
+    back = learners.read_predictor(text, learners.SimPredictor)
+    assert learners.write_predictor(back) == text
     assert np.array_equal(back.predict(ds.features[:50]),
                           pred.predict(ds.features[:50]))
 
@@ -352,6 +360,34 @@ def test_matching_gd_divergence_error():
 def test_glm_predictor_serialization_roundtrip():
     ds, _ = planted_sigmoid(1000, 79)
     pred = learners.train_glmtron(ds, "sigmoid", 2.0, iters=20)
-    back = learners.GlmPredictor.deserialize(pred.serialize())
-    assert back.serialize() == pred.serialize()
+    text = learners.write_predictor(pred)
+    back = learners.read_predictor(text, learners.GlmPredictor)
+    assert learners.write_predictor(back) == text
     assert np.array_equal(back.predict(ds.features), pred.predict(ds.features))
+
+
+GLM_TEXT = "#simlearn-predictor v2 kind=glm activation_tag=sigmoid converged=1\n" \
+    "w 0.5 -0.25\n"
+
+
+@pytest.mark.parametrize("text, cls", [
+    ("", learners.GlmPredictor),
+    (GLM_TEXT.replace(" v2 ", " v9 "), learners.GlmPredictor),
+    (GLM_TEXT.replace(" v2 ", " v1 "), learners.GlmPredictor),
+    (GLM_TEXT, learners.SimPredictor),
+    (GLM_TEXT.replace("w 0.5 -0.25\n", ""), learners.GlmPredictor),
+    (GLM_TEXT.replace("0.5", "half"), learners.GlmPredictor),
+])
+def test_read_predictor_rejects_foreign_text(text, cls):
+    # empty text, foreign versions, a kind mismatch, a missing array, a
+    # malformed number
+    assert learners.read_predictor(GLM_TEXT, learners.GlmPredictor).converged
+    with pytest.raises(ConfigError):
+        learners.read_predictor(text, cls)
+
+
+def test_matching_gd_converged_only_when_tol_stop_fires():
+    ds, _ = planted_sigmoid(5000, 73)
+    pair = fenchel.pair_from_tag("sigmoid")
+    assert not learners.train_matching_gd(ds, pair, 2.0, iters=1).converged
+    assert learners.train_matching_gd(ds, pair, 2.0).converged

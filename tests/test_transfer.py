@@ -15,12 +15,12 @@ def planted_dataset(act="sigmoid", n=20_000, seed=5, d=5, B=2.0, **kw):
     return synth.make_dataset(spec, model, n, seed)
 
 
-class PlantedPredictor:
-    def __init__(self, model):
-        self.model = model
+def planted_predictions(ds):
+    return ds.label_model.predict(ds.features)
 
-    def predict(self, features):
-        return self.model.predict(features)
+
+def constant(ds, value):
+    return learners.ConstantPredictor(value).predict(ds.features)
 
 
 # ---------------------------------------------------------------------------
@@ -30,7 +30,7 @@ class PlantedPredictor:
 
 def test_evaluate_perfect_predictor():
     ds = planted_dataset()
-    rep = transfer.evaluate(PlantedPredictor(ds.label_model), ds)
+    rep = transfer.evaluate(planted_predictions(ds), ds)
     assert rep.err2 == 0.0
     assert rep.err1 == 0.0
 
@@ -41,7 +41,7 @@ def test_evaluate_constant_on_coin_labels():
                               100_000, 4)
     ds = synth.Dataset(x, (rng.random(100_000) < 0.5).astype(float),
                        "binary", 4)
-    rep = transfer.evaluate(learners.ConstantPredictor(0.5), ds)
+    rep = transfer.evaluate(constant(ds, 0.5), ds)
     assert rep.err2 == pytest.approx(0.25, rel=0.01)
     assert rep.err1 == pytest.approx(0.5, rel=0.01)
 
@@ -49,20 +49,29 @@ def test_evaluate_constant_on_coin_labels():
 def test_evaluate_jensen_always_holds():
     ds = planted_dataset(corruption=synth.Corruption("bounded_noise", level=0.3))
     pred = learners.train_glmtron(ds, "sigmoid", 2.0, iters=30)
-    rep = transfer.evaluate(pred, ds)
+    rep = transfer.evaluate(pred.predict(ds.features), ds)
     assert rep.err1 ** 2 <= rep.err2 + 1e-12
 
 
 def test_evaluate_matching_losses_and_json():
     ds = planted_dataset(n=2000)
     pairs = [fenchel.pair_from_tag(t) for t in ("identity", "sigmoid")]
-    rep = transfer.evaluate(PlantedPredictor(ds.label_model), ds, pairs=pairs)
+    rep = transfer.evaluate(planted_predictions(ds), ds, pairs=pairs)
     assert set(rep.matching_losses) == {"identity", "sigmoid"}
     payload = json.loads(rep.to_json())
     assert list(payload) == ["err2", "err1", "matching_losses", "n_eval", "seed"]
     assert payload["n_eval"] == 2000
     # fixed key order and repeatability
     assert rep.to_json() == rep.to_json()
+
+
+def test_predictions_must_cover_the_sample():
+    ds = planted_dataset(n=100)
+    with pytest.raises(InvalidInputError):
+        transfer.evaluate(planted_predictions(ds)[:50], ds)
+    binary = planted_dataset(n=100, label_space="binary")
+    with pytest.raises(InvalidInputError):
+        transfer.pconcept_disagreement(0.5, binary)
 
 
 # ---------------------------------------------------------------------------
@@ -73,7 +82,7 @@ def test_evaluate_matching_losses_and_json():
 def test_premise_planted_predictor_is_optimal():
     ds = planted_dataset(n=30_000)
     pair = fenchel.pair_from_tag("sigmoid")
-    prem = transfer.measure_premise(PlantedPredictor(ds.label_model), ds,
+    prem = transfer.measure_premise(planted_predictions(ds), ds,
                                     pair, 2.0, n_random=2000, seed=1)
     # realizable: the planted scores minimize the loss pointwise
     assert prem.raw_slack <= 1e-10
@@ -84,9 +93,9 @@ def test_premise_planted_predictor_is_optimal():
 def test_premise_random_candidates_only_lower_the_bar():
     ds = planted_dataset(n=10_000)
     pair = fenchel.pair_from_tag("sigmoid")
-    pred = learners.train_glmtron(ds, "sigmoid", 2.0, iters=10)
-    few = transfer.measure_premise(pred, ds, pair, 2.0, n_random=50, seed=2)
-    many = transfer.measure_premise(pred, ds, pair, 2.0, n_random=5000, seed=2)
+    p = learners.train_glmtron(ds, "sigmoid", 2.0, iters=10).predict(ds.features)
+    few = transfer.measure_premise(p, ds, pair, 2.0, n_random=50, seed=2)
+    many = transfer.measure_premise(p, ds, pair, 2.0, n_random=5000, seed=2)
     assert many.best_candidate_loss <= few.best_candidate_loss + 1e-12
     assert many.eps_hat >= few.eps_hat - 1e-12
 
@@ -109,7 +118,8 @@ def test_bilipschitz_transfer_realizable():
     ds, B = identity_instance()
     pair = fenchel.pair_from_tag("identity")
     pred = learners.train_matching_gd(ds, pair, B, iters=300)
-    chk = transfer.check_bilipschitz_transfer(pred, ds, pair, B, seed=3,
+    chk = transfer.check_bilipschitz_transfer(pred.predict(ds.features), ds,
+                                              pair, B, seed=3,
                                               extra_candidates=[pred.w])
     assert chk.passed
     # realizable: the bound collapses to err2 <= 2 beta eps_hat
@@ -118,10 +128,9 @@ def test_bilipschitz_transfer_realizable():
 
 def test_bilipschitz_transfer_needs_alpha():
     ds, B = identity_instance()
-    pred = learners.ConstantPredictor(0.5)
     with pytest.raises(InvalidInputError):
         transfer.check_bilipschitz_transfer(
-            pred, ds, fenchel.pair_from_tag("relu"), B)
+            constant(ds, 0.5), ds, fenchel.pair_from_tag("relu"), B)
 
 
 def test_bilipschitz_transfer_without_planted_model():
@@ -129,8 +138,7 @@ def test_bilipschitz_transfer_without_planted_model():
     ds = synth.Dataset(x, np.full(100, 0.5), "interval", 1)
     with pytest.raises(InvalidInputError):
         transfer.check_bilipschitz_transfer(
-            learners.ConstantPredictor(0.5), ds,
-            fenchel.pair_from_tag("identity"), 1.0)
+            constant(ds, 0.5), ds, fenchel.pair_from_tag("identity"), 1.0)
 
 
 def test_general_activation_approximation_term():
@@ -146,7 +154,8 @@ def test_general_activation_approximation_term():
         phi_pair = fenchel.FenchelPair(
             fenchel.perturb_bilipschitz(g_pair.activation, slope))
         chk = transfer.check_general_activation_transfer(
-            pred, ds, g_pair, phi_pair, B, seed=4, n_random=500)
+            pred.predict(ds.features), ds, g_pair, phi_pair, B, seed=4,
+            n_random=500)
         approx = chk.extras["approximation_term"]
         assert approx <= slope ** 2 * lam * B ** 2 * 1.05
         assert chk.passed
@@ -167,7 +176,8 @@ def test_general_activation_adversarial_slope():
         fenchel.perturb_bilipschitz(g_pair.activation, slope))
     pred = learners.train_isotron(ds, B, iters=15)
     chk = transfer.check_general_activation_transfer(
-        pred, ds, g_pair, phi_pair, B, seed=5, n_random=500)
+        pred.predict(ds.features), ds, g_pair, phi_pair, B, seed=5,
+        n_random=500)
     assert chk.extras["approximation_term"] <= opt_hat * 1.05
     assert chk.passed
 
@@ -180,7 +190,8 @@ def test_general_activation_adversarial_slope():
 def test_sim_bound_realizable_degenerates():
     ds = planted_dataset(n=20_000)
     pred = learners.train_glmtron(ds, "sigmoid", 2.0, iters=200)
-    chk = transfer.check_sim_bound(pred, ds, 2.0, 1.0, eps=0.05)
+    chk = transfer.check_sim_bound(pred.predict(ds.features), ds, 2.0, 1.0,
+                                   eps=0.05)
     assert chk.params["opt_hat"] == 0.0
     assert chk.rhs == pytest.approx(0.05)
     assert chk.extras["c_needed"] == 0.0
@@ -200,7 +211,8 @@ def test_sim_bound_scaling_probe():
         train = synth.make_dataset(spec, model, 20_000, 28)
         ev = synth.make_dataset(spec, model, 30_000, 29)
         omni = learners.train_omnipredictor(train, B, seed=6)
-        chk = transfer.check_sim_bound(omni, ev, B, 1.0, eps=0.05, c_report=10.0)
+        chk = transfer.check_sim_bound(omni.predict(ev.features), ev, B, 1.0,
+                                       eps=0.05, c_report=10.0)
         needed.append(chk.extras["c_needed"])
         assert chk.passed
     assert max(needed) <= 10.0
@@ -226,9 +238,8 @@ def test_logistic_absolute_rhs_formula_exact():
 
 def test_logistic_squared_requires_subgaussian_claim():
     ds = planted_dataset()  # plain gaussian: claims gamma = 1.5, not 2
-    pred = learners.ConstantPredictor(0.5)
     with pytest.raises(InvalidInputError):
-        transfer.check_logistic_squared(pred, ds, 1.0)
+        transfer.check_logistic_squared(constant(ds, 0.5), ds, 1.0)
 
 
 def test_logistic_squared_realizable_flags_degenerate():
@@ -237,8 +248,8 @@ def test_logistic_squared_realizable_flags_degenerate():
     ds = synth.make_dataset(spec, synth.LabelModel(tuple(w), "sigmoid"),
                             20_000, 32)
     pred = learners.train_logistic(ds, 1.0, iters=200)
-    chk = transfer.check_logistic_squared(pred, ds, 1.0, seed=7,
-                                          n_random=500,
+    chk = transfer.check_logistic_squared(pred.predict(ds.features), ds, 1.0,
+                                          seed=7, n_random=500,
                                           extra_candidates=[pred.w])
     assert chk.extras["degenerate_opt"]
     assert chk.passed
@@ -250,14 +261,14 @@ def test_logistic_absolute_requires_binary_and_subexponential():
     interval = synth.make_dataset(spec, synth.LabelModel(tuple(w), "sigmoid"),
                                   1000, 34)
     with pytest.raises(InvalidInputError):
-        transfer.check_logistic_absolute(learners.ConstantPredictor(0.5),
-                                         interval, 2.0)
+        transfer.check_logistic_absolute(constant(interval, 0.5), interval,
+                                         2.0)
     gauss = synth.MarginalSpec("standard_gaussian", 3, scale=2 ** -0.5)
     binary_gauss = synth.make_dataset(
         gauss, synth.LabelModel(tuple(w), "sigmoid", label_space="binary"),
         1000, 35)
     with pytest.raises(InvalidInputError):
-        transfer.check_logistic_absolute(learners.ConstantPredictor(0.5),
+        transfer.check_logistic_absolute(constant(binary_gauss, 0.5),
                                          binary_gauss, 2.0)
 
 
@@ -296,7 +307,7 @@ def test_pconcept_zero_predictor_zero_labels():
     x = synth.sample_marginal(synth.MarginalSpec("standard_gaussian", 3),
                               10_000, 41)
     ds = synth.Dataset(x, np.zeros(10_000), "binary", 41)
-    rep = transfer.pconcept_disagreement(learners.ConstantPredictor(0.0), ds,
+    rep = transfer.pconcept_disagreement(constant(ds, 0.0), ds,
                                          resamples=10_000, seed=8)
     assert rep.disagreement == 0.0
     assert rep.err1 == 0.0
@@ -308,7 +319,7 @@ def test_pconcept_half_coin():
                               100_000, 44)
     ds = synth.Dataset(x, (rng.random(100_000) < 0.5).astype(float),
                        "binary", 44)
-    rep = transfer.pconcept_disagreement(learners.ConstantPredictor(0.5), ds,
+    rep = transfer.pconcept_disagreement(constant(ds, 0.5), ds,
                                          resamples=100_000, seed=9)
     assert rep.err1 == pytest.approx(0.5, abs=0.01)
     assert rep.within(3.0)
@@ -317,13 +328,13 @@ def test_pconcept_half_coin():
 def test_pconcept_needs_binary():
     ds = planted_dataset(n=100)
     with pytest.raises(InvalidInputError):
-        transfer.pconcept_disagreement(learners.ConstantPredictor(0.5), ds)
+        transfer.pconcept_disagreement(constant(ds, 0.5), ds)
 
 
 def test_pconcept_planted_sigmoid_within_three_se():
     ds = planted_dataset(n=100_000, label_space="binary")
-    pred = PlantedPredictor(ds.label_model)
-    rep = transfer.pconcept_disagreement(pred, ds, resamples=100_000, seed=10)
+    rep = transfer.pconcept_disagreement(planted_predictions(ds), ds,
+                                         resamples=100_000, seed=10)
     assert rep.within(3.0)
 
 
@@ -335,7 +346,8 @@ def test_pconcept_planted_sigmoid_within_three_se():
 def test_bound_check_json_fixed_keys():
     ds = planted_dataset(n=5000)
     pred = learners.train_glmtron(ds, "sigmoid", 2.0, iters=50)
-    chk = transfer.check_sim_bound(pred, ds, 2.0, 1.0, eps=0.05)
+    chk = transfer.check_sim_bound(pred.predict(ds.features), ds, 2.0, 1.0,
+                                   eps=0.05)
     payload = json.loads(chk.to_json())
     assert list(payload) == ["theorem", "lhs", "rhs", "slack", "pass",
                              "params", "extras"]
