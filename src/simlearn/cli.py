@@ -138,15 +138,14 @@ def _run_instance(payload):
     p = predictor.predict(eval_ds.features)
     report = transfer.evaluate(p, eval_ds)
     B = float(entry["norm_bound"])
-    premise = {"seed": seed, "extra_candidates":
-               [predictor.w] if hasattr(predictor, "w") else []}
+    extra = [predictor.w] if hasattr(predictor, "w") else []
     instance = f"{inst_name}_s{seed}"
     rows = []
     for check in cfg.checks:
-        kind, *check_args = check.split(":")
-        _, runner = transfer.CHECKS[kind]
+        kind, *tags = check.split(":")
+        runner = transfer.CHECKS[kind][2]
         try:
-            chk = runner(p, eval_ds, B, cfg.eps, premise, *check_args)
+            chk = runner(p, eval_ds, B, cfg.eps, seed, extra, *tags)
         except (InvalidInputError, NoConvergenceError):
             # partial failure: record the row as inapplicable, keep going
             chk = transfer.BoundCheck(
@@ -187,8 +186,11 @@ def cmd_experiment(args):
     needed = []
     for unit in units:
         key_prefix = (f"{unit[1]}_s{unit[3]}", unit[4]["name"])
-        missing = any((*key_prefix, transfer.CHECKS[c.split(":")[0]][0])
-                      not in existing for c in cfg.checks)
+        # a check's row carries its theorem tag, or <kind>_inapplicable
+        missing = any(all((*key_prefix, theorem) not in existing
+                          for theorem in (transfer.CHECKS[kind][0],
+                                          f"{kind}_inapplicable"))
+                      for kind in (c.split(":")[0] for c in cfg.checks))
         if missing or not existing:
             needed.append(unit)
 

@@ -72,12 +72,16 @@ def _corruption_from(obj):
         level=float(obj.get("level", 0.0)), value=float(obj.get("value", 0.0)))
 
 
-def _label_model_from(obj, total_dim):
-    tag = _require(obj, "activation", "label_model")
+def _activation_tag(tag):
     try:
         fenchel.activation_from_tag(tag)
     except InvalidInputError as exc:
         raise ConfigError(f"unknown activation tag {tag!r}") from exc
+    return tag
+
+
+def _label_model_from(obj, total_dim):
+    tag = _activation_tag(_require(obj, "activation", "label_model"))
     if "planted_w" in obj:
         w = np.asarray(obj["planted_w"], dtype=float)
         if w.size != total_dim:
@@ -104,11 +108,7 @@ def _learner_entry(obj, idx):
     entry = dict(obj)
     entry.setdefault("name", algo)
     if needs_activation:
-        tag = _require(obj, "activation", f"learners[{idx}]")
-        try:
-            fenchel.activation_from_tag(tag)
-        except InvalidInputError as exc:
-            raise ConfigError(f"unknown activation tag {tag!r}") from exc
+        _activation_tag(_require(obj, "activation", f"learners[{idx}]"))
     _require(obj, "norm_bound", f"learners[{idx}]")
     return entry
 
@@ -128,16 +128,21 @@ def parse_config(obj):
     if not isinstance(learner_objs, list):
         raise ConfigError("learners must be a list")
     entries = [_learner_entry(o, i) for i, o in enumerate(learner_objs)]
-    pairs = obj.get("pairs", [])
-    for tag in pairs:
-        try:
-            fenchel.activation_from_tag(tag)
-        except InvalidInputError as exc:
-            raise ConfigError(f"unknown activation tag {tag!r}") from exc
+    pairs = [_activation_tag(tag) for tag in obj.get("pairs", [])]
     checks = obj.get("checks", ["sim_sqrt"])
-    for chk in checks:
-        if chk.split(":", 1)[0] not in transfer.CHECKS:
+    for i, chk in enumerate(checks):
+        kind, *tags = chk.split(":")
+        if kind not in transfer.CHECKS:
             raise ConfigError(f"unknown check {chk!r}")
+        if len(tags) != transfer.CHECKS[kind][1]:
+            raise ConfigError(f"check {chk!r} needs {transfer.CHECKS[kind][1]}"
+                              f" activation tag(s) after {kind!r}")
+        # rows are keyed by the check's theorem tag: one check per kind
+        if kind in [c.split(":")[0] for c in checks[:i]]:
+            raise ConfigError(f"check {chk!r}: only one {kind!r} check "
+                              f"may be listed")
+        for tag in tags:
+            _activation_tag(tag)
     seeds = obj.get("seeds", [0])
     if not seeds:
         raise ConfigError("seeds must be non-empty")
@@ -149,7 +154,7 @@ def parse_config(obj):
         marginal=marginal, label_model=label_model,
         n_train=int(data.get("n_train", 20000)),
         n_eval=int(data.get("n_eval", 50000)),
-        learners=entries, pairs=list(pairs), checks=list(checks),
+        learners=entries, pairs=pairs, checks=list(checks),
         eps=float(obj.get("eps", 0.05)), seeds=[int(s) for s in seeds],
         instances=instances)
 

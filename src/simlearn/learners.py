@@ -21,7 +21,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import isotonic_regression
+# unused here; kept importable because perfbench/tracer.py wraps
+# learners.isotonic_regression by name
+from scipy.optimize import isotonic_regression  # noqa: F401
 
 from . import fenchel
 from .errors import (
@@ -321,28 +323,57 @@ def train_glmtron(dataset, activation_tag, B, iters=500, tol=1e-8):
 # ---------------------------------------------------------------------------
 
 
-def lipschitz_isotonic_fit(t_sorted, y, max_iters=2000, tol=1e-9):
+def lipschitz_isotonic_fit(t_sorted, y):
     """Least squares fit that is non-decreasing and 1-Lipschitz in t.
 
-    Dykstra's alternating projections between the monotone cone and the
-    cone of 1-Lipschitz-in-t sequences (u monotone and t - u monotone);
-    both projections are plain isotonic regressions.
+    Exact dynamic programme for ``min sum (u_i - y_i)^2`` subject to
+    ``0 <= u_i - u_{i-1} <= delta_i = t_i - t_{i-1}``.  The least cost
+    F_i(u) of the first i points with u_i = u is convex, and F_i' is
+    continuous and piecewise linear with slopes >= 2: the line ``a + b u``
+    around its zero m plus slope-jump knots on a left and a right stack, the
+    right one with a lazy shift.  The constraint turns F_{i-1}' into a flat
+    of width delta_i at m (jump -b at m, +b at m + delta_i, the right part
+    shifted by delta_i); adding 2 (u - y_i) moves the zero across knots.
+    The backward pass clips each zero into the window its successor allows.
     """
-    u = np.asarray(y, dtype=float).copy()
-    t = np.asarray(t_sorted, dtype=float)
-    p = np.zeros_like(u)
-    q = np.zeros_like(u)
-    for _ in range(max_iters):
-        v = isotonic_regression(u + p).x
-        p = u + p - v
-        u_new = t - isotonic_regression(t - (v + q)).x
-        q = v + q - u_new
-        # stop only when the two projection sequences agree: a small step
-        # alone can be a plateau while the iterate is still infeasible
-        if np.max(np.abs(u_new - u)) < tol and np.max(np.abs(u_new - v)) < tol:
-            return u_new
-        u = u_new
-    return u
+    t = np.asarray(t_sorted, dtype=float).tolist()
+    y = np.asarray(y, dtype=float).tolist()
+    if not y:
+        return np.empty(0)
+    # (position, jump) knots above sentinels; right positions minus shift
+    left, right = [(-math.inf, 0.0)], [(math.inf, 0.0)]
+    shift = 0.0
+    a, b = -2.0 * y[0], 2.0
+    zeros = [y[0]]
+    for i in range(1, len(y)):
+        delta = t[i] - t[i - 1]
+        if delta > 0.0:    # tied scores leave F' as it is
+            left.append((zeros[-1], -b))
+            shift += delta
+            right.append((zeros[-1] + delta - shift, b))
+            a, b = 0.0, 0.0
+        a -= 2.0 * y[i]
+        b += 2.0
+        # knots cross in one direction only, so rounding cannot make one
+        # bounce between the stacks
+        if a + b * left[-1][0] > 0.0:
+            while a + b * left[-1][0] > 0.0:
+                x, jump = left.pop()
+                a += jump * x
+                b -= jump
+                right.append((x - shift, jump))
+        else:
+            while a + b * (right[-1][0] + shift) < 0.0:
+                x, jump = right.pop()
+                x += shift
+                a -= jump * x
+                b += jump
+                left.append((x, jump))
+        zeros.append(min(max(-a / b, left[-1][0]), right[-1][0] + shift))
+    u = zeros
+    for i in range(len(u) - 1, 0, -1):
+        u[i - 1] = min(max(u[i - 1], u[i] - (t[i] - t[i - 1])), u[i])
+    return np.array(u)
 
 
 @dataclass

@@ -10,8 +10,8 @@ assemble each bound's right-hand side from measured quantities:
   the direction of the test), and
 * a measured premise slack ``eps_hat``: the empirical matching loss of the
   predictor minus the best over a candidate set of norm-bounded linear
-  functions (planted weights, random draws from the ball, and optionally a
-  gradient-descent optimum).
+  functions (the planted weights and the caller's candidates, such as the
+  learner's own weights or the empirical minimiser over the ball).
 
 Functions take the predictions ``p`` on ``dataset.features``, so a caller
 predicts once per sample.
@@ -33,10 +33,7 @@ from . import fenchel
 from .errors import InvalidInputError
 
 CHECK_TOL = 1e-6
-DEFAULT_N_CANDIDATES = 10_000
 OPT_FLOOR = 1e-6
-CANDIDATE_BLOCK = 4_000_000   # score-matrix entries per candidate block
-SCAN_ROWS = 20_000            # least rows of the random-candidate scan
 LOGISTIC_C = 1.0              # constant of both logistic bounds
 TAIL_C = 4.0                  # constant of the exponential-tail bound
 
@@ -104,31 +101,11 @@ def evaluate(p, dataset, pairs=()):
 # ---------------------------------------------------------------------------
 
 
-def random_ball_candidates(d, B, n, seed):
-    """n weight vectors drawn uniformly from the radius-B ball."""
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0xCA4D]))
-    dirs = rng.standard_normal((n, d))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    radii = rng.random(n) ** (1.0 / d)
-    return dirs * (B * radii[:, None])
-
-
 def linear_matching_losses(dataset, pair, W):
-    """Empirical matching loss of each linear score row of W.
-
-    Candidates are processed in chunks sized so intermediate score matrices
-    stay around ``CANDIDATE_BLOCK`` entries regardless of the dataset size.
-    """
+    """Empirical matching loss of each linear score row of W."""
     W = np.atleast_2d(np.asarray(W, dtype=float))
-    x, y = dataset.features, dataset.labels
-    chunk = max(1, int(CANDIDATE_BLOCK // max(dataset.n, 1)))
-    out = np.empty(W.shape[0])
-    for start in range(0, W.shape[0], chunk):
-        block = W[start:start + chunk]
-        scores = x @ block.T
-        out[start:start + chunk] = np.mean(
-            pair.g(scores) - y[:, None] * scores, axis=0)
-    return out
+    scores = dataset.features @ W.T
+    return np.mean(pair.g(scores) - dataset.labels[:, None] * scores, axis=0)
 
 
 @dataclass
@@ -140,57 +117,31 @@ class PremiseEstimate:
     raw_slack: float        # predictor_loss - best_candidate_loss, signed
 
 
-def measure_premise(p, dataset, pair, B, n_random=DEFAULT_N_CANDIDATES,
-                    seed=0, extra_candidates=()):
+def measure_premise(p, dataset, pair, B, extra_candidates=()):
     """Measured surrogate for the matching-loss near-optimality premise.
 
-    The population minimum over the ball is unobservable; the best of the
-    candidate set is an upper bound for it, making the resulting ``eps_hat``
-    a stringent (smaller-is-harder) surrogate.  The signed slack is kept
-    separately so sampling effects stay visible.
-
-    The random-candidate scan may run on a strided row subsample of at least
-    ``SCAN_ROWS`` rows; the winning random candidate, the planted weights and
-    any extra candidates are always re-evaluated on the full sample, so the
-    reported losses are exact and adding candidates can only tighten the
-    measured slack.
+    The population minimum over the norm-B ball is unobservable; the best of
+    the candidates in the ball (the planted weights and
+    ``extra_candidates``) is an upper bound for it, making the resulting
+    ``eps_hat`` a stringent (smaller-is-harder) surrogate that more
+    candidates can only tighten.  With the empirical minimiser over the
+    ball as a candidate, ``raw_slack`` is the exact empirical premise gap;
+    the signed slack is kept so sampling effects stay visible.
     """
     pred_loss = _matching_loss(pair, _predictions(p, dataset), dataset.labels)
-
-    sources = []
-    cands = []
-    if dataset.label_model is not None:
-        w_star = dataset.label_model.w
-        if w_star.size == dataset.d:
-            cands.append(w_star)
-            sources.append("planted")
-    for i, w in enumerate(extra_candidates):
-        cands.append(np.asarray(w, dtype=float))
-        sources.append(f"extra_{i}")
-    if n_random > 0:
-        W = random_ball_candidates(dataset.d, B, n_random, seed)
-        scan_ds = dataset
-        if dataset.n > 2 * SCAN_ROWS:
-            stride = dataset.n // SCAN_ROWS
-            from .synth import Dataset
-            scan_ds = Dataset(dataset.features[::stride], dataset.labels[::stride],
-                              dataset.label_space, dataset.seed)
-        rnd = linear_matching_losses(scan_ds, pair, W)
-        j = int(np.argmin(rnd))
-        cands.append(W[j])
-        sources.append(f"random_{j}")
+    cands = {}    # source -> weights
+    model = dataset.label_model
+    if model is not None and model.w.size == dataset.d:
+        cands["planted"] = model.w
+    cands.update((f"extra_{i}", np.asarray(w, dtype=float))
+                 for i, w in enumerate(extra_candidates))
     if not cands:
         raise InvalidInputError("no candidates to measure the premise against")
-    losses = linear_matching_losses(dataset, pair, np.vstack(cands))
+    losses = linear_matching_losses(dataset, pair, list(cands.values()))
     k = int(np.argmin(losses))
     best = float(losses[k])
-    return PremiseEstimate(
-        predictor_loss=pred_loss,
-        best_candidate_loss=best,
-        best_source=sources[k],
-        eps_hat=max(0.0, pred_loss - best),
-        raw_slack=pred_loss - best,
-    )
+    return PremiseEstimate(pred_loss, best, list(cands)[k],
+                           max(0.0, pred_loss - best), pred_loss - best)
 
 
 # ---------------------------------------------------------------------------
@@ -234,16 +185,13 @@ def _finish(tag, lhs, rhs, params, extras):
                       bool(slack >= -CHECK_TOL), params, extras)
 
 
-def check_bilipschitz_transfer(p, dataset, pair, B,
-                               n_random=DEFAULT_N_CANDIDATES, seed=0,
-                               extra_candidates=()):
+def check_bilipschitz_transfer(p, dataset, pair, B, extra_candidates=()):
     """err2 <= (beta/alpha) * opt_hat + 2 beta * eps_hat, bi-Lipschitz pairs."""
     if pair.alpha <= 0.0:
         raise InvalidInputError(
             f"pair {pair.tag} is not bi-Lipschitz; the transfer is inapplicable")
     opt_hat = _certified_opt(dataset)
-    premise = measure_premise(p, dataset, pair, B, n_random=n_random,
-                              seed=seed, extra_candidates=extra_candidates)
+    premise = measure_premise(p, dataset, pair, B, extra_candidates)
     eps_hat = premise.eps_hat
     report = evaluate(p, dataset)
     rhs = (pair.beta / pair.alpha) * opt_hat + 2.0 * pair.beta * eps_hat
@@ -255,7 +203,6 @@ def check_bilipschitz_transfer(p, dataset, pair, B,
 
 
 def check_general_activation_transfer(p, dataset, g_pair, phi_pair, B,
-                                      n_random=DEFAULT_N_CANDIDATES, seed=0,
                                       extra_candidates=()):
     """Transfer through a bi-Lipschitz stand-in phi' for a general activation.
 
@@ -271,8 +218,7 @@ def check_general_activation_transfer(p, dataset, g_pair, phi_pair, B,
     w_star = dataset.label_model.w
     s = dataset.features @ w_star
     approx = float(np.mean((g_pair.g_prime(s) - phi_pair.g_prime(s)) ** 2))
-    premise = measure_premise(p, dataset, phi_pair, B, n_random=n_random,
-                              seed=seed, extra_candidates=extra_candidates)
+    premise = measure_premise(p, dataset, phi_pair, B, extra_candidates)
     eps_hat = premise.eps_hat
     report = evaluate(p, dataset)
     ratio = 2.0 * phi_pair.beta / phi_pair.alpha
@@ -352,8 +298,7 @@ def _require_concentration(dataset, gamma):
     return conc
 
 
-def check_logistic_squared(p, dataset, B, n_random=DEFAULT_N_CANDIDATES,
-                           seed=0, extra_candidates=()):
+def check_logistic_squared(p, dataset, B, extra_candidates=()):
     """Squared-error bound for approximate logistic-loss minimizers.
 
     Requires a subgaussian-declared marginal.  Also reports the intermediate
@@ -365,8 +310,7 @@ def check_logistic_squared(p, dataset, B, n_random=DEFAULT_N_CANDIDATES,
     opt_hat = _certified_opt(dataset)
     degenerate = opt_hat < OPT_FLOOR
     opt_eff = max(opt_hat, OPT_FLOOR)
-    premise = measure_premise(p, dataset, pair, B, n_random=n_random,
-                              seed=seed, extra_candidates=extra_candidates)
+    premise = measure_premise(p, dataset, pair, B, extra_candidates)
     eps_hat = premise.eps_hat
     report = evaluate(p, dataset)
     rhs = logistic_squared_rhs(opt_eff, B, LOGISTIC_C, eps_hat)
@@ -398,8 +342,7 @@ def planted_absolute_error(dataset):
     return float(np.mean(np.abs(dataset.labels - planted)))
 
 
-def check_logistic_absolute(p, dataset, B, n_random=DEFAULT_N_CANDIDATES,
-                            seed=0, extra_candidates=()):
+def check_logistic_absolute(p, dataset, B, extra_candidates=()):
     """Absolute-error bound for approximate logistic-loss minimizers on
     binary labels over a subexponential-declared marginal."""
     if dataset.label_space != "binary":
@@ -409,8 +352,7 @@ def check_logistic_absolute(p, dataset, B, n_random=DEFAULT_N_CANDIDATES,
     opt1 = planted_absolute_error(dataset)
     degenerate = opt1 < OPT_FLOOR
     opt_eff = max(opt1, OPT_FLOOR)
-    premise = measure_premise(p, dataset, pair, B, n_random=n_random,
-                              seed=seed, extra_candidates=extra_candidates)
+    premise = measure_premise(p, dataset, pair, B, extra_candidates)
     eps_hat = premise.eps_hat
     report = evaluate(p, dataset)
     rhs = logistic_absolute_rhs(opt_eff, B, LOGISTIC_C, eps_hat)
@@ -480,28 +422,30 @@ def _pconcept_check(p, dataset, seed=0):
                       3.0 * rep.stderr - rep.gap, rep.within(3.0))
 
 
-# check kind -> (theorem tag, runner).  A config names a check as ``kind`` or
-# ``kind:tag[:tag]``.  A runner takes the predictions, the evaluation sample,
-# the norm bound B, the sqrt-opt slack eps, the premise keywords (seed and
-# extra_candidates) and then the activation tags, and returns a BoundCheck
-# carrying the theorem tag, which keys the rows of a resumed sweep.
+# check kind -> (theorem tag, number of activation tags, runner).  A config
+# names a check as ``kind`` followed by that many ``:tag`` parts.  A runner
+# takes the predictions, the evaluation sample, the norm bound B, the
+# sqrt-opt slack eps, the unit's seed, the extra premise candidates and then
+# the activation tags, and returns a BoundCheck carrying the theorem tag,
+# which keys the rows of a resumed sweep.
 CHECKS = {
-    "sim_sqrt": ("sim_sqrt_transfer", lambda p, ds, B, eps, premise:
+    "sim_sqrt": ("sim_sqrt_transfer", 0, lambda p, ds, B, eps, seed, extra:
                  check_sim_bound(p, ds, B, ds.second_moment, eps)),
-    "bilipschitz": ("bilipschitz_transfer", lambda p, ds, B, eps, premise, tag:
+    "bilipschitz": ("bilipschitz_transfer", 1,
+                    lambda p, ds, B, eps, seed, extra, tag:
                     check_bilipschitz_transfer(
-                        p, ds, fenchel.pair_from_tag(tag), B, **premise)),
-    "general": ("general_activation_transfer",
-                lambda p, ds, B, eps, premise, g_tag, phi_tag:
+                        p, ds, fenchel.pair_from_tag(tag), B, extra)),
+    "general": ("general_activation_transfer", 2,
+                lambda p, ds, B, eps, seed, extra, g_tag, phi_tag:
                 check_general_activation_transfer(
                     p, ds, fenchel.pair_from_tag(g_tag),
-                    fenchel.pair_from_tag(phi_tag), B, **premise)),
-    "logistic_squared": ("logistic_squared_transfer",
-                         lambda p, ds, B, eps, premise:
-                         check_logistic_squared(p, ds, B, **premise)),
-    "logistic_absolute": ("logistic_absolute_transfer",
-                          lambda p, ds, B, eps, premise:
-                          check_logistic_absolute(p, ds, B, **premise)),
-    "pconcept": ("pconcept_identity", lambda p, ds, B, eps, premise:
-                 _pconcept_check(p, ds, seed=premise["seed"])),
+                    fenchel.pair_from_tag(phi_tag), B, extra)),
+    "logistic_squared": ("logistic_squared_transfer", 0,
+                         lambda p, ds, B, eps, seed, extra:
+                         check_logistic_squared(p, ds, B, extra)),
+    "logistic_absolute": ("logistic_absolute_transfer", 0,
+                          lambda p, ds, B, eps, seed, extra:
+                          check_logistic_absolute(p, ds, B, extra)),
+    "pconcept": ("pconcept_identity", 0, lambda p, ds, B, eps, seed, extra:
+                 _pconcept_check(p, ds, seed=seed)),
 }

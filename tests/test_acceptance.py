@@ -6,12 +6,13 @@ through the installed command-line entry point in a fresh process and
 requires a byte-identical CSV artifact.
 """
 
+import math
 import subprocess
 import sys
 
 import pytest
 
-from simlearn import acceptance
+from simlearn import acceptance, learners, transfer
 
 SEED = acceptance.DEFAULT_SEED
 
@@ -84,6 +85,35 @@ def test_seed_override_changes_draws_not_outcomes():
     for num in (3, 4, 8):
         res = acceptance.CRITERIA[num](other)
         assert res.passed, (num, res.details)
+
+
+def test_criterion_07_fails_for_a_constant_predictor(monkeypatch):
+    # predicting 0.5 everywhere is far from optimal for every pair
+    monkeypatch.setattr(learners, "train_omnipredictor",
+                        lambda *_, **__: learners.ConstantPredictor(0.5))
+    res = acceptance.criterion_7(SEED)
+    assert not res.passed
+    assert res.details["max_eps_report"] > acceptance.SIMULTANEITY_EPS
+
+
+def _squared_without_sqrt_term(opt_hat, B, C, eps_hat):
+    return C * opt_hat * math.exp(B ** 2) + 2.0 * eps_hat
+
+
+def _absolute_without_eps(opt_hat, B, C, eps_hat):
+    return C * B * opt_hat * math.log(1.0 / opt_hat)
+
+
+@pytest.mark.parametrize("name, broken", [
+    ("logistic_squared_rhs", _squared_without_sqrt_term),
+    ("logistic_absolute_rhs", _absolute_without_eps),
+])
+def test_criterion_09_fails_on_a_broken_bound_formula(monkeypatch, name,
+                                                      broken):
+    # the checks compute rhs through the module function; criterion 9
+    # re-evaluates the stated formula in decimal arithmetic
+    monkeypatch.setattr(transfer, name, broken)
+    assert not acceptance.criterion_9(SEED).passed
 
 
 def test_criterion_10_fails_on_a_broken_row_renderer(monkeypatch):

@@ -273,3 +273,42 @@ def test_experiment_unknown_check(tmp_path):
     cfg_path = write_config(tmp_path, cfg)
     assert cli.main(["experiment", "--config", cfg_path,
                      "--out", str(tmp_path / "x.csv")]) == 2
+
+
+@pytest.mark.parametrize("checks, needle", [
+    (["bilipschitz"], "needs 1 activation tag"),
+    (["bilipschitz:identity:relu"], "needs 1 activation tag"),
+    (["sim_sqrt:identity"], "needs 0 activation tag"),
+    (["general:identity_clamped"], "needs 2 activation tag"),
+    (["bilipschitz:nonsense"], "unknown activation tag 'nonsense'"),
+    (["bilipschitz:identity", "bilipschitz:leaky_relu(0.1)",
+      "logistic_squared"], "only one 'bilipschitz' check"),
+])
+def test_experiment_rejects_malformed_checks(tmp_path, capsys, checks,
+                                             needle):
+    cfg_path = write_config(tmp_path, base_config(checks=checks))
+    out = tmp_path / "x.csv"
+    assert cli.main(["experiment", "--config", cfg_path,
+                     "--out", str(out)]) == 2
+    assert needle in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_resume_of_a_complete_csv_runs_no_unit(tmp_path, monkeypatch):
+    # logistic_squared is inapplicable on a plain-Gaussian marginal, so the
+    # unit writes one theorem row and one <kind>_inapplicable row
+    cfg = base_config(checks=["sim_sqrt", "logistic_squared"])
+    cfg["data"].update(n_train=1000, n_eval=1000)
+    cfg_path = write_config(tmp_path, cfg)
+    out = tmp_path / "sweep.csv"
+    assert cli.main(["experiment", "--config", cfg_path, "--out", str(out)]) == 0
+    assert "logistic_squared_inapplicable" in out.read_text()
+    before = out.read_bytes()
+    calls = []
+    run_instance = cli._run_instance
+    monkeypatch.setattr(cli, "_run_instance",
+                        lambda unit: calls.append(unit) or run_instance(unit))
+    assert cli.main(["experiment", "--config", cfg_path, "--out", str(out),
+                     "--resume"]) == 0
+    assert calls == []
+    assert out.read_bytes() == before

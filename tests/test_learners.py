@@ -216,19 +216,41 @@ def test_glmtron_matching_loss_trace_non_increasing():
 
 def test_lipschitz_isotonic_fit_matches_qp_oracle():
     rng = np.random.default_rng(47)
-    for _ in range(3):
+    # scores rounded to one decimal include ties
+    for decimals in (None, None, None, 1, 1, 1):
         n = 12
         t = np.sort(rng.normal(size=n)) * 2.0
+        if decimals is not None:
+            t = np.round(t, decimals)
         y = rng.uniform(0, 1, n)
-        u = learners.lipschitz_isotonic_fit(t, y, max_iters=20_000, tol=1e-13)
-        A = np.diff(np.eye(n), axis=0) * -1.0  # u[i+1] - u[i]
-        A = np.zeros((n - 1, n))
+        u = learners.lipschitz_isotonic_fit(t, y)
+        A = np.zeros((n - 1, n))  # rows: u[i+1] - u[i]
         for i in range(n - 1):
             A[i, i], A[i, i + 1] = -1.0, 1.0
         cons = LinearConstraint(A, 0.0, np.diff(t))
         ref = minimize(lambda v: np.sum((v - y) ** 2), y, constraints=[cons],
                        method="SLSQP", options={"maxiter": 500, "ftol": 1e-14})
         assert np.max(np.abs(u - ref.x)) <= 1e-6
+
+
+def test_lipschitz_isotonic_fit_all_tied_is_the_mean():
+    y = np.random.default_rng(48).uniform(0, 1, 100)
+    u = learners.lipschitz_isotonic_fit(np.full(100, 0.3), y)
+    assert np.max(np.abs(u - y.mean())) <= 1e-12
+
+
+def test_lipschitz_isotonic_fit_large_with_ties_and_tiny_gaps():
+    # every score drawn twice: every other pair tied, the rest 1e-12 apart
+    rng = np.random.default_rng(49)
+    n = 20_000
+    t = np.repeat(np.sort(rng.normal(size=n // 2)), 2)
+    t[2::4] += 1e-12
+    t = np.sort(t)
+    y = rng.uniform(0, 1, n)
+    u = learners.lipschitz_isotonic_fit(t, y)
+    du = np.diff(u)
+    assert np.all(du >= -1e-12)
+    assert np.all(du <= np.diff(t) + 1e-12)
 
 
 @settings(max_examples=30, deadline=None)
