@@ -18,7 +18,7 @@ from decimal import Decimal, localcontext
 import numpy as np
 
 from . import fenchel, learners, synth, transfer
-from .errors import ConfigError
+from .errors import ConfigError, InvalidInputError, NoConvergenceError
 
 DEFAULT_SEED = 20250
 CSV_HEADER = "instance,learner,opt_hat,err2,err1,theorem,rhs,slack,c_report,runtime_ms"
@@ -51,6 +51,30 @@ class Row:
         ])
 
 
+def check_rows(instance, learner, checks, p, dataset, B, extra=(), eps=None,
+               seed=0, runtime_ms=0):
+    """One ``(BoundCheck, Row)`` per ``(kind, tags)`` check of
+    ``transfer.CHECKS`` run on the predictions ``p``; every row carries the
+    errors of ``p``, evaluated once.  A check that does not apply becomes a
+    failed ``<kind>_inapplicable`` check."""
+    report = transfer.evaluate(p, dataset)
+    out = []
+    for kind, tags in checks:
+        try:
+            chk = transfer.CHECKS[kind][2](p, dataset, B, eps, seed, extra,
+                                           *tags)
+        except (InvalidInputError, NoConvergenceError):
+            chk = transfer.BoundCheck(
+                f"{kind}_inapplicable", 0.0, 0.0, -1.0, False,
+                {"opt_hat": dataset.certified_opt_upper_bound})
+        out.append((chk, Row(
+            instance, learner,
+            chk.params.get("opt_hat", chk.params.get("opt1_hat")),
+            report.err2, report.err1, chk.theorem_tag, chk.rhs, chk.slack,
+            chk.extras.get("c_needed"), runtime_ms)))
+    return out
+
+
 @dataclass
 class CriterionResult:
     number: int
@@ -71,6 +95,8 @@ class CriterionResult:
         extra = "" if self.passed else " (criterion failed)"
         if self.passed and not self.ok:
             extra = f" (over budget {self.budget_s:.0f}s)"
+        if self.details.get("nonconverged"):
+            extra += " nonconverged: " + ", ".join(self.details["nonconverged"])
         return (f"[{state}] {self.number:2d} {self.name} "
                 f"({self.runtime_s:.1f}s / budget {self.budget_s:.0f}s){extra}")
 
@@ -142,8 +168,9 @@ BUILTIN_TAGS = ("identity", "identity_clamped", "relu", "leaky_relu(0.1)",
                 "sigmoid")
 
 
-def criterion_2(seed=DEFAULT_SEED, grid_n=1000, tol=1e-8):
+def criterion_2(seed=DEFAULT_SEED):
     t0 = time.time()
+    grid_n, tol = 1000, 1e-8
     rows, ok = [], True
     r = fenchel.interior_grid(grid_n)
     for tag in BUILTIN_TAGS + ("perturbed(identity_clamped,0.05)",
@@ -162,39 +189,38 @@ def criterion_2(seed=DEFAULT_SEED, grid_n=1000, tol=1e-8):
 # ---------------------------------------------------------------------------
 
 
-def criterion_3(seed=DEFAULT_SEED, trials=30, n=100_000, d=10, eps=0.5):
+def criterion_3(seed=DEFAULT_SEED):
     t0 = time.time()
+    trials, n, d, eps = 30, 100_000, 10, 0.5
     spec = synth.MarginalSpec("standard_gaussian", d)
-    comp_fail = 0
-    sound_fail = 0
-    null_accepts = 0
+
+    def coin(key):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, key]))
+        return rng.choice([-1.0, 1.0], size=n)
+
+    def unsound(w, xf, zf):
+        """Whether E[z (w.x)] >= eps/4 fails on the fresh sample (xf, zf)."""
+        vals = zf * (xf @ w)
+        se = float(vals.std(ddof=1)) / math.sqrt(n)
+        return float(vals.mean()) < eps / 4.0 - 3.0 * se
+
+    comp_fail = sound_fail = null_accepts = 0
     for trial in range(trials):
         x = synth.sample_marginal(spec, n, seed + 1000 + trial)
-        z = np.clip(x[:, 0], -1.0, 1.0)
-        res = learners.weak_learn(x, z, 1.0, eps)
+        res = learners.weak_learn(x, np.clip(x[:, 0], -1.0, 1.0), 1.0, eps)
         if not res.accepted:
             comp_fail += 1
             continue
         xf = synth.sample_marginal(spec, n, seed + 4000 + trial)
-        vals = np.clip(xf[:, 0], -1.0, 1.0) * (xf @ res.w)
-        se = float(vals.std(ddof=1)) / math.sqrt(n)
-        if float(vals.mean()) < eps / 4.0 - 3.0 * se:
-            sound_fail += 1
+        sound_fail += unsound(res.w, xf, np.clip(xf[:, 0], -1.0, 1.0))
     for trial in range(trials):
         x = synth.sample_marginal(spec, n, seed + 2000 + trial)
-        rng = np.random.default_rng(np.random.SeedSequence([seed, 3000 + trial]))
-        z = rng.choice([-1.0, 1.0], size=n)
-        res = learners.weak_learn(x, z, 1.0, eps)
+        res = learners.weak_learn(x, coin(3000 + trial), 1.0, eps)
         if res.accepted:
             null_accepts += 1
-            xf = synth.sample_marginal(spec, n, seed + 5000 + trial)
-            zf = np.random.default_rng(
-                np.random.SeedSequence([seed, 6000 + trial])).choice(
-                    [-1.0, 1.0], size=n)
-            vals = zf * (xf @ res.w)
-            se = float(vals.std(ddof=1)) / math.sqrt(n)
-            if float(vals.mean()) < eps / 4.0 - 3.0 * se:
-                sound_fail += 1
+            sound_fail += unsound(
+                res.w, synth.sample_marginal(spec, n, seed + 5000 + trial),
+                coin(6000 + trial))
     ok = comp_fail <= 5 and sound_fail == 0
     rows = [Row(f"planted_x1_n{n}_d{d}", "weak_learner", None, None, None,
                 "weak_completeness", 5.0, 5.0 - comp_fail, None),
@@ -233,10 +259,12 @@ def criterion_4(seed=DEFAULT_SEED):
                 "realizable_recovery", 1e-3, 1e-3 - err_glm, None),
             Row("realizable_ramp_d3", "isotron", 0.0, err_iso, None,
                 "realizable_recovery", 1e-2, 1e-2 - err_iso, None)]
+    nonconv = [row.instance for row, pred in zip(rows, (glm, iso))
+               if not pred.converged]
     return CriterionResult(4, "realizable recovery", bool(ok),
                            time.time() - t0, 120.0,
-                           {"glmtron_err2": err_glm, "isotron_err2": err_iso},
-                           rows)
+                           {"glmtron_err2": err_glm, "isotron_err2": err_iso,
+                            "nonconverged": nonconv}, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -253,9 +281,9 @@ def _bilipschitz_instance(act_tag, constant_weight, corruption, seed):
     return spec, model, float(np.linalg.norm(w)) + 0.1
 
 
-def criterion_5(seed=DEFAULT_SEED, n_train=20_000, n_eval=100_000):
+def criterion_5(seed=DEFAULT_SEED):
     t0 = time.time()
-    rows, ok = [], True
+    rows, nonconv, ok = [], [], True
     cases = [("identity", 0.5), ("leaky_relu(0.1)", 0.0)]
     opts = [("opt0", synth.Corruption("none")),
             ("opt.04", synth.Corruption("constant_override", mass=0.12,
@@ -264,19 +292,20 @@ def criterion_5(seed=DEFAULT_SEED, n_train=20_000, n_eval=100_000):
         pair = fenchel.pair_from_tag(act_tag)
         for opt_name, corr in opts:
             spec, model, B = _bilipschitz_instance(act_tag, cw, corr, seed + 41)
-            train = synth.make_dataset(spec, model, n_train, seed + 42)
-            ev = synth.make_dataset(spec, model, n_eval, seed + 43)
+            train = synth.make_dataset(spec, model, 20_000, seed + 42)
+            ev = synth.make_dataset(spec, model, 100_000, seed + 43)
             pred = learners.train_matching_gd(train, pair, B, iters=400)
-            p = pred.predict(ev.features)
-            chk = transfer.check_bilipschitz_transfer(p, ev, pair, B,
-                                                      [pred.w])
+            [(chk, row)] = check_rows(
+                f"{act_tag}_{opt_name}", "matching_gd",
+                [("bilipschitz", (act_tag,))], pred.predict(ev.features), ev,
+                B, [pred.w])
             ok &= chk.passed
-            rep = transfer.evaluate(p, ev)
-            rows.append(Row(f"{act_tag}_{opt_name}", "matching_gd",
-                            chk.params["opt_hat"], rep.err2, rep.err1,
-                            chk.theorem_tag, chk.rhs, chk.slack, None))
+            rows.append(row)
+            if not pred.converged:
+                nonconv.append(row.instance)
     return CriterionResult(5, "bi-Lipschitz transfer", bool(ok),
-                           time.time() - t0, 300.0, {}, rows)
+                           time.time() - t0, 300.0, {"nonconverged": nonconv},
+                           rows)
 
 
 # ---------------------------------------------------------------------------
@@ -284,14 +313,11 @@ def criterion_5(seed=DEFAULT_SEED, n_train=20_000, n_eval=100_000):
 # ---------------------------------------------------------------------------
 
 SIM_SUITE_EPS = 0.05
-SIM_SUITE_C_GUARD = 10.0
 
 
-def criterion_6(seed=DEFAULT_SEED, n_train=20_000, n_eval=50_000):
+def criterion_6(seed=DEFAULT_SEED):
     t0 = time.time()
-    rows = []
-    c_needed_all = []
-    ok = True
+    rows, nonconv, ok = [], [], True
     B = 2.0
     marginals = [("gaussian", synth.MarginalSpec("standard_gaussian", 5,
                                                  augment_constant=True)),
@@ -307,29 +333,25 @@ def criterion_6(seed=DEFAULT_SEED, n_train=20_000, n_eval=50_000):
                                         value=0.0))]
     w = synth.planted_direction(6, B, seed + 61, constant_weight=0.2)
     for mname, spec in marginals:
-        lam = spec.second_moment
         for oname, corr in opts:
             model = synth.LabelModel(tuple(w), "sigmoid", corruption=corr)
-            train = synth.make_dataset(spec, model, n_train, seed + 62)
-            ev = synth.make_dataset(spec, model, n_eval, seed + 63)
-            omni = learners.train_omnipredictor(
-                train, B, learners.OmniConfig(eps_ma=0.02, eps_cal=0.02),
-                seed=seed + 64)
-            p = omni.predict(ev.features)
-            chk = transfer.check_sim_bound(p, ev, B, lam, SIM_SUITE_EPS,
-                                           c_report=SIM_SUITE_C_GUARD)
-            c_needed_all.append(chk.extras["c_needed"])
+            train = synth.make_dataset(spec, model, 20_000, seed + 62)
+            ev = synth.make_dataset(spec, model, 50_000, seed + 63)
+            omni = learners.train_omnipredictor(train, B, seed + 64)
+            [(chk, row)] = check_rows(
+                f"{mname}_{oname}", "omnipredictor", [("sim_sqrt", ())],
+                omni.predict(ev.features), ev, B, eps=SIM_SUITE_EPS)
             ok &= chk.passed
-            rep = transfer.evaluate(p, ev)
-            rows.append(Row(f"{mname}_{oname}", "omnipredictor",
-                            chk.params["opt_hat"], rep.err2, rep.err1,
-                            chk.theorem_tag, chk.rhs, chk.slack,
-                            chk.extras["c_needed"]))
-    c_report = max(c_needed_all)
-    ok &= c_report <= SIM_SUITE_C_GUARD
+            rows.append(row)
+            if not omni.converged:
+                nonconv.append(row.instance)
+    # c_needed; an inapplicable check has none and has failed already
+    c_report = max(row.c_report or 0.0 for row in rows)
+    ok &= c_report <= transfer.SIM_C
     return CriterionResult(6, "sqrt-opt omnipredictor suite", bool(ok),
                            time.time() - t0, 900.0,
-                           {"c_report": c_report}, rows)
+                           {"c_report": c_report, "nonconverged": nonconv},
+                           rows)
 
 
 # ---------------------------------------------------------------------------
@@ -339,17 +361,15 @@ def criterion_6(seed=DEFAULT_SEED, n_train=20_000, n_eval=50_000):
 SIMULTANEITY_EPS = 0.05
 
 
-def criterion_7(seed=DEFAULT_SEED, n_train=30_000, n_eval=20_000):
+def criterion_7(seed=DEFAULT_SEED):
     t0 = time.time()
     B = 2.0
     spec = synth.MarginalSpec("standard_gaussian", 5, augment_constant=True)
     w = synth.planted_direction(6, B, seed + 71, constant_weight=0.2)
     model = synth.LabelModel(tuple(w), "sigmoid")
-    train = synth.make_dataset(spec, model, n_train, seed + 72)
-    ev = synth.make_dataset(spec, model, n_eval, seed + 73)
-    omni = learners.train_omnipredictor(
-        train, B, learners.OmniConfig(eps_ma=0.02, eps_cal=0.02),
-        seed=seed + 74)
+    train = synth.make_dataset(spec, model, 30_000, seed + 72)
+    ev = synth.make_dataset(spec, model, 20_000, seed + 73)
+    omni = learners.train_omnipredictor(train, B, seed + 74)
     p = omni.predict(ev.features)
     rows, ok = [], True
     for pair in fenchel.default_registered_pairs():
@@ -366,7 +386,9 @@ def criterion_7(seed=DEFAULT_SEED, n_train=30_000, n_eval=20_000):
                         SIMULTANEITY_EPS - prem.raw_slack, prem.raw_slack))
     return CriterionResult(7, "omnipredictor simultaneity", bool(ok),
                            time.time() - t0, 300.0,
-                           {"max_eps_report": max(r.c_report for r in rows)},
+                           {"max_eps_report": max(r.c_report for r in rows),
+                            "nonconverged": [] if omni.converged
+                            else ["realizable_sigmoid"]},
                            rows)
 
 
@@ -375,7 +397,7 @@ def criterion_7(seed=DEFAULT_SEED, n_train=30_000, n_eval=20_000):
 # ---------------------------------------------------------------------------
 
 
-def criterion_8(seed=DEFAULT_SEED, resamples=100_000):
+def criterion_8(seed=DEFAULT_SEED):
     t0 = time.time()
     rows, ok = [], True
     spec = synth.MarginalSpec("laplace_product", 4, scale=2 ** -0.5)
@@ -397,15 +419,15 @@ def criterion_8(seed=DEFAULT_SEED, resamples=100_000):
              ("all_zero", learners.ConstantPredictor(0.0), zeros)]
     for name, predictor, ds in cases:
         rep = transfer.pconcept_disagreement(predictor.predict(ds.features),
-                                             ds, resamples=resamples,
-                                             seed=seed + 87)
-        good = rep.within(3.0)
-        ok &= good
+                                             ds, seed=seed + 87)
+        ok &= rep.within()
         rows.append(Row(name, "pconcept", None, None, rep.err1,
                         "pconcept_identity", 3.0 * rep.stderr,
                         3.0 * rep.stderr - rep.gap, None))
     return CriterionResult(8, "p-concept identity", bool(ok),
-                           time.time() - t0, 30.0, {}, rows)
+                           time.time() - t0, 30.0,
+                           {"nonconverged": [] if pred.converged
+                            else ["planted_sigmoid"]}, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -431,9 +453,10 @@ def _rhs_matches_decimal(chk):
         return abs(Decimal(chk.rhs) - exact) <= Decimal("1e-12") * exact
 
 
-def criterion_9(seed=DEFAULT_SEED, n_train=20_000, n_eval=100_000):
+def criterion_9(seed=DEFAULT_SEED):
     t0 = time.time()
-    rows, ok = [], True
+    n_train, n_eval = 20_000, 100_000
+    rows, nonconv, ok = [], [], True
 
     # squared-error side: subgaussian marginal, interval labels
     spec = synth.MarginalSpec("standard_gaussian", 4, scale=2 ** -0.5)
@@ -445,16 +468,14 @@ def criterion_9(seed=DEFAULT_SEED, n_train=20_000, n_eval=100_000):
         train = synth.make_dataset(spec, model, n_train, seed + 92)
         ev = synth.make_dataset(spec, model, n_eval, seed + 93)
         pred = learners.train_logistic(train, 1.0, iters=300)
-        p = pred.predict(ev.features)
-        chk = transfer.check_logistic_squared(p, ev, 1.0, [pred.w])
-        formula_ok = _rhs_matches_decimal(chk)
-        good = (chk.passed and chk.extras.get("tail_pass", True)
-                and formula_ok)
-        ok &= good
-        rep = transfer.evaluate(p, ev)
-        rows.append(Row(f"gauss_{nm}", "logistic", chk.params["opt_hat"],
-                        rep.err2, rep.err1, chk.theorem_tag, chk.rhs,
-                        chk.slack, chk.extras["c_needed"]))
+        [(chk, row)] = check_rows(
+            f"gauss_{nm}", "logistic", [("logistic_squared", ())],
+            pred.predict(ev.features), ev, 1.0, [pred.w])
+        ok &= (chk.passed and chk.extras.get("tail_pass", True)
+               and _rhs_matches_decimal(chk))
+        rows.append(row)
+        if not pred.converged:
+            nonconv.append(row.instance)
 
     # closed-form Gaussian tail spot check at r=2, B=1
     s_planted = math.sqrt(0.5)  # score std: ||w*|| = 1 on a var-1/2 marginal
@@ -483,20 +504,20 @@ def criterion_9(seed=DEFAULT_SEED, n_train=20_000, n_eval=100_000):
         train = synth.make_dataset(spec2, model, n_train, seed + 97)
         ev = synth.make_dataset(spec2, model, n_eval, seed + 98)
         pred = learners.train_logistic(train, B, iters=300)
-        p = pred.predict(ev.features)
-        chk = transfer.check_logistic_absolute(p, ev, B, [pred.w])
-        formula_ok = _rhs_matches_decimal(chk)
-        c_abs.append(chk.extras["c_needed"])
-        good = chk.passed and formula_ok
-        ok &= good
-        rep = transfer.evaluate(p, ev)
-        rows.append(Row(f"laplace_{nm}", "logistic", chk.params["opt1_hat"],
-                        rep.err2, rep.err1, chk.theorem_tag, chk.rhs,
-                        chk.slack, chk.extras["c_needed"]))
+        [(chk, row)] = check_rows(
+            f"laplace_{nm}", "logistic", [("logistic_absolute", ())],
+            pred.predict(ev.features), ev, B, [pred.w])
+        ok &= chk.passed and _rhs_matches_decimal(chk)
+        rows.append(row)
+        # c_needed; an inapplicable check has none and has failed already
+        c_abs.append(row.c_report or 0.0)
+        if not pred.converged:
+            nonconv.append(row.instance)
     ok &= max(c_abs) <= 20.0  # regression guard, not a derived constant
     return CriterionResult(9, "logistic bound formulas", bool(ok),
                            time.time() - t0, 300.0,
-                           {"c_report_absolute": max(c_abs)}, rows)
+                           {"c_report_absolute": max(c_abs),
+                            "nonconverged": nonconv}, rows)
 
 
 # ---------------------------------------------------------------------------

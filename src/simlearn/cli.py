@@ -135,28 +135,11 @@ def _run_instance(payload):
     t0 = time.time()
     predictor = config_mod.train_learner(entry, train_ds, seed)
     train_ms = int((time.time() - t0) * 1000)
-    p = predictor.predict(eval_ds.features)
-    report = transfer.evaluate(p, eval_ds)
-    B = float(entry["norm_bound"])
     extra = [predictor.w] if hasattr(predictor, "w") else []
-    instance = f"{inst_name}_s{seed}"
-    rows = []
-    for check in cfg.checks:
-        kind, *tags = check.split(":")
-        runner = transfer.CHECKS[kind][2]
-        try:
-            chk = runner(p, eval_ds, B, cfg.eps, seed, extra, *tags)
-        except (InvalidInputError, NoConvergenceError):
-            # partial failure: record the row as inapplicable, keep going
-            chk = transfer.BoundCheck(
-                f"{kind}_inapplicable", 0.0, 0.0, -1.0, False,
-                {"opt_hat": eval_ds.certified_opt_upper_bound})
-        rows.append(acceptance.Row(
-            instance, entry["name"],
-            chk.params.get("opt_hat", chk.params.get("opt1_hat")),
-            report.err2, report.err1, chk.theorem_tag, chk.rhs, chk.slack,
-            chk.extras.get("c_needed"), train_ms))
-    return rows
+    return [row for _, row in acceptance.check_rows(
+        f"{inst_name}_s{seed}", entry["name"], cfg.checks,
+        predictor.predict(eval_ds.features), eval_ds,
+        float(entry["norm_bound"]), extra, cfg.eps, seed, train_ms)]
 
 
 def cmd_experiment(args):
@@ -190,7 +173,7 @@ def cmd_experiment(args):
         missing = any(all((*key_prefix, theorem) not in existing
                           for theorem in (transfer.CHECKS[kind][0],
                                           f"{kind}_inapplicable"))
-                      for kind in (c.split(":")[0] for c in cfg.checks))
+                      for kind, _ in cfg.checks)
         if missing or not existing:
             needed.append(unit)
 

@@ -27,7 +27,7 @@ class ExperimentConfig:
     n_eval: int
     learners: list
     pairs: list = field(default_factory=list)
-    checks: list = field(default_factory=lambda: ["sim_sqrt"])
+    checks: list = field(default_factory=lambda: [("sim_sqrt", ())])
     eps: float = 0.05
     seeds: list = field(default_factory=lambda: [0])
     instances: list = field(default_factory=list)   # (name, corruption) pairs
@@ -129,8 +129,8 @@ def parse_config(obj):
         raise ConfigError("learners must be a list")
     entries = [_learner_entry(o, i) for i, o in enumerate(learner_objs)]
     pairs = [_activation_tag(tag) for tag in obj.get("pairs", [])]
-    checks = obj.get("checks", ["sim_sqrt"])
-    for i, chk in enumerate(checks):
+    checks = []    # (kind, activation tags)
+    for chk in obj.get("checks", ["sim_sqrt"]):
         kind, *tags = chk.split(":")
         if kind not in transfer.CHECKS:
             raise ConfigError(f"unknown check {chk!r}")
@@ -138,11 +138,10 @@ def parse_config(obj):
             raise ConfigError(f"check {chk!r} needs {transfer.CHECKS[kind][1]}"
                               f" activation tag(s) after {kind!r}")
         # rows are keyed by the check's theorem tag: one check per kind
-        if kind in [c.split(":")[0] for c in checks[:i]]:
+        if kind in [k for k, _ in checks]:
             raise ConfigError(f"check {chk!r}: only one {kind!r} check "
                               f"may be listed")
-        for tag in tags:
-            _activation_tag(tag)
+        checks.append((kind, tuple(_activation_tag(tag) for tag in tags)))
     seeds = obj.get("seeds", [0])
     if not seeds:
         raise ConfigError("seeds must be non-empty")
@@ -154,7 +153,7 @@ def parse_config(obj):
         marginal=marginal, label_model=label_model,
         n_train=int(data.get("n_train", 20000)),
         n_eval=int(data.get("n_eval", 50000)),
-        learners=entries, pairs=pairs, checks=list(checks),
+        learners=entries, pairs=pairs, checks=checks,
         eps=float(obj.get("eps", 0.05)), seeds=[int(s) for s in seeds],
         instances=instances)
 
@@ -185,7 +184,7 @@ GD_OPTIONS = {"step": float, "iters": int, "tol": float}
 # algorithm -> (needs an "activation" tag?, trainer(entry, dataset, B, seed))
 ALGORITHMS = {
     "omnipredictor": (False, lambda e, ds, B, seed: learners.train_omnipredictor(
-        ds, B, learners.OmniConfig(**_options(e, OMNI_OPTIONS)), seed=seed)),
+        ds, B, seed, **_options(e, OMNI_OPTIONS))),
     "glmtron": (True, lambda e, ds, B, seed: learners.train_glmtron(
         ds, e["activation"], B, **_options(e, {"iters": int, "tol": float}))),
     "isotron": (False, lambda e, ds, B, seed: learners.train_isotron(

@@ -63,16 +63,14 @@ class LinearWeakLearnerResult:
         return self.accepted
 
 
-def weak_learner_sample_requirement(d, second_moment, B, eps,
-                                    C=DEFAULT_CHEBYSHEV_CONSTANT,
-                                    failure_prob=DEFAULT_FAILURE_PROB):
+def weak_learner_sample_requirement(d, second_moment, B, eps):
     """Sample count demanded by the Chebyshev analysis of the weak learner."""
-    return int(math.ceil(C * d ** 2 * second_moment * B ** 2
-                         * math.log(1.0 / failure_prob) / eps ** 2))
+    return int(math.ceil(DEFAULT_CHEBYSHEV_CONSTANT * d ** 2 * second_moment
+                         * B ** 2 * math.log(1.0 / DEFAULT_FAILURE_PROB)
+                         / eps ** 2))
 
 
-def weak_learn(features, z, B, eps, seed=None, *, second_moment=1.0,
-               C=DEFAULT_CHEBYSHEV_CONSTANT, failure_prob=DEFAULT_FAILURE_PROB,
+def weak_learn(features, z, B, eps, *, second_moment=1.0,
                enforce_sample_size=True):
     """Accept-and-return or reject based on the correlation vector mean(z x).
 
@@ -80,8 +78,6 @@ def weak_learn(features, z, B, eps, seed=None, *, second_moment=1.0,
     rescaled to norm exactly B.  Completeness: any ``||w|| <= B`` with
     ``E[z (w.x)] >= eps`` makes it accept with high probability; soundness:
     an accepted output has ``E[z (w.x)] >= eps / 4`` with high probability.
-    The algorithm itself is deterministic; ``seed`` is accepted for interface
-    uniformity with the other learners.
     """
     x = np.asarray(features, dtype=float)
     z = np.asarray(z, dtype=float)
@@ -93,8 +89,7 @@ def weak_learn(features, z, B, eps, seed=None, *, second_moment=1.0,
         raise InvalidInputError("eps and B must be positive")
     n, d = x.shape
     if enforce_sample_size:
-        need = weak_learner_sample_requirement(d, second_moment, B, eps,
-                                               C=C, failure_prob=failure_prob)
+        need = weak_learner_sample_requirement(d, second_moment, B, eps)
         if n < need:
             raise PreconditionError(
                 f"weak learner needs at least {need} samples "
@@ -111,28 +106,13 @@ def weak_learn(features, z, B, eps, seed=None, *, second_moment=1.0,
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class OmniConfig:
-    eps_ma: float = 0.02
-    eps_cal: float = 0.02
-    eps_weak: float = None          # defaults to eps_ma / 4
-    step: float = None              # defaults to eps_weak / (2 B^2 lambda)
-    bucket_width: float = DEFAULT_BUCKET_WIDTH
-    output_clamp: float = DEFAULT_OUTPUT_CLAMP
-    round_cap: int = DEFAULT_ROUND_CAP
-    bernoulli_reduction: bool = False
-
-    def resolved_eps_weak(self):
-        return self.eps_weak if self.eps_weak is not None else self.eps_ma / 4.0
-
-
 def _buckets(raw, bucket_width, n_buckets):
     """Calibration bucket of each raw score in [0, 1]."""
     idx = np.floor(np.asarray(raw, dtype=float) / bucket_width).astype(int)
     return np.clip(idx, 0, n_buckets - 1)
 
 
-def fit_calibration_table(raw, labels, bucket_width, clamp):
+def fit_calibration_table(raw, labels, bucket_width):
     """Replace each raw-score bucket by the mean label it carries.
 
     Returns one value per bucket.  Empty buckets inherit their midpoint
@@ -145,7 +125,7 @@ def fit_calibration_table(raw, labels, bucket_width, clamp):
     mids = (np.arange(n_buckets) + 0.5) * bucket_width
     with np.errstate(invalid="ignore"):
         values = np.where(counts > 0, sums / np.maximum(counts, 1), mids)
-    return np.clip(values, clamp, 1.0 - clamp)
+    return np.clip(values, DEFAULT_OUTPUT_CLAMP, 1.0 - DEFAULT_OUTPUT_CLAMP)
 
 
 def calibration_error(pred, labels):
@@ -184,24 +164,28 @@ class OmniPredictor:
                                     self.bucket_width, self.values.size)]
 
 
-def train_omnipredictor(dataset, B, config=None, seed=0):
+def train_omnipredictor(dataset, B, seed=0, *, eps_ma=0.02, eps_cal=0.02,
+                        eps_weak=None, step=None,
+                        bucket_width=DEFAULT_BUCKET_WIDTH,
+                        round_cap=DEFAULT_ROUND_CAP,
+                        bernoulli_reduction=False):
     """Alternate multiaccuracy boosting rounds with bucket recalibration.
 
     Each round rebuilds the calibration table from the current raw scores,
-    then runs the weak learner on the residual y - p(x).  On accept, the
-    returned direction is added to the score with step ``sigma = eps_weak /
-    (2 B^2 lambda)``; on reject with calibration error below ``eps_cal``
-    training stops.  Hitting the round cap returns the best state so far
-    flagged as non-converged.
+    then runs the weak learner (threshold ``eps_weak``, by default ``eps_ma /
+    4``) on the residual y - p(x).  On accept, the returned direction is
+    added to the score with ``step``, by default ``eps_weak / (2 B^2
+    lambda)``; on reject with calibration error below ``eps_cal`` training
+    stops.  Hitting ``round_cap`` returns the best state so far flagged as
+    non-converged.  ``bernoulli_reduction`` trains on Bernoulli(y) labels.
     """
-    cfg = config or OmniConfig()
     x = dataset.features
     y = dataset.labels.astype(float)
     lam = dataset.second_moment
-    eps3 = cfg.resolved_eps_weak()
-    sigma = cfg.step if cfg.step is not None else eps3 / (2.0 * B ** 2 * lam)
+    eps3 = eps_weak if eps_weak is not None else eps_ma / 4.0
+    sigma = step if step is not None else eps3 / (2.0 * B ** 2 * lam)
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x0821]))
-    if cfg.bernoulli_reduction and dataset.label_space == "interval":
+    if bernoulli_reduction and dataset.label_space == "interval":
         y = (rng.random(y.shape) < y).astype(float)
 
     # unclipped running score; clipping happens where the predictor clips,
@@ -210,11 +194,10 @@ def train_omnipredictor(dataset, B, config=None, seed=0):
     w = np.zeros(dataset.d)
     trace = []
     best = None  # (err2, w, values) for the cap fallback
-    for round_no in range(cfg.round_cap):
+    for round_no in range(round_cap):
         clipped = np.clip(raw, 0.0, 1.0)
-        values = fit_calibration_table(clipped, y, cfg.bucket_width,
-                                       cfg.output_clamp)
-        pred = values[_buckets(clipped, cfg.bucket_width, values.size)]
+        values = fit_calibration_table(clipped, y, bucket_width)
+        pred = values[_buckets(clipped, bucket_width, values.size)]
         cal_err = calibration_error(pred, y)
         err2 = squared_error(pred, y)
         if best is None or err2 < best[0]:
@@ -228,16 +211,15 @@ def train_omnipredictor(dataset, B, config=None, seed=0):
         if not result.accepted:
             # recalibration already ran this round, so a residual the weak
             # learner cannot improve ends training either way
-            return OmniPredictor(w, values, cfg.bucket_width,
-                                 converged=cal_err <= cfg.eps_cal, trace=trace)
+            return OmniPredictor(w, values, bucket_width,
+                                 converged=cal_err <= eps_cal, trace=trace)
         trace[-1].update(sigma=sigma, w_norm=float(np.linalg.norm(result.w)))
         w = w + sigma * result.w
         raw = raw + sigma * (x @ result.w)
 
     # round cap: fall back to the best state seen, flagged non-converged
     _, w, values = best
-    return OmniPredictor(w, values, cfg.bucket_width, converged=False,
-                         trace=trace)
+    return OmniPredictor(w, values, bucket_width, converged=False, trace=trace)
 
 
 @dataclass
@@ -245,6 +227,7 @@ class ConstantPredictor:
     """Predicts one fixed value everywhere; useful as a baseline."""
 
     value: float
+    converged = True    # nothing to train
 
     def predict(self, features):
         return np.full(np.asarray(features).shape[0], float(self.value))
@@ -307,8 +290,6 @@ def train_glmtron(dataset, activation_tag, B, iters=500, tol=1e-8):
                       "matching_loss": empirical_matching_loss(pair, scores, y)})
         if t > 0 and best_err - tol <= err <= best_err + tol:
             # stalled within tol of the running minimum
-            if err < best_err:
-                best_err, best_w = err, w.copy()
             return GlmPredictor(w, activation_tag, converged=True, trace=trace)
         if err < best_err:
             best_err, best_w = err, w.copy()

@@ -188,10 +188,6 @@ class LabelModel:
             raise RangeError("activation output leaves [0, 1]; enable clipping")
         return mean
 
-    def predict(self, features):
-        """The planted model as a predictor (clipped conditional mean)."""
-        return np.clip(self.activation(features @ self.w), 0.0, 1.0)
-
     def to_dict(self):
         return {"planted_w": list(self.planted_w),
                 "activation_tag": self.activation_tag,
@@ -258,8 +254,7 @@ def generate_labels(features, model, seed):
         if model.label_space == "binary":
             labels = np.round(np.clip(labels, 0.0, 1.0))
 
-    planted = model.predict(features)
-    opt_bound = float(np.mean((labels - planted) ** 2))
+    opt_bound = float(np.mean((labels - mean) ** 2))
     return labels, opt_bound
 
 

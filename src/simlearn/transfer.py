@@ -36,6 +36,7 @@ CHECK_TOL = 1e-6
 OPT_FLOOR = 1e-6
 LOGISTIC_C = 1.0              # constant of both logistic bounds
 TAIL_C = 4.0                  # constant of the exponential-tail bound
+SIM_C = 10.0                  # logged constant of the sqrt-opt bound
 
 
 # ---------------------------------------------------------------------------
@@ -236,22 +237,22 @@ def sim_bound_rhs(opt_hat, B, lam, eps, c_report):
     return c_report * B * math.sqrt(lam) * math.sqrt(opt_hat) + eps
 
 
-def check_sim_bound(p, dataset, B, lam, eps, c_report=10.0):
-    """err2 <= c_report * B * sqrt(lam) * sqrt(opt_hat) + eps.
+def check_sim_bound(p, dataset, B, lam, eps):
+    """err2 <= SIM_C * B * sqrt(lam) * sqrt(opt_hat) + eps.
 
-    ``c_report`` is a logged regression constant; ``c_needed`` in the extras
+    ``SIM_C`` is a logged regression constant; ``c_needed`` in the extras
     is the smallest constant making this instance pass.
     """
     opt_hat = _certified_opt(dataset)
     report = evaluate(p, dataset)
-    rhs = sim_bound_rhs(opt_hat, B, lam, eps, c_report)
+    rhs = sim_bound_rhs(opt_hat, B, lam, eps, SIM_C)
     denom = B * math.sqrt(lam) * math.sqrt(opt_hat) if opt_hat > 0 else 0.0
     if denom > 0:
         c_needed = max(0.0, (report.err2 - eps) / denom)
     else:
         c_needed = 0.0 if report.err2 <= eps + CHECK_TOL else math.inf
     params = {"B": B, "lambda": lam, "eps": eps, "opt_hat": opt_hat,
-              "c_report": c_report}
+              "c_report": SIM_C}
     return _finish("sim_sqrt_transfer", report.err2, rhs, params,
                    {"c_needed": c_needed})
 
@@ -382,8 +383,9 @@ class PconceptReport:
     def gap(self):
         return abs(self.disagreement - self.err1)
 
-    def within(self, k_sigma=3.0):
-        return self.gap <= k_sigma * max(self.stderr, 1e-300)
+    def within(self):
+        """Whether the gap is at most three standard errors."""
+        return self.gap <= 3.0 * max(self.stderr, 1e-300)
 
 
 def pconcept_disagreement(p, dataset, resamples=100_000, seed=0):
@@ -419,15 +421,16 @@ def _pconcept_check(p, dataset, seed=0):
     """The p-concept identity as a check: |disagreement - err1| <= 3 stderr."""
     rep = pconcept_disagreement(p, dataset, seed=seed)
     return BoundCheck("pconcept_identity", rep.gap, 3.0 * rep.stderr,
-                      3.0 * rep.stderr - rep.gap, rep.within(3.0))
+                      3.0 * rep.stderr - rep.gap, rep.within())
 
 
 # check kind -> (theorem tag, number of activation tags, runner).  A config
-# names a check as ``kind`` followed by that many ``:tag`` parts.  A runner
-# takes the predictions, the evaluation sample, the norm bound B, the
-# sqrt-opt slack eps, the unit's seed, the extra premise candidates and then
-# the activation tags, and returns a BoundCheck carrying the theorem tag,
-# which keys the rows of a resumed sweep.
+# names a check as ``kind`` followed by that many ``:tag`` parts, which
+# ``config.parse_config`` splits into ``(kind, tags)``.  A runner takes the
+# predictions, the evaluation sample, the norm bound B, the sqrt-opt slack
+# eps, the unit's seed, the extra premise candidates and then the activation
+# tags, and returns a BoundCheck carrying the theorem tag, which keys the
+# rows of a resumed sweep.  ``acceptance.check_rows`` is the one caller.
 CHECKS = {
     "sim_sqrt": ("sim_sqrt_transfer", 0, lambda p, ds, B, eps, seed, extra:
                  check_sim_bound(p, ds, B, ds.second_moment, eps)),

@@ -10,9 +10,11 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from simlearn import acceptance, learners, transfer
+from simlearn import acceptance, learners, synth, transfer
+from simlearn.errors import InvalidInputError
 
 SEED = acceptance.DEFAULT_SEED
 
@@ -60,7 +62,7 @@ def test_criterion_05_bilipschitz_transfer(suite):
 def test_criterion_06_sqrt_opt_suite(suite):
     res = suite[6]
     _assert_criterion(res)
-    assert res.details["c_report"] <= acceptance.SIM_SUITE_C_GUARD
+    assert res.details["c_report"] <= transfer.SIM_C
 
 
 def test_criterion_07_simultaneity(suite):
@@ -94,6 +96,65 @@ def test_criterion_07_fails_for_a_constant_predictor(monkeypatch):
     res = acceptance.criterion_7(SEED)
     assert not res.passed
     assert res.details["max_eps_report"] > acceptance.SIMULTANEITY_EPS
+
+
+def test_criterion_03_fails_when_the_weak_learner_accepts_anything(
+        monkeypatch):
+    # a fixed direction orthogonal to the planted feature: every accepted
+    # vector fails the fresh-sample soundness test
+    w = np.eye(10)[1]
+    monkeypatch.setattr(learners, "weak_learn", lambda *_, **__:
+                        learners.LinearWeakLearnerResult(True, w, 1.0))
+    res = acceptance.criterion_3(SEED)
+    assert not res.passed
+    assert res.details["soundness_failures"] == 60
+
+
+def test_criterion_04_fails_with_a_constant_activation_fit(monkeypatch):
+    monkeypatch.setattr(learners, "lipschitz_isotonic_fit",
+                        lambda t, y: np.full(len(y), np.mean(y)))
+    res = acceptance.criterion_4(SEED)
+    assert not res.passed
+    assert res.details["isotron_err2"] > 1e-2
+
+
+@pytest.mark.parametrize("number", [5, 6])
+def test_transfer_criteria_fail_when_opt_hat_drops_the_corruption(
+        monkeypatch, number):
+    generate = synth.generate_labels
+    monkeypatch.setattr(synth, "generate_labels",
+                        lambda *args: (generate(*args)[0], 0.0))
+    assert not acceptance.CRITERIA[number](SEED).passed
+
+
+def test_criterion_05_writes_an_inapplicable_row(monkeypatch):
+    def inapplicable(*_, **__):
+        raise InvalidInputError("not applicable here")
+
+    monkeypatch.setattr(transfer, "check_bilipschitz_transfer", inapplicable)
+    res = acceptance.criterion_5(SEED)
+    assert not res.passed
+    assert {row.theorem for row in res.rows} == {"bilipschitz_inapplicable"}
+    assert all(row.slack == -1.0 and row.err2 is not None for row in res.rows)
+
+
+def test_criterion_05_names_nonconverged_learners(suite, monkeypatch):
+    train = learners.train_matching_gd
+
+    def unconverged(*args, **kwargs):
+        pred = train(*args, **kwargs)
+        pred.converged = False
+        return pred
+
+    monkeypatch.setattr(learners, "train_matching_gd", unconverged)
+    res = acceptance.criterion_5(SEED)
+    assert suite[5].details["nonconverged"] == []
+    assert res.details["nonconverged"] == [row.instance for row in res.rows]
+    assert "nonconverged: identity_opt0, identity_opt.04" in res.summary()
+    # the flag is reported, not gated, and the rows keep their bytes
+    assert res.passed == suite[5].passed
+    assert acceptance.rows_to_csv(res.rows) \
+        == acceptance.rows_to_csv(suite[5].rows)
 
 
 def _squared_without_sqrt_term(opt_hat, B, C, eps_hat):

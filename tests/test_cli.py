@@ -119,7 +119,7 @@ def test_distortion_check_low_density_warns(capsys):
 def test_distortion_check_fault_injection(monkeypatch, capsys):
     # a pair whose claimed upper Lipschitz constant is understated must make
     # the run fail and name the violated sandwich
-    def fake_report(pair, grid_n=100, clamp=None):
+    def fake_report(pair, grid_n=100):
         return {"pair": pair.tag, "lower_slack": -1e-3, "upper_slack": 0.0,
                 "identity_gap": 0.0}
 

@@ -26,23 +26,23 @@ ALL_BUILTINS = [IDE, RAMP, RELU, LEAKY, SIG]
 
 
 def test_matching_loss_zero_score_is_zero():
-    assert F.matching_loss_pointwise(0.7, 0.0, SIG) == 0.0
+    assert SIG.matching_loss(0.7, 0.0) == 0.0
 
 
 def test_matching_loss_identity_closed_form():
     # integral of tau from 0 to 2
-    assert F.matching_loss_pointwise(0.0, 2.0, IDE) == pytest.approx(2.0)
+    assert IDE.matching_loss(0.0, 2.0) == pytest.approx(2.0)
 
 
 def test_matching_loss_sigmoid_matches_shifted_crossentropy():
     # at t = link(0.5) = 0 and y = 1 the loss is CE(1, 0.5) - log 2 = 0
-    assert F.matching_loss_pointwise(1.0, 0.0, SIG) == pytest.approx(0.0)
+    assert SIG.matching_loss(1.0, 0.0) == pytest.approx(0.0)
     # general y, t: loss = CE(y, sigmoid(t)) - log 2
     for y in (0.0, 0.25, 1.0):
         for t in (-3.0, 0.7, 2.5):
             p = 1.0 / (1.0 + math.exp(-t))
             ce = -(y * math.log(p) + (1 - y) * math.log(1 - p))
-            got = F.matching_loss_pointwise(y, t, SIG)
+            got = SIG.matching_loss(y, t)
             assert got == pytest.approx(ce - math.log(2.0), abs=1e-12)
 
 
@@ -56,11 +56,11 @@ def test_matching_loss_subgradient_is_residual():
 
 def test_matching_loss_input_validation():
     with pytest.raises(InvalidInputError):
-        F.matching_loss_pointwise(1.5, 0.0, SIG)
+        SIG.matching_loss(1.5, 0.0)
     with pytest.raises(InvalidInputError):
-        F.matching_loss_pointwise(0.5, math.inf, SIG)
+        SIG.matching_loss(0.5, math.inf)
     with pytest.raises(InvalidInputError):
-        F.matching_loss_pointwise(math.nan, 0.0, SIG)
+        SIG.matching_loss(math.nan, 0.0)
 
 
 @settings(max_examples=100, deadline=None)
@@ -79,24 +79,23 @@ def test_matching_loss_midpoint_convex(y, t1, t2):
 
 
 def test_bregman_zero_on_diagonal():
-    assert F.bregman_divergence(0.3, 0.3, SIG) == pytest.approx(0.0, abs=1e-12)
+    assert SIG.bregman(0.3, 0.3) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_bregman_identity_is_half_squared():
-    assert F.bregman_divergence(1.0, 0.0, IDE) == pytest.approx(0.5)
+    assert IDE.bregman(1.0, 0.0) == pytest.approx(0.5)
 
 
 def test_bregman_sigmoid_is_kl():
     expected = 0.5 * math.log(2.0) + 0.5 * math.log(2.0 / 3.0)
-    assert F.bregman_divergence(0.5, 0.25, SIG) == pytest.approx(expected,
-                                                                 abs=1e-12)
+    assert SIG.bregman(0.5, 0.25) == pytest.approx(expected, abs=1e-12)
     assert expected == pytest.approx(0.14384103622589042)
 
 
 def test_bregman_boundary_needs_clamp():
     with pytest.raises(BoundaryError):
-        F.bregman_divergence(0.5, 0.0, SIG)
-    val = F.bregman_divergence(0.5, 0.0, SIG, clamp=1e-12)
+        SIG.bregman(0.5, 0.0)
+    val = SIG.bregman(0.5, 0.0, clamp=1e-12)
     assert np.isfinite(val) and val > 0
 
 
@@ -116,7 +115,8 @@ def test_bregman_equals_excess_matching_loss():
         Y, P = np.meshgrid(ys, ys, indexing="ij")
         excess = pair.matching_loss(Y, pair.f_prime(P)) \
             - pair.matching_loss(Y, pair.f_prime(Y))
-        assert np.max(np.abs(excess - pair.bregman(Y, P))) <= 10 * pair.inversion_tolerance
+        assert np.max(np.abs(excess - pair.bregman(Y, P))) \
+            <= 10 * F.DEFAULT_INVERSION_TOL
 
 
 def test_bregman_excess_identity_for_numeric_pair():
@@ -137,30 +137,30 @@ def test_bregman_excess_identity_for_numeric_pair():
 
 
 def test_invert_link_logit_closed_forms():
-    assert F.invert_link(0.5, SIG) == pytest.approx(0.0, abs=1e-12)
-    assert F.invert_link(0.75, SIG) == pytest.approx(math.log(3.0), rel=1e-12)
+    assert SIG.f_prime(0.5) == pytest.approx(0.0, abs=1e-12)
+    assert SIG.f_prime(0.75) == pytest.approx(math.log(3.0), rel=1e-12)
 
 
 def test_invert_link_leaky_closed_vs_bisection():
     # shifted two-slope activation: value 0.2 sits on the 0.1-slope branch
-    t = F.invert_link(0.2, LEAKY)
+    t = LEAKY.f_prime(0.2)
     assert t == pytest.approx((0.2 - 0.5) / 0.1, abs=1e-9)
     numeric = F.invert_by_bisection(LEAKY.activation, 0.2,
-                                    LEAKY.inversion_tolerance, LEAKY.beta)
-    assert abs(LEAKY.g_prime(numeric) - 0.2) <= LEAKY.inversion_tolerance
+                                    F.DEFAULT_INVERSION_TOL, LEAKY.beta)
+    assert abs(LEAKY.g_prime(numeric) - 0.2) <= F.DEFAULT_INVERSION_TOL
 
 
 def test_invert_link_range_errors():
     with pytest.raises(RangeError):
-        F.invert_link(1.5, SIG)
+        SIG.f_prime(1.5)
     with pytest.raises(RangeError):
-        F.invert_link(-0.2, RAMP)
+        RAMP.f_prime(-0.2)
 
 
 def test_invert_link_flat_segments_take_minimal_preimage():
     # relu is flat at 0 for t < 0: the inverse at 0 is the right edge
-    assert F.invert_link(0.0, RELU) == pytest.approx(0.0, abs=1e-9)
-    assert F.invert_link(0.0, RAMP) == pytest.approx(0.0, abs=1e-9)
+    assert RELU.f_prime(0.0) == pytest.approx(0.0, abs=1e-9)
+    assert RAMP.f_prime(0.0) == pytest.approx(0.0, abs=1e-9)
     # interior flat: staircase with a genuinely flat middle segment
     stair = F.FenchelPair(F.PiecewiseLinearActivation(
         [0.0, 1.0, 2.0, 3.0], [0.0, 0.4, 0.4, 1.0], 0.0, 0.0))
@@ -176,7 +176,7 @@ def test_duality_grids_all_builtins():
     for pair in (IDE, LEAKY):
         t = np.linspace(-3, 3, 101)
         assert np.max(np.abs(pair.f_prime(pair.g_prime(t)) - t)) \
-            <= pair.inversion_tolerance / pair.alpha + 1e-9
+            <= F.DEFAULT_INVERSION_TOL / pair.alpha + 1e-9
 
 
 # ---------------------------------------------------------------------------

@@ -82,37 +82,37 @@ def test_weak_learn_z_range_validated():
 def test_omnipredictor_constant_labels():
     x = synth.sample_marginal(GAUSS5, 5000, 7)
     ds = synth.Dataset(x, np.full(5000, 0.3), "interval", 7, marginal=GAUSS5)
-    cfg = learners.OmniConfig(eps_ma=0.02, eps_cal=0.02)
-    omni = learners.train_omnipredictor(ds, 2.0, cfg, seed=1)
+    omni = learners.train_omnipredictor(ds, 2.0, seed=1, eps_ma=0.02,
+                                        eps_cal=0.02)
     assert omni.converged
     p = omni.predict(x)
-    assert np.max(np.abs(p - 0.3)) <= cfg.bucket_width + cfg.eps_cal
+    assert np.max(np.abs(p - 0.3)) <= learners.DEFAULT_BUCKET_WIDTH + 0.02
 
 
 def test_omnipredictor_realizable_invariants():
     ds, _ = planted_sigmoid(50_000, 11)
-    cfg = learners.OmniConfig(eps_ma=0.02, eps_cal=0.02)
-    omni = learners.train_omnipredictor(ds, 2.0, cfg, seed=2)
+    omni = learners.train_omnipredictor(ds, 2.0, seed=2, eps_ma=0.02,
+                                        eps_cal=0.02)
     p = omni.predict(ds.features)
     assert np.all((p > 0.0) & (p < 1.0))
     resid = ds.labels - p
     ma = np.abs(ds.features.T @ resid) / ds.n
-    assert np.max(ma) <= cfg.eps_ma
-    assert learners.calibration_error(p, ds.labels) <= cfg.eps_cal
+    assert np.max(ma) <= 0.02
+    assert learners.calibration_error(p, ds.labels) <= 0.02
 
 
 def test_omnipredictor_heldout_generalization_smoke():
     # the two calibrated-multiaccuracy inequalities, with doubled epsilon,
     # on a fresh sample from the same distribution
     train, w = planted_sigmoid(50_000, 13)
-    cfg = learners.OmniConfig(eps_ma=0.02, eps_cal=0.02)
-    omni = learners.train_omnipredictor(train, 2.0, cfg, seed=3)
+    omni = learners.train_omnipredictor(train, 2.0, seed=3, eps_ma=0.02,
+                                        eps_cal=0.02)
     spec = synth.MarginalSpec("standard_gaussian", 5)
     held = synth.make_dataset(spec, train.label_model, 50_000, 14)
     p = omni.predict(held.features)
     resid = held.labels - p
-    assert np.max(np.abs(held.features.T @ resid) / held.n) <= 2 * cfg.eps_ma
-    assert learners.calibration_error(p, held.labels) <= 2 * cfg.eps_cal
+    assert np.max(np.abs(held.features.T @ resid) / held.n) <= 2 * 0.02
+    assert learners.calibration_error(p, held.labels) <= 2 * 0.02
 
 
 def test_omnipredictor_noise_labels_near_best_constant():
@@ -135,10 +135,10 @@ def test_omnipredictor_noise_labels_near_best_constant():
 
 def test_omnipredictor_steps_follow_config():
     ds, _ = planted_sigmoid(20_000, 19)
-    cfg = learners.OmniConfig(eps_ma=0.02)
-    omni = learners.train_omnipredictor(ds, 2.0, cfg, seed=5)
+    omni = learners.train_omnipredictor(ds, 2.0, seed=5, eps_ma=0.02)
     lam = ds.second_moment
-    expect = cfg.resolved_eps_weak() / (2.0 * 2.0 ** 2 * lam)
+    # eps_weak defaults to eps_ma / 4
+    expect = (0.02 / 4.0) / (2.0 * 2.0 ** 2 * lam)
     accepted = [step for step in omni.trace if "sigma" in step]
     assert accepted
     assert all(step["sigma"] == pytest.approx(expect) for step in accepted)
@@ -147,9 +147,8 @@ def test_omnipredictor_steps_follow_config():
 
 def test_omnipredictor_bernoulli_reduction_flag():
     ds, _ = planted_sigmoid(30_000, 23)
-    cfg = learners.OmniConfig(eps_ma=0.04, eps_cal=0.04,
-                              bernoulli_reduction=True)
-    omni = learners.train_omnipredictor(ds, 2.0, cfg, seed=6)
+    omni = learners.train_omnipredictor(ds, 2.0, seed=6, eps_ma=0.04,
+                                        eps_cal=0.04, bernoulli_reduction=True)
     p = omni.predict(ds.features)
     # trained on resampled binary labels, still close in squared error
     assert learners.squared_error(p, ds.labels) <= 0.02

@@ -104,7 +104,7 @@ def test_realizable_interval_opt_zero():
     w = synth.planted_direction(5, 2.0, 1)
     ds = gaussian_dataset(synth.LabelModel(tuple(w), "sigmoid"), 5000, 2)
     assert ds.certified_opt_upper_bound == 0.0
-    assert np.allclose(ds.labels, ds.label_model.predict(ds.features))
+    assert np.allclose(ds.labels, ds.label_model.conditional_mean(ds.features))
 
 
 def test_flip_region_mass():
@@ -124,7 +124,7 @@ def test_binary_opt_matches_bernoulli_variance():
     w = synth.planted_direction(5, 2.0, 1)
     model = synth.LabelModel(tuple(w), "sigmoid", label_space="binary")
     ds = gaussian_dataset(model, 100_000, 41)
-    p = model.predict(ds.features)
+    p = model.conditional_mean(ds.features)
     expected = np.mean(p * (1.0 - p))
     assert ds.certified_opt_upper_bound == pytest.approx(expected, rel=0.02)
 
@@ -135,7 +135,7 @@ def test_certified_bound_is_planted_error():
                              corruption=synth.Corruption("bounded_noise",
                                                          level=0.1))
     ds = gaussian_dataset(model, 20_000, 51, d=4)
-    planted = model.predict(ds.features)
+    planted = model.conditional_mean(ds.features)
     err2 = float(np.mean((ds.labels - planted) ** 2))
     assert err2 <= ds.certified_opt_upper_bound + 1e-12
 

@@ -16,7 +16,7 @@ def planted_dataset(act="sigmoid", n=20_000, seed=5, d=5, B=2.0, **kw):
 
 
 def planted_predictions(ds):
-    return ds.label_model.predict(ds.features)
+    return ds.label_model.conditional_mean(ds.features)
 
 
 def constant(ds, value):
@@ -214,10 +214,10 @@ def test_sim_bound_scaling_probe():
         ev = synth.make_dataset(spec, model, 30_000, 29)
         omni = learners.train_omnipredictor(train, B, seed=6)
         chk = transfer.check_sim_bound(omni.predict(ev.features), ev, B, 1.0,
-                                       eps=0.05, c_report=10.0)
+                                       eps=0.05)
         needed.append(chk.extras["c_needed"])
         assert chk.passed
-    assert max(needed) <= 10.0
+    assert max(needed) <= transfer.SIM_C
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +323,7 @@ def test_pconcept_half_coin():
     rep = transfer.pconcept_disagreement(constant(ds, 0.5), ds,
                                          resamples=100_000, seed=9)
     assert rep.err1 == pytest.approx(0.5, abs=0.01)
-    assert rep.within(3.0)
+    assert rep.within()
 
 
 def test_pconcept_needs_binary():
@@ -336,7 +336,7 @@ def test_pconcept_planted_sigmoid_within_three_se():
     ds = planted_dataset(n=100_000, label_space="binary")
     rep = transfer.pconcept_disagreement(planted_predictions(ds), ds,
                                          resamples=100_000, seed=10)
-    assert rep.within(3.0)
+    assert rep.within()
 
 
 # ---------------------------------------------------------------------------
