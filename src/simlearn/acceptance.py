@@ -54,15 +54,15 @@ class Row:
 def check_rows(instance, learner, checks, p, dataset, B, extra=(), eps=None,
                seed=0, runtime_ms=0):
     """One ``(BoundCheck, Row)`` per ``(kind, tags)`` check of
-    ``transfer.CHECKS`` run on the predictions ``p``; every row carries the
-    errors of ``p``, evaluated once.  A check that does not apply becomes a
-    failed ``<kind>_inapplicable`` check."""
+    ``transfer.CHECKS`` run on the predictions ``p``; ``p`` is evaluated
+    once, and every check and row takes that report.  A check that does not
+    apply becomes a failed ``<kind>_inapplicable`` check."""
     report = transfer.evaluate(p, dataset)
     out = []
     for kind, tags in checks:
         try:
-            chk = transfer.CHECKS[kind][2](p, dataset, B, eps, seed, extra,
-                                           *tags)
+            chk = transfer.CHECKS[kind][2](p, report, dataset, B, eps, seed,
+                                           extra, *tags)
         except (InvalidInputError, NoConvergenceError):
             chk = transfer.BoundCheck(
                 f"{kind}_inapplicable", 0.0, 0.0, -1.0, False,

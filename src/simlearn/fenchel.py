@@ -212,8 +212,12 @@ class SigmoidActivation(Activation):
         return expit(np.asarray(t, dtype=float)) if np.ndim(t) else float(expit(t))
 
     def integral(self, t):
-        # softplus(t) - softplus(0)
-        return np.logaddexp(0.0, t) - math.log(2.0)
+        # softplus(t) - softplus(0); softplus(t) = max(t, 0) + log1p(exp(-|t|))
+        # as np.logaddexp(0, t) computes it, but with NumPy's vectorised
+        # exp and log1p instead of one scalar libm call per element
+        t = np.asarray(t, dtype=float)
+        out = np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t))) - math.log(2.0)
+        return out if out.ndim else float(out)
 
     def inverse(self, r):
         r = np.asarray(r, dtype=float)

@@ -38,6 +38,7 @@ DEFAULT_OUTPUT_CLAMP = 1e-6
 DEFAULT_ROUND_CAP = 1000
 DEFAULT_CHEBYSHEV_CONSTANT = 64.0
 DEFAULT_FAILURE_PROB = 1.0 / 6.0
+ISOTRON_STEP_TOL = 1e-6
 
 
 def project_ball(w, radius):
@@ -112,14 +113,14 @@ def _buckets(raw, bucket_width, n_buckets):
     return np.clip(idx, 0, n_buckets - 1)
 
 
-def fit_calibration_table(raw, labels, bucket_width):
+def fit_calibration_table(idx, labels, bucket_width):
     """Replace each raw-score bucket by the mean label it carries.
 
-    Returns one value per bucket.  Empty buckets inherit their midpoint
-    value.  Values are clamped into (0, 1) so downstream links stay finite.
+    ``idx`` is the :func:`_buckets` index of each raw score.  Returns one
+    value per bucket.  Empty buckets inherit their midpoint value.  Values
+    are clamped into (0, 1) so downstream links stay finite.
     """
     n_buckets = int(round(1.0 / bucket_width))
-    idx = _buckets(raw, bucket_width, n_buckets)
     sums = np.bincount(idx, weights=labels, minlength=n_buckets)
     counts = np.bincount(idx, minlength=n_buckets)
     mids = (np.arange(n_buckets) + 0.5) * bucket_width
@@ -171,12 +172,17 @@ def train_omnipredictor(dataset, B, seed=0, *, eps_ma=0.02, eps_cal=0.02,
                         bernoulli_reduction=False):
     """Alternate multiaccuracy boosting rounds with bucket recalibration.
 
-    Each round rebuilds the calibration table from the current raw scores,
-    then runs the weak learner (threshold ``eps_weak``, by default ``eps_ma /
-    4``) on the residual y - p(x).  On accept, the returned direction is
-    added to the score with ``step``, by default ``eps_weak / (2 B^2
-    lambda)``; on reject with calibration error below ``eps_cal`` training
-    stops.  Hitting ``round_cap`` returns the best state so far flagged as
+    Each round buckets the clipped raw scores once, rebuilds the calibration
+    table from that index and predicts each bucket's mean label, then runs
+    the weak learner (threshold ``eps_weak``, by default ``eps_ma / 4``) on
+    the residual y - p(x).  On accept, the returned direction is added to
+    the score with ``step``, by default ``eps_weak / (2 B^2 lambda)``.
+    Because every prediction is its bucket's mean label, the calibration
+    error on the training sample is zero up to the output clamp, so the
+    weak learner's rejection decides termination: training stops there,
+    and the calibration error is computed once, recorded on that final
+    trace entry and compared with ``eps_cal`` for the ``converged`` flag.
+    Hitting ``round_cap`` returns the best state so far flagged as
     non-converged.  ``bernoulli_reduction`` trains on Bernoulli(y) labels.
     """
     x = dataset.features
@@ -192,25 +198,25 @@ def train_omnipredictor(dataset, B, seed=0, *, eps_ma=0.02, eps_cal=0.02,
     # over the accumulated sum
     raw = np.full(x.shape[0], 0.5)
     w = np.zeros(dataset.d)
+    n_buckets = int(round(1.0 / bucket_width))
     trace = []
     best = None  # (err2, w, values) for the cap fallback
     for round_no in range(round_cap):
-        clipped = np.clip(raw, 0.0, 1.0)
-        values = fit_calibration_table(clipped, y, bucket_width)
-        pred = values[_buckets(clipped, bucket_width, values.size)]
-        cal_err = calibration_error(pred, y)
+        idx = _buckets(np.clip(raw, 0.0, 1.0), bucket_width, n_buckets)
+        values = fit_calibration_table(idx, y, bucket_width)
+        pred = values[idx]
         err2 = squared_error(pred, y)
         if best is None or err2 < best[0]:
             best = (err2, w, values)
-        residual = y - pred
-        result = weak_learn(x, residual, B, eps3, second_moment=lam,
+        result = weak_learn(x, y - pred, B, eps3, second_moment=lam,
                             enforce_sample_size=False)
         trace.append({"round": round_no, "err2": err2,
-                      "ma_violation": result.correlation_estimate,
-                      "calibration_error": cal_err})
+                      "ma_violation": result.correlation_estimate})
         if not result.accepted:
             # recalibration already ran this round, so a residual the weak
             # learner cannot improve ends training either way
+            cal_err = calibration_error(pred, y)
+            trace[-1]["calibration_error"] = cal_err
             return OmniPredictor(w, values, bucket_width,
                                  converged=cal_err <= eps_cal, trace=trace)
         trace[-1].update(sigma=sigma, w_norm=float(np.linalg.norm(result.w)))
@@ -284,7 +290,8 @@ def train_glmtron(dataset, activation_tag, B, iters=500, tol=1e-8):
     trace = []
     for t in range(iters):
         scores = x @ w
-        pred = np.clip(act(scores), 0.0, 1.0)
+        mean = act(scores)
+        pred = np.clip(mean, 0.0, 1.0)
         err = squared_error(pred, y)
         trace.append({"iter": t, "err2": err,
                       "matching_loss": empirical_matching_loss(pair, scores, y)})
@@ -293,8 +300,7 @@ def train_glmtron(dataset, activation_tag, B, iters=500, tol=1e-8):
             return GlmPredictor(w, activation_tag, converged=True, trace=trace)
         if err < best_err:
             best_err, best_w = err, w.copy()
-        grad_step = x.T @ (y - act(scores)) / n
-        w = project_ball(w + grad_step, B)
+        w = project_ball(w + x.T @ (y - mean) / n, B)
         _check_finite(w)
     return GlmPredictor(best_w, activation_tag, converged=False, trace=trace)
 
@@ -390,8 +396,10 @@ def train_isotron(dataset, B, iters=50):
 
     Each round sorts scores (stable, ties keep input order), fits the
     activation by :func:`lipschitz_isotonic_fit`, then takes a projected
-    GLMtron-style step against the fitted activation.  Returns the
-    best-squared-error round.
+    GLMtron-style step against the fitted activation.  Runs all ``iters``
+    rounds and returns the best-squared-error round; it is flagged
+    converged when the last weight step moved ``w`` by at most
+    ``ISOTRON_STEP_TOL`` in norm, so the iterates had come to rest.
     """
     x, y = dataset.features, dataset.labels
     n = dataset.n
@@ -408,10 +416,13 @@ def train_isotron(dataset, B, iters=50):
         trace.append({"iter": t, "err2": err})
         if best is None or err < best[0]:
             best = (err, w.copy(), knots_t.copy(), knots_u.copy())
-        w = project_ball(w + x.T @ (y - pred) / n, B)
-        _check_finite(w)
+        w_next = project_ball(w + x.T @ (y - pred) / n, B)
+        _check_finite(w_next)
+        step = float(np.linalg.norm(w_next - w))
+        w = w_next
     _, w_best, kt, ku = best
-    return SimPredictor(w_best, kt, ku, converged=True, trace=trace)
+    return SimPredictor(w_best, kt, ku, converged=step <= ISOTRON_STEP_TOL,
+                        trace=trace)
 
 
 # ---------------------------------------------------------------------------
@@ -436,23 +447,25 @@ def train_matching_gd(dataset, pair, B, step=1.0, iters=300, tol=1e-10,
     x, y = dataset.features, dataset.labels
     n = dataset.n
     w = np.zeros(dataset.d)
-    loss = empirical_matching_loss(pair, x @ w, y)
+    scores = x @ w    # of the accepted iterate, reused for its gradient
+    loss = empirical_matching_loss(pair, scores, y)
     best_w, best_loss = w.copy(), loss
     trace = [{"iter": 0, "loss": loss, "step": step}]
     cur_step = step
     converged = False
     for t in range(1, iters + 1):
-        grad = x.T @ (pair.g_prime(x @ w) - y) / n
+        grad = x.T @ (pair.g_prime(scores) - y) / n
         while True:
             w_new = project_ball(w - cur_step * grad, B)
             _check_finite(w_new)
-            loss_new = empirical_matching_loss(pair, x @ w_new, y)
+            scores_new = x @ w_new
+            loss_new = empirical_matching_loss(pair, scores_new, y)
             if loss_new <= loss or np.allclose(w_new, w):
                 break
             cur_step *= 0.5
             if cur_step < min_step:
                 raise DivergenceError("backtracking drove the step to zero")
-        w, loss = w_new, loss_new
+        w, scores, loss = w_new, scores_new, loss_new
         trace.append({"iter": t, "loss": loss, "step": cur_step})
         if loss < best_loss:
             best_loss, best_w = loss, w.copy()

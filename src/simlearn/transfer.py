@@ -14,7 +14,9 @@ assemble each bound's right-hand side from measured quantities:
   learner's own weights or the empirical minimiser over the ball).
 
 Functions take the predictions ``p`` on ``dataset.features``, so a caller
-predicts once per sample.
+predicts once per sample; the bound checks also take the
+:class:`ErrorReport` that :func:`evaluate` made of ``p``, so a caller
+evaluates once per sample.
 
 Constants reported as ``c_needed`` are regression values logged by the
 suites, never asserted as ground truth.
@@ -186,7 +188,8 @@ def _finish(tag, lhs, rhs, params, extras):
                       bool(slack >= -CHECK_TOL), params, extras)
 
 
-def check_bilipschitz_transfer(p, dataset, pair, B, extra_candidates=()):
+def check_bilipschitz_transfer(p, report, dataset, pair, B,
+                               extra_candidates=()):
     """err2 <= (beta/alpha) * opt_hat + 2 beta * eps_hat, bi-Lipschitz pairs."""
     if pair.alpha <= 0.0:
         raise InvalidInputError(
@@ -194,7 +197,6 @@ def check_bilipschitz_transfer(p, dataset, pair, B, extra_candidates=()):
     opt_hat = _certified_opt(dataset)
     premise = measure_premise(p, dataset, pair, B, extra_candidates)
     eps_hat = premise.eps_hat
-    report = evaluate(p, dataset)
     rhs = (pair.beta / pair.alpha) * opt_hat + 2.0 * pair.beta * eps_hat
     params = {"pair": pair.tag, "alpha": pair.alpha, "beta": pair.beta,
               "B": B, "opt_hat": opt_hat, "eps_hat": float(eps_hat)}
@@ -203,8 +205,8 @@ def check_bilipschitz_transfer(p, dataset, pair, B, extra_candidates=()):
     return _finish("bilipschitz_transfer", report.err2, rhs, params, extras)
 
 
-def check_general_activation_transfer(p, dataset, g_pair, phi_pair, B,
-                                      extra_candidates=()):
+def check_general_activation_transfer(p, report, dataset, g_pair, phi_pair,
+                                      B, extra_candidates=()):
     """Transfer through a bi-Lipschitz stand-in phi' for a general activation.
 
     err2 <= (2 beta/alpha) opt_hat + (2 beta/alpha) E[(g'(w*.x) - phi'(w*.x))^2]
@@ -221,7 +223,6 @@ def check_general_activation_transfer(p, dataset, g_pair, phi_pair, B,
     approx = float(np.mean((g_pair.g_prime(s) - phi_pair.g_prime(s)) ** 2))
     premise = measure_premise(p, dataset, phi_pair, B, extra_candidates)
     eps_hat = premise.eps_hat
-    report = evaluate(p, dataset)
     ratio = 2.0 * phi_pair.beta / phi_pair.alpha
     rhs = ratio * opt_hat + ratio * approx + 2.0 * phi_pair.beta * eps_hat
     params = {"g_pair": g_pair.tag, "phi_pair": phi_pair.tag,
@@ -237,14 +238,13 @@ def sim_bound_rhs(opt_hat, B, lam, eps, c_report):
     return c_report * B * math.sqrt(lam) * math.sqrt(opt_hat) + eps
 
 
-def check_sim_bound(p, dataset, B, lam, eps):
+def check_sim_bound(report, dataset, B, lam, eps):
     """err2 <= SIM_C * B * sqrt(lam) * sqrt(opt_hat) + eps.
 
     ``SIM_C`` is a logged regression constant; ``c_needed`` in the extras
     is the smallest constant making this instance pass.
     """
     opt_hat = _certified_opt(dataset)
-    report = evaluate(p, dataset)
     rhs = sim_bound_rhs(opt_hat, B, lam, eps, SIM_C)
     denom = B * math.sqrt(lam) * math.sqrt(opt_hat) if opt_hat > 0 else 0.0
     if denom > 0:
@@ -299,7 +299,7 @@ def _require_concentration(dataset, gamma):
     return conc
 
 
-def check_logistic_squared(p, dataset, B, extra_candidates=()):
+def check_logistic_squared(p, report, dataset, B, extra_candidates=()):
     """Squared-error bound for approximate logistic-loss minimizers.
 
     Requires a subgaussian-declared marginal.  Also reports the intermediate
@@ -313,7 +313,6 @@ def check_logistic_squared(p, dataset, B, extra_candidates=()):
     opt_eff = max(opt_hat, OPT_FLOOR)
     premise = measure_premise(p, dataset, pair, B, extra_candidates)
     eps_hat = premise.eps_hat
-    report = evaluate(p, dataset)
     rhs = logistic_squared_rhs(opt_eff, B, LOGISTIC_C, eps_hat)
     growth = opt_eff * math.exp(B ** 2 + math.sqrt(B ** 2 * math.log(1.0 / opt_eff)))
     c_needed = max(0.0, (report.err2 - 2.0 * eps_hat) / growth)
@@ -343,7 +342,7 @@ def planted_absolute_error(dataset):
     return float(np.mean(np.abs(dataset.labels - planted)))
 
 
-def check_logistic_absolute(p, dataset, B, extra_candidates=()):
+def check_logistic_absolute(p, report, dataset, B, extra_candidates=()):
     """Absolute-error bound for approximate logistic-loss minimizers on
     binary labels over a subexponential-declared marginal."""
     if dataset.label_space != "binary":
@@ -355,7 +354,6 @@ def check_logistic_absolute(p, dataset, B, extra_candidates=()):
     opt_eff = max(opt1, OPT_FLOOR)
     premise = measure_premise(p, dataset, pair, B, extra_candidates)
     eps_hat = premise.eps_hat
-    report = evaluate(p, dataset)
     rhs = logistic_absolute_rhs(opt_eff, B, LOGISTIC_C, eps_hat)
     denom = B * opt_eff * math.log(1.0 / opt_eff)
     c_needed = max(0.0, (report.err1 - eps_hat) / denom) if denom > 0 else math.inf
@@ -427,28 +425,31 @@ def _pconcept_check(p, dataset, seed=0):
 # check kind -> (theorem tag, number of activation tags, runner).  A config
 # names a check as ``kind`` followed by that many ``:tag`` parts, which
 # ``config.parse_config`` splits into ``(kind, tags)``.  A runner takes the
-# predictions, the evaluation sample, the norm bound B, the sqrt-opt slack
-# eps, the unit's seed, the extra premise candidates and then the activation
-# tags, and returns a BoundCheck carrying the theorem tag, which keys the
-# rows of a resumed sweep.  ``acceptance.check_rows`` is the one caller.
+# predictions, their ErrorReport, the evaluation sample, the norm bound B,
+# the sqrt-opt slack eps, the unit's seed, the extra premise candidates and
+# then the activation tags, and returns a BoundCheck carrying the theorem
+# tag, which keys the rows of a resumed sweep.  ``acceptance.check_rows`` is
+# the one caller.
 CHECKS = {
-    "sim_sqrt": ("sim_sqrt_transfer", 0, lambda p, ds, B, eps, seed, extra:
-                 check_sim_bound(p, ds, B, ds.second_moment, eps)),
+    "sim_sqrt": ("sim_sqrt_transfer", 0,
+                 lambda p, rep, ds, B, eps, seed, extra:
+                 check_sim_bound(rep, ds, B, ds.second_moment, eps)),
     "bilipschitz": ("bilipschitz_transfer", 1,
-                    lambda p, ds, B, eps, seed, extra, tag:
+                    lambda p, rep, ds, B, eps, seed, extra, tag:
                     check_bilipschitz_transfer(
-                        p, ds, fenchel.pair_from_tag(tag), B, extra)),
+                        p, rep, ds, fenchel.pair_from_tag(tag), B, extra)),
     "general": ("general_activation_transfer", 2,
-                lambda p, ds, B, eps, seed, extra, g_tag, phi_tag:
+                lambda p, rep, ds, B, eps, seed, extra, g_tag, phi_tag:
                 check_general_activation_transfer(
-                    p, ds, fenchel.pair_from_tag(g_tag),
+                    p, rep, ds, fenchel.pair_from_tag(g_tag),
                     fenchel.pair_from_tag(phi_tag), B, extra)),
     "logistic_squared": ("logistic_squared_transfer", 0,
-                         lambda p, ds, B, eps, seed, extra:
-                         check_logistic_squared(p, ds, B, extra)),
+                         lambda p, rep, ds, B, eps, seed, extra:
+                         check_logistic_squared(p, rep, ds, B, extra)),
     "logistic_absolute": ("logistic_absolute_transfer", 0,
-                          lambda p, ds, B, eps, seed, extra:
-                          check_logistic_absolute(p, ds, B, extra)),
-    "pconcept": ("pconcept_identity", 0, lambda p, ds, B, eps, seed, extra:
+                          lambda p, rep, ds, B, eps, seed, extra:
+                          check_logistic_absolute(p, rep, ds, B, extra)),
+    "pconcept": ("pconcept_identity", 0,
+                 lambda p, rep, ds, B, eps, seed, extra:
                  _pconcept_check(p, ds, seed=seed)),
 }

@@ -75,6 +75,22 @@ def test_criterion_08_pconcept(suite):
     _assert_criterion(suite[8])
 
 
+def test_criterion_08_fails_when_disagreement_leaves_err1(monkeypatch):
+    # shift one side of the identity by 0.05, far beyond three standard
+    # errors (about 0.003 at 100,000 draws)
+    disagreement = transfer.pconcept_disagreement
+
+    def shifted(*args, **kwargs):
+        rep = disagreement(*args, **kwargs)
+        rep.disagreement += 0.05
+        return rep
+
+    monkeypatch.setattr(transfer, "pconcept_disagreement", shifted)
+    res = acceptance.criterion_8(SEED)
+    assert not res.passed
+    assert all(row.slack < 0.0 for row in res.rows)
+
+
 def test_criterion_09_logistic_formulas(suite):
     res = suite[9]
     _assert_criterion(res)

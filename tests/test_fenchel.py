@@ -46,6 +46,27 @@ def test_matching_loss_sigmoid_matches_shifted_crossentropy():
             assert got == pytest.approx(ce - math.log(2.0), abs=1e-12)
 
 
+def test_sigmoid_integral_matches_logaddexp():
+    # softplus(t) - log 2 agrees with np.logaddexp(0, t) - log 2 to 4 ulp;
+    # near t = 0 the result cancels against log 2, so ulps are counted at
+    # the larger of |result| and log 2
+    rng = np.random.default_rng(11)
+    t = np.concatenate([
+        [0.0, -0.0, 1e-300, -1e-300, 800.0, -800.0],
+        rng.uniform(-200.0, 200.0, 100_000),
+        np.geomspace(1e-300, 700.0, 20_001) * rng.choice([-1.0, 1.0], 20_001),
+    ])
+    got = SIG.activation.integral(t)
+    ref = np.logaddexp(0.0, t) - math.log(2.0)
+    scale = np.spacing(np.maximum(np.abs(ref), math.log(2.0)))
+    assert np.all(np.abs(got - ref) <= 4.0 * scale)
+    for t0 in (0.0, -0.0, 1e-300, 800.0, -800.0, 0.3):
+        scalar = SIG.activation.integral(t0)
+        assert type(scalar) is float
+        ref0 = float(np.logaddexp(0.0, t0)) - math.log(2.0)
+        assert abs(scalar - ref0) <= 4.0 * math.ulp(max(abs(ref0), math.log(2.0)))
+
+
 def test_matching_loss_subgradient_is_residual():
     h = 1e-6
     for pair in (SIG, IDE, LEAKY):

@@ -145,6 +145,20 @@ def test_omnipredictor_steps_follow_config():
     assert all(step["w_norm"] == pytest.approx(2.0) for step in accepted)
 
 
+def test_omnipredictor_records_calibration_error_once():
+    # predictions are bucket means of the training labels, so the training
+    # calibration error is zero up to the output clamp; it is computed once,
+    # on the round where the weak learner rejects
+    ds, _ = planted_sigmoid(20_000, 19)
+    omni = learners.train_omnipredictor(ds, 2.0, seed=5)
+    assert omni.converged
+    *rounds, last = omni.trace
+    assert rounds and all("calibration_error" not in step for step in rounds)
+    assert last["calibration_error"] == learners.calibration_error(
+        omni.predict(ds.features), ds.labels)
+    assert last["calibration_error"] <= learners.DEFAULT_OUTPUT_CLAMP
+
+
 def test_omnipredictor_bernoulli_reduction_flag():
     ds, _ = planted_sigmoid(30_000, 23)
     omni = learners.train_omnipredictor(ds, 2.0, seed=6, eps_ma=0.04,
@@ -206,6 +220,37 @@ def test_glmtron_matching_loss_trace_non_increasing():
     pred = learners.train_glmtron(ds, "sigmoid", 2.0, iters=100)
     losses = [step["matching_loss"] for step in pred.trace]
     assert all(b <= a + 1e-10 for a, b in zip(losses, losses[1:]))
+
+
+# Weights and trace lengths of these fits, recorded at 17 digits, pin every
+# iterate: GLMtron shares one activation pass per iterate between its
+# prediction and its update, and matching-loss GD reuses the accepted
+# iterate's scores for the next gradient.  The relative tolerance allows
+# only for another BLAS build's summation order.
+PINNED_GLMTRON_W = [0.01759616977878479, -0.5667448312517156,
+                    0.09600853976845519, 0.1691740055483381,
+                    0.10985459761604413]
+PINNED_GD_W = [0.06315184383177808, -1.8462177687421801, 0.31152901323236226,
+               0.5776788745545167, 0.3958214505994277]
+
+
+def test_glmtron_pinned_weights_and_iterations():
+    ds, _ = planted_sigmoid(
+        20_000, 43,
+        corruption=synth.Corruption("flip_region", mass=0.1))
+    pred = learners.train_glmtron(ds, "sigmoid", 2.0)
+    assert pred.converged and len(pred.trace) == 54
+    np.testing.assert_allclose(pred.w, PINNED_GLMTRON_W, rtol=1e-12, atol=0)
+
+
+def test_matching_gd_pinned_weights_and_iterations():
+    # a first step of 64 backtracks to 8, so the sigmoid losses decide
+    ds, _ = planted_sigmoid(5000, 73)
+    pair = fenchel.pair_from_tag("sigmoid")
+    pred = learners.train_matching_gd(ds, pair, 2.0, step=64.0, iters=60)
+    assert pred.converged and len(pred.trace) == 9
+    assert pred.trace[-1]["step"] == 8.0
+    np.testing.assert_allclose(pred.w, PINNED_GD_W, rtol=1e-12, atol=0)
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +316,9 @@ def test_isotron_recovers_planted_ramp():
                             4000, 54)
     pred = learners.train_isotron(ds, 1.0, iters=100)
     assert learners.squared_error(pred.predict(ds.features), ds.labels) <= 1e-2
+    # the weight steps shrink like 1/t and are still above the tolerance
+    # after 100 rounds, so the flag says so
+    assert not pred.converged
     # fitted activation close to the planted ramp on the score range
     ts = np.linspace(-1.5, 1.5, 101)
     ramp = np.clip(ts, 0.0, 1.0)
@@ -283,6 +331,7 @@ def test_isotron_single_point():
     ds = synth.Dataset(np.array([[1.0, 2.0]]), np.array([0.7]), "interval", 0)
     pred = learners.train_isotron(ds, 1.0, iters=3)
     assert learners.squared_error(pred.predict(ds.features), ds.labels) == 0.0
+    assert pred.converged    # fitted exactly at once: every step is zero
     assert pred.predict(np.array([[5.0, -3.0]]))[0] == pytest.approx(0.7)
 
 

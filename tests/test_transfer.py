@@ -123,7 +123,8 @@ def test_bilipschitz_transfer_realizable():
     ds, B = identity_instance()
     pair = fenchel.pair_from_tag("identity")
     pred = learners.train_matching_gd(ds, pair, B, iters=300)
-    chk = transfer.check_bilipschitz_transfer(pred.predict(ds.features), ds,
+    p = pred.predict(ds.features)
+    chk = transfer.check_bilipschitz_transfer(p, transfer.evaluate(p, ds), ds,
                                               pair, B, [pred.w])
     assert chk.passed
     # realizable: the bound collapses to err2 <= 2 beta eps_hat
@@ -132,17 +133,20 @@ def test_bilipschitz_transfer_realizable():
 
 def test_bilipschitz_transfer_needs_alpha():
     ds, B = identity_instance()
+    p = constant(ds, 0.5)
     with pytest.raises(InvalidInputError):
         transfer.check_bilipschitz_transfer(
-            constant(ds, 0.5), ds, fenchel.pair_from_tag("relu"), B)
+            p, transfer.evaluate(p, ds), ds, fenchel.pair_from_tag("relu"), B)
 
 
 def test_bilipschitz_transfer_without_planted_model():
     x = synth.sample_marginal(synth.MarginalSpec("standard_gaussian", 3), 100, 1)
     ds = synth.Dataset(x, np.full(100, 0.5), "interval", 1)
+    p = constant(ds, 0.5)
     with pytest.raises(InvalidInputError):
         transfer.check_bilipschitz_transfer(
-            constant(ds, 0.5), ds, fenchel.pair_from_tag("identity"), 1.0)
+            p, transfer.evaluate(p, ds), ds, fenchel.pair_from_tag("identity"),
+            1.0)
 
 
 def test_general_activation_approximation_term():
@@ -154,11 +158,12 @@ def test_general_activation_approximation_term():
     lam, B = 1.0, 1.5
     g_pair = fenchel.pair_from_tag("identity_clamped")
     pred = learners.train_isotron(ds, B, iters=15)
+    p = pred.predict(ds.features)
     for slope in (0.05, 1e-6):
         phi_pair = fenchel.FenchelPair(
             fenchel.perturb_bilipschitz(g_pair.activation, slope))
         chk = transfer.check_general_activation_transfer(
-            pred.predict(ds.features), ds, g_pair, phi_pair, B)
+            p, transfer.evaluate(p, ds), ds, g_pair, phi_pair, B)
         approx = chk.extras["approximation_term"]
         assert approx <= slope ** 2 * lam * B ** 2 * 1.05
         assert chk.passed
@@ -178,8 +183,9 @@ def test_general_activation_adversarial_slope():
     phi_pair = fenchel.FenchelPair(
         fenchel.perturb_bilipschitz(g_pair.activation, slope))
     pred = learners.train_isotron(ds, B, iters=15)
+    p = pred.predict(ds.features)
     chk = transfer.check_general_activation_transfer(
-        pred.predict(ds.features), ds, g_pair, phi_pair, B)
+        p, transfer.evaluate(p, ds), ds, g_pair, phi_pair, B)
     assert chk.extras["approximation_term"] <= opt_hat * 1.05
     assert chk.passed
 
@@ -192,8 +198,9 @@ def test_general_activation_adversarial_slope():
 def test_sim_bound_realizable_degenerates():
     ds = planted_dataset(n=20_000)
     pred = learners.train_glmtron(ds, "sigmoid", 2.0, iters=200)
-    chk = transfer.check_sim_bound(pred.predict(ds.features), ds, 2.0, 1.0,
-                                   eps=0.05)
+    chk = transfer.check_sim_bound(
+        transfer.evaluate(pred.predict(ds.features), ds), ds, 2.0, 1.0,
+        eps=0.05)
     assert chk.params["opt_hat"] == 0.0
     assert chk.rhs == pytest.approx(0.05)
     assert chk.extras["c_needed"] == 0.0
@@ -213,8 +220,9 @@ def test_sim_bound_scaling_probe():
         train = synth.make_dataset(spec, model, 20_000, 28)
         ev = synth.make_dataset(spec, model, 30_000, 29)
         omni = learners.train_omnipredictor(train, B, seed=6)
-        chk = transfer.check_sim_bound(omni.predict(ev.features), ev, B, 1.0,
-                                       eps=0.05)
+        chk = transfer.check_sim_bound(
+            transfer.evaluate(omni.predict(ev.features), ev), ev, B, 1.0,
+            eps=0.05)
         needed.append(chk.extras["c_needed"])
         assert chk.passed
     assert max(needed) <= transfer.SIM_C
@@ -240,8 +248,9 @@ def test_logistic_absolute_rhs_formula_exact():
 
 def test_logistic_squared_requires_subgaussian_claim():
     ds = planted_dataset()  # plain gaussian: claims gamma = 1.5, not 2
+    p = constant(ds, 0.5)
     with pytest.raises(InvalidInputError):
-        transfer.check_logistic_squared(constant(ds, 0.5), ds, 1.0)
+        transfer.check_logistic_squared(p, transfer.evaluate(p, ds), ds, 1.0)
 
 
 def test_logistic_squared_realizable_flags_degenerate():
@@ -250,8 +259,9 @@ def test_logistic_squared_realizable_flags_degenerate():
     ds = synth.make_dataset(spec, synth.LabelModel(tuple(w), "sigmoid"),
                             20_000, 32)
     pred = learners.train_logistic(ds, 1.0, iters=200)
-    chk = transfer.check_logistic_squared(pred.predict(ds.features), ds, 1.0,
-                                          [pred.w])
+    p = pred.predict(ds.features)
+    chk = transfer.check_logistic_squared(p, transfer.evaluate(p, ds), ds,
+                                          1.0, [pred.w])
     assert chk.extras["degenerate_opt"]
     assert chk.passed
 
@@ -261,16 +271,18 @@ def test_logistic_absolute_requires_binary_and_subexponential():
     w = synth.planted_direction(3, 2.0, 33)
     interval = synth.make_dataset(spec, synth.LabelModel(tuple(w), "sigmoid"),
                                   1000, 34)
+    p = constant(interval, 0.5)
     with pytest.raises(InvalidInputError):
-        transfer.check_logistic_absolute(constant(interval, 0.5), interval,
-                                         2.0)
+        transfer.check_logistic_absolute(
+            p, transfer.evaluate(p, interval), interval, 2.0)
     gauss = synth.MarginalSpec("standard_gaussian", 3, scale=2 ** -0.5)
     binary_gauss = synth.make_dataset(
         gauss, synth.LabelModel(tuple(w), "sigmoid", label_space="binary"),
         1000, 35)
+    p = constant(binary_gauss, 0.5)
     with pytest.raises(InvalidInputError):
-        transfer.check_logistic_absolute(constant(binary_gauss, 0.5),
-                                         binary_gauss, 2.0)
+        transfer.check_logistic_absolute(
+            p, transfer.evaluate(p, binary_gauss), binary_gauss, 2.0)
 
 
 def test_gaussian_tail_oracle_vs_monte_carlo():
@@ -347,8 +359,9 @@ def test_pconcept_planted_sigmoid_within_three_se():
 def test_bound_check_json_fixed_keys():
     ds = planted_dataset(n=5000)
     pred = learners.train_glmtron(ds, "sigmoid", 2.0, iters=50)
-    chk = transfer.check_sim_bound(pred.predict(ds.features), ds, 2.0, 1.0,
-                                   eps=0.05)
+    chk = transfer.check_sim_bound(
+        transfer.evaluate(pred.predict(ds.features), ds), ds, 2.0, 1.0,
+        eps=0.05)
     payload = json.loads(chk.to_json())
     assert list(payload) == ["theorem", "lhs", "rhs", "slack", "pass",
                              "params", "extras"]
