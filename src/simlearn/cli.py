@@ -138,8 +138,8 @@ def _run_instance(payload):
     extra = [predictor.w] if hasattr(predictor, "w") else []
     return [row for _, row in acceptance.check_rows(
         f"{inst_name}_s{seed}", entry["name"], cfg.checks,
-        predictor.predict(eval_ds.features), eval_ds,
-        float(entry["norm_bound"]), extra, cfg.eps, seed, train_ms)]
+        predictor.predict(eval_ds.features), eval_ds, entry["norm_bound"],
+        extra, cfg.eps, seed, train_ms)]
 
 
 def cmd_experiment(args):

@@ -51,25 +51,35 @@ def _require(mapping, key, where):
     return mapping[key]
 
 
-def _marginal_from(obj):
-    kind = _require(obj, "kind", "marginal")
+def _number(kind, value, key, where):
+    """``kind(value)``, or a ConfigError that names the key."""
     try:
-        return synth.MarginalSpec(
-            kind=kind, dim=int(_require(obj, "dim", "marginal")),
-            scale=float(obj.get("scale", 1.0)), dof=int(obj.get("dof", 5)),
-            augment_constant=bool(obj.get("augment_constant", False)))
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad marginal spec: {exc}") from exc
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{key!r} in {where} must be a number, "
+                          f"not {value!r}") from exc
+
+
+def _optional_float(value):
+    return None if value is None else float(value)
+
+
+def _marginal_from(obj):
+    return synth.MarginalSpec(
+        kind=_require(obj, "kind", "marginal"),
+        dim=_number(int, _require(obj, "dim", "marginal"), "dim", "marginal"),
+        scale=_number(float, obj.get("scale", 1.0), "scale", "marginal"),
+        dof=_number(int, obj.get("dof", 5), "dof", "marginal"),
+        augment_constant=bool(obj.get("augment_constant", False)))
 
 
 def _corruption_from(obj):
     if obj is None:
         return synth.Corruption()
     return synth.Corruption(
-        kind=obj.get("kind", "none"), mass=float(obj.get("mass", 0.0)),
-        level=float(obj.get("level", 0.0)), value=float(obj.get("value", 0.0)))
+        kind=obj.get("kind", "none"),
+        **{key: _number(float, obj.get(key, 0.0), key, "corruption")
+           for key in ("mass", "level", "value")})
 
 
 def _activation_tag(tag):
@@ -83,15 +93,21 @@ def _activation_tag(tag):
 def _label_model_from(obj, total_dim):
     tag = _activation_tag(_require(obj, "activation", "label_model"))
     if "planted_w" in obj:
-        w = np.asarray(obj["planted_w"], dtype=float)
+        w = _number(lambda v: np.asarray(v, dtype=float), obj["planted_w"],
+                    "planted_w", "label_model")
         if w.size != total_dim:
             raise ConfigError(
                 f"planted_w has dimension {w.size}, expected {total_dim}")
     else:
-        norm = float(_require(obj, "norm", "label_model"))
         w = synth.planted_direction(
-            total_dim, norm, int(obj.get("direction_seed", 0)),
-            constant_weight=obj.get("constant_weight"))
+            total_dim,
+            _number(float, _require(obj, "norm", "label_model"), "norm",
+                    "label_model"),
+            _number(int, obj.get("direction_seed", 0), "direction_seed",
+                    "label_model"),
+            constant_weight=_number(_optional_float,
+                                    obj.get("constant_weight"),
+                                    "constant_weight", "label_model"))
     return synth.LabelModel(
         planted_w=tuple(float(v) for v in w),
         activation_tag=tag,
@@ -104,12 +120,17 @@ def _learner_entry(obj, idx):
     algo = _require(obj, "algorithm", f"learners[{idx}]")
     if algo not in ALGORITHMS:
         raise ConfigError(f"unknown algorithm {algo!r}")
-    needs_activation, _ = ALGORITHMS[algo]
+    needs_activation, options, _ = ALGORITHMS[algo]
+    where = f"learners[{idx}]"
     entry = dict(obj)
     entry.setdefault("name", algo)
     if needs_activation:
-        _activation_tag(_require(obj, "activation", f"learners[{idx}]"))
-    _require(obj, "norm_bound", f"learners[{idx}]")
+        _activation_tag(_require(obj, "activation", where))
+    entry["norm_bound"] = _number(float, _require(obj, "norm_bound", where),
+                                  "norm_bound", where)
+    for key, kind in options.items():
+        if key in entry:
+            entry[key] = _number(kind, entry[key], key, where)
     return entry
 
 
@@ -143,18 +164,20 @@ def parse_config(obj):
                               f"may be listed")
         checks.append((kind, tuple(_activation_tag(tag) for tag in tags)))
     seeds = obj.get("seeds", [0])
-    if not seeds:
-        raise ConfigError("seeds must be non-empty")
+    if not isinstance(seeds, list) or not seeds:
+        raise ConfigError("seeds must be a non-empty list")
     instances = []
     for inst in obj.get("instances", []):
         name = _require(inst, "name", "instances[]")
         instances.append((name, _corruption_from(inst.get("corruption"))))
     return ExperimentConfig(
         marginal=marginal, label_model=label_model,
-        n_train=int(data.get("n_train", 20000)),
-        n_eval=int(data.get("n_eval", 50000)),
+        n_train=_number(int, data.get("n_train", 20000), "n_train", "data"),
+        n_eval=_number(int, data.get("n_eval", 50000), "n_eval", "data"),
         learners=entries, pairs=pairs, checks=checks,
-        eps=float(obj.get("eps", 0.05)), seeds=[int(s) for s in seeds],
+        eps=_number(float, obj.get("eps", 0.05), "eps", "config"),
+        seeds=[_number(int, s, f"seeds[{i}]", "config")
+               for i, s in enumerate(seeds)],
         instances=instances)
 
 
@@ -169,35 +192,31 @@ def load_config(path):
     return parse_config(obj)
 
 
-def _options(entry, kinds):
-    """The options the entry sets, each converted by its kind (None: as
-    given); options it leaves out keep the trainer's defaults."""
-    return {key: entry[key] if kind is None else kind(entry[key])
-            for key, kind in kinds.items() if key in entry}
-
-
-OMNI_OPTIONS = {"eps_ma": float, "eps_cal": float, "eps_weak": None,
-                "step": None, "bucket_width": float, "round_cap": int,
-                "bernoulli_reduction": bool}
+OMNI_OPTIONS = {"eps_ma": float, "eps_cal": float, "eps_weak": _optional_float,
+                "step": _optional_float, "bucket_width": float,
+                "round_cap": int, "bernoulli_reduction": bool}
 GD_OPTIONS = {"step": float, "iters": int, "tol": float}
 
-# algorithm -> (needs an "activation" tag?, trainer(entry, dataset, B, seed))
+# algorithm -> (needs an "activation" tag?, option -> its kind,
+#               trainer(entry, dataset, B, seed, **options))
 ALGORITHMS = {
-    "omnipredictor": (False, lambda e, ds, B, seed: learners.train_omnipredictor(
-        ds, B, seed, **_options(e, OMNI_OPTIONS))),
-    "glmtron": (True, lambda e, ds, B, seed: learners.train_glmtron(
-        ds, e["activation"], B, **_options(e, {"iters": int, "tol": float}))),
-    "isotron": (False, lambda e, ds, B, seed: learners.train_isotron(
-        ds, B, **_options(e, {"iters": int}))),
-    "logistic": (False, lambda e, ds, B, seed: learners.train_logistic(
-        ds, B, **_options(e, GD_OPTIONS))),
-    "matching_gd": (True, lambda e, ds, B, seed: learners.train_matching_gd(
-        ds, fenchel.pair_from_tag(e["activation"]), B,
-        **_options(e, GD_OPTIONS))),
+    "omnipredictor": (False, OMNI_OPTIONS, lambda e, ds, B, seed, **o:
+                      learners.train_omnipredictor(ds, B, seed, **o)),
+    "glmtron": (True, {"iters": int, "tol": float}, lambda e, ds, B, seed, **o:
+                learners.train_glmtron(ds, e["activation"], B, **o)),
+    "isotron": (False, {"iters": int}, lambda e, ds, B, seed, **o:
+                learners.train_isotron(ds, B, **o)),
+    "logistic": (False, GD_OPTIONS, lambda e, ds, B, seed, **o:
+                 learners.train_logistic(ds, B, **o)),
+    "matching_gd": (True, GD_OPTIONS, lambda e, ds, B, seed, **o:
+                    learners.train_matching_gd(
+                        ds, fenchel.pair_from_tag(e["activation"]), B, **o)),
 }
 
 
 def train_learner(entry, dataset, seed):
-    """Run the configured algorithm on a dataset; returns the predictor."""
-    _, trainer = ALGORITHMS[entry["algorithm"]]
-    return trainer(entry, dataset, float(entry["norm_bound"]), seed)
+    """Run the algorithm of a parsed learner entry on a dataset; returns the
+    predictor.  Options the entry leaves out keep the trainer's defaults."""
+    _, options, trainer = ALGORITHMS[entry["algorithm"]]
+    return trainer(entry, dataset, entry["norm_bound"], seed,
+                   **{key: entry[key] for key in options if key in entry})

@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit, logit, xlogy
 
 from .errors import (
     BoundaryError,
@@ -200,6 +199,12 @@ class PiecewiseLinearActivation(Activation):
             derived_from=(self, slope))
 
 
+def _xlogy(x, y):
+    """``x * log(y)``, taken as 0 wherever ``x == 0`` (also for ``y == 0``)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(x == 0, 0.0, x * np.log(y))
+
+
 class SigmoidActivation(Activation):
     """Logistic activation 1 / (1 + exp(-t)); link is the logit."""
 
@@ -209,7 +214,11 @@ class SigmoidActivation(Activation):
         super().__init__(0.25, 0.0, 0.0, 1.0)
 
     def __call__(self, t):
-        return expit(np.asarray(t, dtype=float)) if np.ndim(t) else float(expit(t))
+        # exp(-t) overflows to inf for t < -709, where 1/(1+inf) is the 0
+        # the sigmoid rounds to
+        with np.errstate(over="ignore"):
+            out = 1.0 / (1.0 + np.exp(-np.asarray(t, dtype=float)))
+        return out if out.ndim else float(out)
 
     def integral(self, t):
         # softplus(t) - softplus(0); softplus(t) = max(t, 0) + log1p(exp(-|t|))
@@ -223,13 +232,18 @@ class SigmoidActivation(Activation):
         r = np.asarray(r, dtype=float)
         if np.any(r < 0.0) or np.any(r > 1.0):
             raise RangeError("value outside activation range")
-        out = logit(r)
+        # log(r/(1-r)) loses precision near 1/2, where the difference of
+        # log1p's keeps it; r = 0 and r = 1 give -inf and inf
+        s = 2.0 * (r - 0.5)
+        with np.errstate(divide="ignore"):
+            out = np.where((r < 0.3) | (r > 0.65), np.log(r / (1.0 - r)),
+                           np.log1p(s) - np.log1p(-s))
         return out if out.ndim else float(out)
 
     def conjugate_value(self, r):
         # negative binary entropy plus log 2; continuous at 0 and 1
         r = np.asarray(r, dtype=float)
-        out = xlogy(r, r) + xlogy(1.0 - r, 1.0 - r) + math.log(2.0)
+        out = _xlogy(r, r) + _xlogy(1.0 - r, 1.0 - r) + math.log(2.0)
         return out if out.ndim else float(out)
 
 
@@ -827,7 +841,7 @@ def crossentropy_absolute_report(grid_n=100):
     ps = interior_grid(grid_n)
     slacks_lo, slacks_hi = [], []
     for y in (0.0, 1.0):
-        ce = -(xlogy(y, ps) + xlogy(1.0 - y, 1.0 - ps))
+        ce = -(_xlogy(y, ps) + _xlogy(1.0 - y, 1.0 - ps))
         ad = np.abs(y - ps)
         slacks_lo.append(np.min(ce - ad))
         slacks_hi.append(np.min(2.0 * ad * np.log(1.0 / (ps * (1.0 - ps))) - ce))

@@ -21,9 +21,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-# unused here; kept importable because perfbench/tracer.py wraps
-# learners.isotonic_regression by name
-from scipy.optimize import isotonic_regression  # noqa: F401
 
 from . import fenchel
 from .errors import (
@@ -39,6 +36,18 @@ DEFAULT_ROUND_CAP = 1000
 DEFAULT_CHEBYSHEV_CONSTANT = 64.0
 DEFAULT_FAILURE_PROB = 1.0 / 6.0
 ISOTRON_STEP_TOL = 1e-6
+
+
+def isotonic_regression(*args, **kwargs):
+    """SciPy's ``isotonic_regression``, imported only when called.
+
+    Nothing in simlearn calls it.  It stays as a name because the
+    benchmark's tracer (``perfbench/tracer.py``) wraps
+    ``learners.isotonic_regression``; the benchmark re-baseline of ROADMAP
+    item 1 deletes it together with that wrapper.
+    """
+    from scipy.optimize import isotonic_regression as fit
+    return fit(*args, **kwargs)
 
 
 def project_ball(w, radius):

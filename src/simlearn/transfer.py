@@ -29,7 +29,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import norm as _gaussian
 
 from . import fenchel
 from .errors import InvalidInputError
@@ -287,7 +286,9 @@ def squared_bound_comparison(opt_hat, B, lam, C_logistic, C_sim, eps):
 def gaussian_abs_exp_tail(r, s2):
     """Closed form of E[exp(|Z|) 1{|Z| > r}] for Z ~ N(0, s2)."""
     s = math.sqrt(s2)
-    return 2.0 * math.exp(s2 / 2.0) * float(_gaussian.sf((r - s2) / s))
+    z = (r - s2) / s
+    # 2 P(N(0, 1) > z) = erfc(z / sqrt 2)
+    return math.exp(s2 / 2.0) * math.erfc(z / math.sqrt(2.0))
 
 
 def _require_concentration(dataset, gamma):

@@ -294,6 +294,28 @@ def test_experiment_rejects_malformed_checks(tmp_path, capsys, checks,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("mutate, key", [
+    (lambda c: c["data"].update(n_train="many"), "'n_train' in data"),
+    (lambda c: c.update(eps="small"), "'eps' in config"),
+    (lambda c: c.update(seeds=[1, "two"]), "'seeds[1]' in config"),
+    (lambda c: c["data"]["label_model"].update(norm="unit"),
+     "'norm' in label_model"),
+    (lambda c: c.update(instances=[{"name": "flip", "corruption": {
+        "kind": "flip_region", "mass": "some"}}]), "'mass' in corruption"),
+    (lambda c: c["learners"][0].update(norm_bound="two"),
+     "'norm_bound' in learners[0]"),
+    (lambda c: c["learners"][0].update(iters="80x"), "'iters' in learners[0]"),
+], ids=["n_train", "eps", "seed", "norm", "mass", "norm_bound", "iters"])
+def test_experiment_rejects_malformed_numbers(tmp_path, capsys, mutate, key):
+    cfg = base_config()
+    mutate(cfg)
+    out = tmp_path / "x.csv"
+    assert cli.main(["experiment", "--config", write_config(tmp_path, cfg),
+                     "--out", str(out)]) == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_resume_of_a_complete_csv_runs_no_unit(tmp_path, monkeypatch):
     # logistic_squared is inapplicable on a plain-Gaussian marginal, so the
     # unit writes one theorem row and one <kind>_inapplicable row

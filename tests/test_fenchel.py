@@ -1,9 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
+from scipy.special import expit, logit
 
 from simlearn import fenchel as F
 from simlearn.errors import (
@@ -270,8 +272,63 @@ def test_conjugate_identity_on_builtin_pairs():
 
 
 def test_sigmoid_conjugate_boundary_limits():
-    assert SIG.f(0.0) == pytest.approx(math.log(2.0))
-    assert SIG.f(1.0) == pytest.approx(math.log(2.0))
+    assert SIG.f(0.0) == SIG.f(1.0) == math.log(2.0)
+
+
+# ---------------------------------------------------------------------------
+# the NumPy sigmoid, logit and entropy conjugate against SciPy's
+# ---------------------------------------------------------------------------
+
+T_SPECIAL = [0.0, -0.0, 1e-300, -1e-300, 709.0, -709.0, 800.0, -800.0]
+R_SPECIAL = [0.0, 0.3, 0.5, 0.65, 1.0, 1e-9, 1.0 - 1e-9,
+             np.nextafter(0.3, 0.0), np.nextafter(0.65, 1.0)]
+T_GRID = np.concatenate([
+    T_SPECIAL, np.linspace(-40.0, 40.0, 1601), np.geomspace(40.0, 745.0, 200),
+    -np.geomspace(40.0, 745.0, 200)])
+R_GRID = np.concatenate([
+    R_SPECIAL, np.linspace(0.0, 1.0, 2001), np.geomspace(1e-300, 0.3, 300),
+    1.0 - np.geomspace(1e-16, 0.35, 300)])
+
+
+def assert_within_ulps(got, want, ulps):
+    got, want = np.asarray(got), np.asarray(want)
+    with np.errstate(invalid="ignore"):    # inf - inf where both are inf
+        close = np.abs(got - want) <= ulps * np.spacing(np.abs(want))
+    assert np.all((got == want) | close)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_sigmoid_and_logit_within_two_ulps_of_scipy():
+    act = F.sigmoid()
+    assert_within_ulps(act(T_GRID), expit(T_GRID), 2)
+    assert_within_ulps(act.inverse(R_GRID), logit(R_GRID), 2)
+    assert act.inverse(0.0) == -math.inf and act.inverse(1.0) == math.inf
+    for t in T_SPECIAL:
+        assert_within_ulps(act(t), expit(t), 2)
+    for r in R_SPECIAL:
+        assert_within_ulps(act.inverse(r), logit(r), 2)
+
+
+def test_sigmoid_forms_return_a_float_for_a_scalar():
+    act = F.sigmoid()
+    for value in (act(0.25), act(np.float64(-3.0)), act.inverse(0.25),
+                  act.inverse(np.float64(0.9)), act.conjugate_value(0.25)):
+        assert type(value) is float
+
+
+def test_sigmoid_forms_raise_no_warning():
+    act = F.sigmoid()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        act(T_GRID)
+        act.inverse(R_GRID)
+        act.conjugate_value(R_GRID)
+        for t in T_SPECIAL:
+            act(t)
+        for r in R_SPECIAL:
+            act.inverse(r)
+            act.conjugate_value(r)
+        F.crossentropy_absolute_report(grid_n=100)
 
 
 # ---------------------------------------------------------------------------

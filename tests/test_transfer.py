@@ -296,6 +296,17 @@ def test_gaussian_tail_oracle_vs_monte_carlo():
     assert abs(mc - oracle) <= 4.0 * se
 
 
+def test_gaussian_tail_matches_the_normal_survival_function():
+    from scipy.stats import norm
+
+    for s2 in (0.25, 0.5, 1.0, 2.0):
+        s = math.sqrt(s2)
+        for z in np.linspace(-8.0, 8.0, 321):
+            want = 2.0 * math.exp(s2 / 2.0) * norm.sf(z)
+            assert transfer.gaussian_abs_exp_tail(s2 + z * s, s2) == \
+                pytest.approx(want, rel=1e-13, abs=0.0)
+
+
 def test_squared_bound_comparison_small_opt():
     # near-linear-in-opt beats sqrt-opt once opt is small enough
     rhs_log, rhs_sim, tighter = transfer.squared_bound_comparison(
