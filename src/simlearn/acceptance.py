@@ -294,7 +294,7 @@ def criterion_5(seed=DEFAULT_SEED):
             spec, model, B = _bilipschitz_instance(act_tag, cw, corr, seed + 41)
             train = synth.make_dataset(spec, model, 20_000, seed + 42)
             ev = synth.make_dataset(spec, model, 100_000, seed + 43)
-            pred = learners.train_matching_gd(train, pair, B, iters=400)
+            pred = learners.train_matching_gd(train, pair, B)
             [(chk, row)] = check_rows(
                 f"{act_tag}_{opt_name}", "matching_gd",
                 [("bilipschitz", (act_tag,))], pred.predict(ev.features), ev,
@@ -405,7 +405,7 @@ def criterion_8(seed=DEFAULT_SEED):
     model = synth.LabelModel(tuple(w), "sigmoid", label_space="binary")
     train = synth.make_dataset(spec, model, 20_000, seed + 82)
     ev = synth.make_dataset(spec, model, 100_000, seed + 83)
-    pred = learners.train_logistic(train, 10.0, iters=200)
+    pred = learners.train_logistic(train, 10.0)
 
     gauss = synth.MarginalSpec("standard_gaussian", 3)
     coin = synth.Dataset(
@@ -467,7 +467,7 @@ def criterion_9(seed=DEFAULT_SEED):
                                      "constant_override", mass=mass, value=0.0))
         train = synth.make_dataset(spec, model, n_train, seed + 92)
         ev = synth.make_dataset(spec, model, n_eval, seed + 93)
-        pred = learners.train_logistic(train, 1.0, iters=300)
+        pred = learners.train_logistic(train, 1.0)
         [(chk, row)] = check_rows(
             f"gauss_{nm}", "logistic", [("logistic_squared", ())],
             pred.predict(ev.features), ev, 1.0, [pred.w])
@@ -503,7 +503,7 @@ def criterion_9(seed=DEFAULT_SEED):
                                  corruption=corr)
         train = synth.make_dataset(spec2, model, n_train, seed + 97)
         ev = synth.make_dataset(spec2, model, n_eval, seed + 98)
-        pred = learners.train_logistic(train, B, iters=300)
+        pred = learners.train_logistic(train, B)
         [(chk, row)] = check_rows(
             f"laplace_{nm}", "logistic", [("logistic_absolute", ())],
             pred.predict(ev.features), ev, B, [pred.w])

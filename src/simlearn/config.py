@@ -51,12 +51,20 @@ def _require(mapping, key, where):
     return mapping[key]
 
 
-def _number(kind, value, key, where):
+def _flag(value):
+    """A JSON ``true`` or ``false``; anything else is a TypeError."""
+    if not isinstance(value, bool):
+        raise TypeError(f"{value!r} is not a JSON boolean")
+    return value
+
+
+def _convert(kind, value, key, where):
     """``kind(value)``, or a ConfigError that names the key."""
     try:
         return kind(value)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{key!r} in {where} must be a number, "
+        expected = "true or false" if kind is _flag else "a number"
+        raise ConfigError(f"{key!r} in {where} must be {expected}, "
                           f"not {value!r}") from exc
 
 
@@ -67,10 +75,11 @@ def _optional_float(value):
 def _marginal_from(obj):
     return synth.MarginalSpec(
         kind=_require(obj, "kind", "marginal"),
-        dim=_number(int, _require(obj, "dim", "marginal"), "dim", "marginal"),
-        scale=_number(float, obj.get("scale", 1.0), "scale", "marginal"),
-        dof=_number(int, obj.get("dof", 5), "dof", "marginal"),
-        augment_constant=bool(obj.get("augment_constant", False)))
+        dim=_convert(int, _require(obj, "dim", "marginal"), "dim", "marginal"),
+        scale=_convert(float, obj.get("scale", 1.0), "scale", "marginal"),
+        dof=_convert(int, obj.get("dof", 5), "dof", "marginal"),
+        augment_constant=_convert(_flag, obj.get("augment_constant", False),
+                                  "augment_constant", "marginal"))
 
 
 def _corruption_from(obj):
@@ -78,7 +87,7 @@ def _corruption_from(obj):
         return synth.Corruption()
     return synth.Corruption(
         kind=obj.get("kind", "none"),
-        **{key: _number(float, obj.get(key, 0.0), key, "corruption")
+        **{key: _convert(float, obj.get(key, 0.0), key, "corruption")
            for key in ("mass", "level", "value")})
 
 
@@ -93,27 +102,27 @@ def _activation_tag(tag):
 def _label_model_from(obj, total_dim):
     tag = _activation_tag(_require(obj, "activation", "label_model"))
     if "planted_w" in obj:
-        w = _number(lambda v: np.asarray(v, dtype=float), obj["planted_w"],
-                    "planted_w", "label_model")
+        w = _convert(lambda v: np.asarray(v, dtype=float), obj["planted_w"],
+                     "planted_w", "label_model")
         if w.size != total_dim:
             raise ConfigError(
                 f"planted_w has dimension {w.size}, expected {total_dim}")
     else:
         w = synth.planted_direction(
             total_dim,
-            _number(float, _require(obj, "norm", "label_model"), "norm",
-                    "label_model"),
-            _number(int, obj.get("direction_seed", 0), "direction_seed",
-                    "label_model"),
-            constant_weight=_number(_optional_float,
-                                    obj.get("constant_weight"),
-                                    "constant_weight", "label_model"))
+            _convert(float, _require(obj, "norm", "label_model"), "norm",
+                     "label_model"),
+            _convert(int, obj.get("direction_seed", 0), "direction_seed",
+                     "label_model"),
+            constant_weight=_convert(_optional_float,
+                                     obj.get("constant_weight"),
+                                     "constant_weight", "label_model"))
     return synth.LabelModel(
         planted_w=tuple(float(v) for v in w),
         activation_tag=tag,
         corruption=_corruption_from(obj.get("corruption")),
         label_space=obj.get("label_space", "interval"),
-        clip=bool(obj.get("clip", True)))
+        clip=_convert(_flag, obj.get("clip", True), "clip", "label_model"))
 
 
 def _learner_entry(obj, idx):
@@ -122,15 +131,21 @@ def _learner_entry(obj, idx):
         raise ConfigError(f"unknown algorithm {algo!r}")
     needs_activation, options, _ = ALGORITHMS[algo]
     where = f"learners[{idx}]"
+    known = {"algorithm", "name", "norm_bound", *options} | (
+        {"activation"} if needs_activation else set())
+    for key in obj:
+        if key not in known:
+            raise ConfigError(f"unknown key {key!r} in {where} "
+                              f"(algorithm {algo!r})")
     entry = dict(obj)
     entry.setdefault("name", algo)
     if needs_activation:
         _activation_tag(_require(obj, "activation", where))
-    entry["norm_bound"] = _number(float, _require(obj, "norm_bound", where),
-                                  "norm_bound", where)
+    entry["norm_bound"] = _convert(float, _require(obj, "norm_bound", where),
+                                   "norm_bound", where)
     for key, kind in options.items():
         if key in entry:
-            entry[key] = _number(kind, entry[key], key, where)
+            entry[key] = _convert(kind, entry[key], key, where)
     return entry
 
 
@@ -172,11 +187,11 @@ def parse_config(obj):
         instances.append((name, _corruption_from(inst.get("corruption"))))
     return ExperimentConfig(
         marginal=marginal, label_model=label_model,
-        n_train=_number(int, data.get("n_train", 20000), "n_train", "data"),
-        n_eval=_number(int, data.get("n_eval", 50000), "n_eval", "data"),
+        n_train=_convert(int, data.get("n_train", 20000), "n_train", "data"),
+        n_eval=_convert(int, data.get("n_eval", 50000), "n_eval", "data"),
         learners=entries, pairs=pairs, checks=checks,
-        eps=_number(float, obj.get("eps", 0.05), "eps", "config"),
-        seeds=[_number(int, s, f"seeds[{i}]", "config")
+        eps=_convert(float, obj.get("eps", 0.05), "eps", "config"),
+        seeds=[_convert(int, s, f"seeds[{i}]", "config")
                for i, s in enumerate(seeds)],
         instances=instances)
 
@@ -194,8 +209,7 @@ def load_config(path):
 
 OMNI_OPTIONS = {"eps_ma": float, "eps_cal": float, "eps_weak": _optional_float,
                 "step": _optional_float, "bucket_width": float,
-                "round_cap": int, "bernoulli_reduction": bool}
-GD_OPTIONS = {"step": float, "iters": int, "tol": float}
+                "round_cap": int, "bernoulli_reduction": _flag}
 
 # algorithm -> (needs an "activation" tag?, option -> its kind,
 #               trainer(entry, dataset, B, seed, **options))
@@ -206,11 +220,11 @@ ALGORITHMS = {
                 learners.train_glmtron(ds, e["activation"], B, **o)),
     "isotron": (False, {"iters": int}, lambda e, ds, B, seed, **o:
                 learners.train_isotron(ds, B, **o)),
-    "logistic": (False, GD_OPTIONS, lambda e, ds, B, seed, **o:
-                 learners.train_logistic(ds, B, **o)),
-    "matching_gd": (True, GD_OPTIONS, lambda e, ds, B, seed, **o:
+    "logistic": (False, {}, lambda e, ds, B, seed:
+                 learners.train_logistic(ds, B)),
+    "matching_gd": (True, {}, lambda e, ds, B, seed:
                     learners.train_matching_gd(
-                        ds, fenchel.pair_from_tag(e["activation"]), B, **o)),
+                        ds, fenchel.pair_from_tag(e["activation"]), B)),
 }
 
 

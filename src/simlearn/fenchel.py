@@ -6,7 +6,7 @@ convex conjugate of ``g`` is the link ``f'``, the (pseudo-)inverse of ``a``
 on its range.  This module provides:
 
 * built-in activations (sigmoid, identity, ReLU variants, piecewise linear)
-  with closed-form integrals and links where they exist,
+  with closed-form integrals and derivatives, and links where they exist,
 * the matching loss ``l_g(y, t) = g(t) - y*t`` and the Bregman divergence
   ``B_f(y, p) = f(y) - f(p) - (y - p) f'(p)``,
 * additive bi-Lipschitz perturbation ``a(t) + slope*t``,
@@ -33,7 +33,6 @@ from .errors import (
 DEFAULT_INVERSION_TOL = 1e-10
 DEFAULT_CLAMP_MARGIN = 1e-12
 BRACKET_CAP_EXP = 60  # bisection brackets expand up to [-2^60, 2^60]
-QUAD_TOL = 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -55,9 +54,11 @@ class Activation:
         activation has flat pieces.
     range_lo, range_hi : float
         Extended-real bounds of the closure of the range.
-    """
 
-    kind: str = "custom"
+    Subclasses define ``__call__``, ``integral`` (the running integral from
+    0) and ``derivative`` (the slope, taking the right slope at a kink),
+    all in closed form.
+    """
 
     def __init__(self, lipschitz_upper, lipschitz_lower, range_lo, range_hi,
                  params=None, derived_from=None):
@@ -68,14 +69,7 @@ class Activation:
         self.params = dict(params or {})
         self.derived_from = derived_from
 
-    def __call__(self, t):
-        raise NotImplementedError
-
     # Closed forms, overridden where available. ``None`` means "use numerics".
-    def integral(self, t):
-        """Running integral from 0, or None when no closed form exists."""
-        return None
-
     def inverse(self, r):
         """Minimal score attaining mean r, or None when no closed form."""
         return None
@@ -139,9 +133,8 @@ class PiecewiseLinearActivation(Activation):
         # hinge form: a(t) = v0 + slope_left * (t - t0) + sum_j jump_j * relu(t - t_j)
         # with jump_j the slope increase at knot j; integrating term by term
         # gives an exact expression that vectorizes with a few cheap ops
-        after = np.concatenate((self._seg_slopes, [self.slope_right]))
-        before = np.concatenate(([self.slope_left], self._seg_slopes))
-        self._jumps = after - before
+        self._slopes = slopes    # left extension, segments, right extension
+        self._jumps = np.diff(slopes)
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
@@ -159,6 +152,11 @@ class PiecewiseLinearActivation(Activation):
             if dj != 0.0:
                 base = max(-tj, 0.0) ** 2
                 out = out + (0.5 * dj) * (np.maximum(t - tj, 0.0) ** 2 - base)
+        return out if out.ndim else float(out)
+
+    def derivative(self, t):
+        # the number of knots at or below t indexes the slope to the right
+        out = self._slopes[np.searchsorted(self.knots_t, t, side="right")]
         return out if out.ndim else float(out)
 
     def inverse(self, r):
@@ -228,6 +226,10 @@ class SigmoidActivation(Activation):
         out = np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t))) - math.log(2.0)
         return out if out.ndim else float(out)
 
+    def derivative(self, t):
+        a = self(t)
+        return a * (1.0 - a)
+
     def inverse(self, r):
         r = np.asarray(r, dtype=float)
         if np.any(r < 0.0) or np.any(r > 1.0):
@@ -247,33 +249,9 @@ class SigmoidActivation(Activation):
         return out if out.ndim else float(out)
 
 
-class FunctionActivation(Activation):
-    """Activation wrapping an arbitrary monotone callable.
-
-    Integral and link fall back to adaptive Simpson quadrature and monotone
-    bisection inside the owning pair.  The caller is responsible for the
-    declared Lipschitz constants, range and (a.e.) differentiability.
-    """
-
-    kind = "custom"
-
-    def __init__(self, fn, lipschitz_upper, lipschitz_lower, range_lo, range_hi,
-                 kind=None, params=None, derived_from=None):
-        self._fn = fn
-        if kind is not None:
-            self.kind = kind
-        super().__init__(lipschitz_upper, lipschitz_lower, range_lo, range_hi,
-                         params=params, derived_from=derived_from)
-
-    def __call__(self, t):
-        t_arr = np.asarray(t, dtype=float)
-        out = self._fn(t_arr)
-        out = np.asarray(out, dtype=float)
-        return out if np.ndim(t) else float(out)
-
-
-class PerturbedActivation(FunctionActivation):
-    """Base activation plus ``slope * t``; inherits a closed-form integral."""
+class PerturbedActivation(Activation):
+    """Base activation plus ``slope * t``; its integral and derivative are
+    the base's plus those of the linear term."""
 
     kind = "perturbed"
 
@@ -281,16 +259,19 @@ class PerturbedActivation(FunctionActivation):
         self._base = base
         self._slope = float(slope)
         super().__init__(
-            lambda t: base(t) + slope * t,
             base.lipschitz_upper + slope, base.lipschitz_lower + slope,
-            -np.inf, np.inf,
-            params={"slope": slope}, derived_from=(base, slope))
+            -np.inf, np.inf, params={"slope": slope},
+            derived_from=(base, slope))
+
+    def __call__(self, t):
+        return self._base(t) + self._slope * np.asarray(t, dtype=float)
 
     def integral(self, t):
-        base_int = self._base.integral(t)
-        if base_int is None:
-            return None
-        return base_int + 0.5 * self._slope * np.asarray(t, dtype=float) ** 2
+        return (self._base.integral(t)
+                + 0.5 * self._slope * np.asarray(t, dtype=float) ** 2)
+
+    def derivative(self, t):
+        return self._base.derivative(t) + self._slope
 
 
 # Built-in constructors -----------------------------------------------------
@@ -348,29 +329,6 @@ def perturb_bilipschitz(activation, slope):
 # ---------------------------------------------------------------------------
 
 
-def _adaptive_simpson(fn, a, b, tol):
-    """Adaptive Simpson integral of a scalar function over [a, b]."""
-
-    def simpson(x0, x2, f0, f2):
-        x1 = 0.5 * (x0 + x2)
-        f1 = fn(x1)
-        return x1, f1, (x2 - x0) * (f0 + 4.0 * f1 + f2) / 6.0
-
-    def recurse(x0, x2, f0, f2, whole, x1, f1, eps, depth):
-        lm, flm, left = simpson(x0, x1, f0, f1)
-        rm, frm, right = simpson(x1, x2, f1, f2)
-        if depth > 50 or abs(left + right - whole) <= 15.0 * eps:
-            return left + right + (left + right - whole) / 15.0
-        return (recurse(x0, x1, f0, f1, left, lm, flm, eps / 2.0, depth + 1)
-                + recurse(x1, x2, f1, f2, right, rm, frm, eps / 2.0, depth + 1))
-
-    if a == b:
-        return 0.0
-    f0, f2 = fn(a), fn(b)
-    x1, f1, whole = simpson(a, b, f0, f2)
-    return recurse(a, b, f0, f2, whole, x1, f1, tol, 0)
-
-
 def invert_by_bisection(fn, p, tol, beta):
     """Minimal t with fn(t) >= p, via predicate bisection on expanding brackets.
 
@@ -419,9 +377,9 @@ def invert_by_bisection(fn, p, tol, beta):
 class FenchelPair:
     """An activation together with its integral, conjugate and link.
 
-    Closed forms from the activation are used when available; otherwise the
-    integral uses adaptive Simpson quadrature and the link uses monotone
-    bisection with tolerance ``DEFAULT_INVERSION_TOL``.
+    The integral is the activation's closed form.  So is the link where
+    one exists; otherwise it uses monotone bisection with tolerance
+    ``DEFAULT_INVERSION_TOL``.
     """
 
     def __init__(self, activation):
@@ -453,15 +411,7 @@ class FenchelPair:
         return self.activation(t)
 
     def g(self, t):
-        closed = self.activation.integral(t)
-        if closed is not None:
-            return closed
-        if np.ndim(t):
-            flat = np.asarray(t, dtype=float).ravel()
-            vals = np.array([_adaptive_simpson(self.activation, 0.0, x, QUAD_TOL)
-                             for x in flat])
-            return vals.reshape(np.shape(t))
-        return _adaptive_simpson(self.activation, 0.0, float(t), QUAD_TOL)
+        return self.activation.integral(t)
 
     def f_prime(self, r):
         """Link value: minimal score t with g'(t) = r."""

@@ -8,8 +8,9 @@
   is exactly the negative matching-loss gradient of a known activation.
 * :func:`train_isotron` - alternating Lipschitz isotonic fits and
   GLMtron-style weight updates for unknown activations.
-* :func:`train_matching_gd` / :func:`train_logistic` - projected gradient
-  descent with backtracking on an empirical matching loss.
+* :func:`train_matching_gd` / :func:`train_logistic` - Newton steps to the
+  minimiser of an empirical matching loss over the norm-B ball, certified
+  by the Frank-Wolfe gap.
 
 Everything is deterministic given its seed; randomized steps consume an
 explicit generator and there is no ambient RNG use.
@@ -36,6 +37,12 @@ DEFAULT_ROUND_CAP = 1000
 DEFAULT_CHEBYSHEV_CONSTANT = 64.0
 DEFAULT_FAILURE_PROB = 1.0 / 6.0
 ISOTRON_STEP_TOL = 1e-6
+# the matching-loss solver (train_matching_gd)
+GAP_TOL = 1e-12           # Frank-Wolfe gap that certifies a fit
+NEWTON_STEP_CAP = 100
+HESSIAN_FLOOR = 1e-12     # least eigenvalue of the model's Hessian
+ARMIJO = 1e-4             # sufficient-decrease fraction of the line search
+LINE_SEARCH_FLOOR = 2.0 ** -40
 
 
 def isotonic_regression(*args, **kwargs):
@@ -435,7 +442,7 @@ def train_isotron(dataset, B, iters=50):
 
 
 # ---------------------------------------------------------------------------
-# Matching-loss gradient descent (logistic regression and friends)
+# Matching-loss minimisation over the ball (logistic regression and friends)
 # ---------------------------------------------------------------------------
 
 
@@ -443,51 +450,78 @@ def empirical_matching_loss(pair, scores, labels):
     return float(np.mean(pair.g(scores) - labels * scores))
 
 
-def train_matching_gd(dataset, pair, B, step=1.0, iters=300, tol=1e-10,
-                      min_step=2.0 ** -40):
-    """Projected gradient descent with backtracking on the matching loss.
+def _ball_model_minimiser(lam, vecs, w, grad, B):
+    """Minimiser over ``||z|| <= B`` of the model ``grad.(z - w) +
+    (z - w)' H (z - w) / 2``, where ``H = vecs diag(lam) vecs'`` is positive
+    definite: ``(H + mu I)^-1 (H w - grad)`` for the least ``mu >= 0`` that
+    puts it in the ball.  Newton's method on ``1/||z(mu)|| - 1/B``, concave
+    and increasing in mu, climbs to that mu from 0 without overshooting
+    (More & Sorensen, 1983) and stops once mu no longer increases.
+    """
+    c = lam * (vecs.T @ w) - vecs.T @ grad
+    mu = 0.0
+    while True:
+        z = c / (lam + mu)
+        norm = float(np.linalg.norm(z))
+        if norm <= B:
+            break
+        mu_next = mu + ((norm - B) / B * norm ** 2
+                        / float(np.sum(z ** 2 / (lam + mu))))
+        if not mu_next > mu:
+            break
+        mu = mu_next
+    return project_ball(vecs @ z, B)
 
-    The loss trace is non-increasing: a step that fails to improve is halved
-    until it does or the step floor trips a divergence error.  Stops once
-    the loss changes by at most ``tol`` in one iteration and returns the
-    best iterate; it is flagged converged only when that stop fired before
-    the iteration cap.
+
+def train_matching_gd(dataset, pair, B):
+    """Exact minimiser of the empirical matching loss over ``||w|| <= B``.
+
+    Each step minimises the local quadratic model over the ball (see
+    :func:`_ball_model_minimiser`); its Hessian ``X' diag(a'(Xw)) X / n``
+    has its eigenvalues raised to ``HESSIAN_FLOOR`` where flat pieces of
+    the activation leave them lower.  The step is halved until the Armijo
+    condition holds, so the loss trace never rises; below
+    ``LINE_SEARCH_FLOOR`` it raises :class:`DivergenceError`.  The fit is
+    flagged converged once the Frank-Wolfe gap ``grad.w + B ||grad||``,
+    which bounds the loss above the ball's minimum (Jaggi, ICML 2013), is
+    at most ``GAP_TOL``, and non-converged after ``NEWTON_STEP_CAP`` steps.
+    The trace records the loss, accepted step fraction and gap per step.
     """
     x, y = dataset.features, dataset.labels
     n = dataset.n
     w = np.zeros(dataset.d)
-    scores = x @ w    # of the accepted iterate, reused for its gradient
+    scores = x @ w    # of the current iterate
     loss = empirical_matching_loss(pair, scores, y)
-    best_w, best_loss = w.copy(), loss
-    trace = [{"iter": 0, "loss": loss, "step": step}]
-    cur_step = step
-    converged = False
-    for t in range(1, iters + 1):
+    trace = [{"iter": 0, "loss": loss}]
+    while True:
         grad = x.T @ (pair.g_prime(scores) - y) / n
+        gap = float(grad @ w) + B * float(np.linalg.norm(grad))
+        trace[-1]["gap"] = gap
+        if gap <= GAP_TOL or len(trace) > NEWTON_STEP_CAP:
+            return GlmPredictor(w, pair.tag, converged=gap <= GAP_TOL,
+                                trace=trace)
+        curv = pair.activation.derivative(scores)
+        lam, vecs = np.linalg.eigh(x.T @ (curv[:, None] * x) / n)
+        lam = np.maximum(lam, HESSIAN_FLOOR)
+        direction = _ball_model_minimiser(lam, vecs, w, grad, B) - w
+        slope = float(grad @ direction)
+        frac = 1.0
         while True:
-            w_new = project_ball(w - cur_step * grad, B)
-            _check_finite(w_new)
+            w_new = w + frac * direction
             scores_new = x @ w_new
             loss_new = empirical_matching_loss(pair, scores_new, y)
-            if loss_new <= loss or np.allclose(w_new, w):
+            if loss_new <= loss + ARMIJO * frac * slope:
                 break
-            cur_step *= 0.5
-            if cur_step < min_step:
-                raise DivergenceError("backtracking drove the step to zero")
+            frac *= 0.5
+            if frac < LINE_SEARCH_FLOOR:
+                raise DivergenceError("the line search drove the step to zero")
         w, scores, loss = w_new, scores_new, loss_new
-        trace.append({"iter": t, "loss": loss, "step": cur_step})
-        if loss < best_loss:
-            best_loss, best_w = loss, w.copy()
-        if abs(trace[-2]["loss"] - loss) <= tol and t > 1:
-            converged = True
-            break
-    return GlmPredictor(best_w, pair.tag, converged=converged, trace=trace)
+        trace.append({"iter": len(trace), "loss": loss, "step": frac})
 
 
-def train_logistic(dataset, B, step=1.0, iters=300, tol=1e-10):
-    """Projected gradient descent on the empirical logistic matching loss."""
-    return train_matching_gd(dataset, fenchel.pair_from_tag("sigmoid"), B,
-                             step=step, iters=iters, tol=tol)
+def train_logistic(dataset, B):
+    """:func:`train_matching_gd` on the logistic (sigmoid) matching loss."""
+    return train_matching_gd(dataset, fenchel.pair_from_tag("sigmoid"), B)
 
 
 # ---------------------------------------------------------------------------

@@ -154,6 +154,14 @@ def test_criterion_05_writes_an_inapplicable_row(monkeypatch):
     assert all(row.slack == -1.0 and row.err2 is not None for row in res.rows)
 
 
+@pytest.mark.parametrize("number", [5, 8, 9])
+def test_matching_loss_fits_are_certified(suite, number):
+    # every train_matching_gd/train_logistic fit of these criteria meets
+    # the Frank-Wolfe gap certificate, so none is named (reported, not
+    # gated)
+    assert suite[number].details["nonconverged"] == []
+
+
 def test_criterion_05_names_nonconverged_learners(suite, monkeypatch):
     train = learners.train_matching_gd
 

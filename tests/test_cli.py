@@ -236,9 +236,13 @@ def test_unit_rows_carry_the_check_table_tag(check, marginal, label_space):
 
 @pytest.mark.parametrize("algorithm", sorted(config.ALGORITHMS))
 def test_every_algorithm_trains_through_the_table(algorithm):
-    entry = {"name": algorithm, "algorithm": algorithm,
-             "activation": "sigmoid", "norm_bound": 2.0, "iters": 5,
-             "round_cap": 5}
+    # an entry holds only the keys its algorithm takes; integer options
+    # (iteration and round caps) are set to 5
+    needs_activation, options, _ = config.ALGORITHMS[algorithm]
+    entry = {"name": algorithm, "algorithm": algorithm, "norm_bound": 2.0}
+    if needs_activation:
+        entry["activation"] = "sigmoid"
+    entry.update({key: 5 for key, kind in options.items() if kind is int})
     cfg = config.parse_config(base_config(learners=[entry]))
     ds = synth.make_dataset(cfg.marginal, cfg.label_model, 500, 1)
     predictor = config.train_learner(cfg.learners[0], ds, 1)
@@ -313,6 +317,49 @@ def test_experiment_rejects_malformed_numbers(tmp_path, capsys, mutate, key):
     assert cli.main(["experiment", "--config", write_config(tmp_path, cfg),
                      "--out", str(out)]) == 2
     assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("where, key, parsed", [
+    (lambda c: c["data"]["marginal"], "augment_constant",
+     lambda cfg: cfg.marginal.augment_constant),
+    (lambda c: c["data"]["label_model"], "clip",
+     lambda cfg: cfg.label_model.clip),
+    (lambda c: c["learners"][0], "bernoulli_reduction",
+     lambda cfg: cfg.learners[0]["bernoulli_reduction"]),
+], ids=["augment_constant", "clip", "bernoulli_reduction"])
+@pytest.mark.parametrize("value", ["false", "no", 0, 1, None])
+def test_experiment_takes_only_json_booleans_as_flags(tmp_path, capsys, where,
+                                                      key, parsed, value):
+    cfg = base_config(learners=[{"algorithm": "omnipredictor",
+                                 "norm_bound": 2.0, "round_cap": 5}])
+    where(cfg)[key] = value
+    out = tmp_path / "x.csv"
+    assert cli.main(["experiment", "--config", write_config(tmp_path, cfg),
+                     "--out", str(out)]) == 2
+    assert f"{key!r} in" in (err := capsys.readouterr().err)
+    assert "must be true or false" in err
+    assert not out.exists()
+    for flag in (True, False):
+        where(cfg)[key] = flag
+        assert parsed(config.parse_config(cfg)) is flag
+
+
+@pytest.mark.parametrize("entry, key", [
+    ({"algorithm": "logistic", "iter": 5}, "iter"),
+    ({"algorithm": "logistic", "iters": 5}, "iters"),
+    ({"algorithm": "matching_gd", "activation": "sigmoid", "step": 1.0},
+     "step"),
+    ({"algorithm": "logistic", "activation": "sigmoid"}, "activation"),
+    ({"algorithm": "omnipredictor", "tol": 1e-8}, "tol"),
+])
+def test_experiment_rejects_unknown_learner_keys(tmp_path, capsys, entry,
+                                                 key):
+    cfg = base_config(learners=[dict(entry, norm_bound=2.0)])
+    out = tmp_path / "x.csv"
+    assert cli.main(["experiment", "--config", write_config(tmp_path, cfg),
+                     "--out", str(out)]) == 2
+    assert f"unknown key {key!r} in learners[0]" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -4,7 +4,6 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.integrate import quad
 from scipy.special import expit, logit
 
 from simlearn import fenchel as F
@@ -250,17 +249,34 @@ def test_perturbed_increments_within_band(slope, t1, t2):
 
 
 # ---------------------------------------------------------------------------
-# integrals and conjugates for custom activations
+# derivatives and conjugates
 # ---------------------------------------------------------------------------
 
+DERIVATIVE_TAGS = ["identity", "identity_clamped", "relu", "leaky_relu(0.1)",
+                   "sigmoid", "perturbed(identity_clamped,0.05)",
+                   "perturbed(relu,0.05)", "perturbed(sigmoid,0.05)"]
 
-def test_custom_activation_quadrature_matches_scipy():
-    act = F.FunctionActivation(lambda t: 0.5 + np.arctan(t) / np.pi,
-                               1.0 / np.pi, 0.0, 0.0, 1.0)
-    pair = F.FenchelPair(act)
-    for t in (-2.0, 0.7, 3.5):
-        ref = quad(lambda u: 0.5 + np.arctan(u) / np.pi, 0, t)[0]
-        assert pair.g(t) == pytest.approx(ref, abs=1e-8)
+
+@pytest.mark.parametrize("tag", DERIVATIVE_TAGS)
+def test_derivative_matches_central_differences(tag):
+    act = F.activation_from_tag(tag)
+    # a 0.05 grid shifted off the knots at 0 and 1 by more than h
+    t = np.linspace(-6.0, 6.0, 241) + 0.013
+    h = 1e-6
+    central = (act(t + h) - act(t - h)) / (2.0 * h)
+    np.testing.assert_allclose(act.derivative(t), central, rtol=0, atol=1e-8)
+    assert isinstance(act.derivative(0.3), float)
+
+
+def test_derivative_takes_the_right_slope_at_knots():
+    assert F.relu().derivative(0.0) == 1.0
+    assert F.relu().derivative(-1e-300) == 0.0
+    assert F.leaky_relu(0.1).derivative(0.0) == 1.0
+    np.testing.assert_array_equal(
+        F.identity_clamped().derivative(np.array([0.0, 1.0])), [1.0, 0.0])
+    ramp = F.activation_from_tag("perturbed(identity_clamped,0.05)")
+    np.testing.assert_array_equal(ramp.derivative(np.array([0.0, 1.0])),
+                                  [1.05, 0.05])
 
 
 def test_conjugate_identity_on_builtin_pairs():
@@ -355,11 +371,10 @@ def test_bounded_link_sigmoid_certificate():
 
 
 def test_bounded_link_rejects_fast_blowup():
-    act = F.FunctionActivation(lambda t: 0.5 + np.arctan(t) / np.pi,
-                               1.0 / np.pi, 0.0, 0.0, 1.0)
-    res = F.check_bounded_link(F.FenchelPair(act), 1.0, 0.0, [0.01])
+    # gamma = 0 allows no growth, and the logit grows like log(1/eps)
+    res = F.check_bounded_link(SIG, 1.0, 0.0, [0.01])
     assert not res.ok
-    assert res.violated in ("head", "upper_tail", "lower_tail")
+    assert res.violated == "upper_tail"
 
 
 def test_bounded_link_probe_validation():

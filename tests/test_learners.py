@@ -224,14 +224,15 @@ def test_glmtron_matching_loss_trace_non_increasing():
 
 # Weights and trace lengths of these fits, recorded at 17 digits, pin every
 # iterate: GLMtron shares one activation pass per iterate between its
-# prediction and its update, and matching-loss GD reuses the accepted
-# iterate's scores for the next gradient.  The relative tolerance allows
-# only for another BLAS build's summation order.
+# prediction and its update, and the matching-loss solver reuses the
+# accepted trial point's scores for its next gradient.  The relative
+# tolerance allows only for another BLAS or LAPACK build's summation order.
 PINNED_GLMTRON_W = [0.01759616977878479, -0.5667448312517156,
                     0.09600853976845519, 0.1691740055483381,
                     0.10985459761604413]
-PINNED_GD_W = [0.06315184383177808, -1.8462177687421801, 0.31152901323236226,
-               0.5776788745545167, 0.3958214505994277]
+PINNED_SOLVER_W = [0.06315145695129164, -1.8462303218719534,
+                   0.31153189539315596, 0.5776823799618312,
+                   0.3958236997405179]
 
 
 def test_glmtron_pinned_weights_and_iterations():
@@ -244,13 +245,13 @@ def test_glmtron_pinned_weights_and_iterations():
 
 
 def test_matching_gd_pinned_weights_and_iterations():
-    # a first step of 64 backtracks to 8, so the sigmoid losses decide
+    # five full Newton steps; the optimum lies just inside the ball
     ds, _ = planted_sigmoid(5000, 73)
     pair = fenchel.pair_from_tag("sigmoid")
-    pred = learners.train_matching_gd(ds, pair, 2.0, step=64.0, iters=60)
-    assert pred.converged and len(pred.trace) == 9
-    assert pred.trace[-1]["step"] == 8.0
-    np.testing.assert_allclose(pred.w, PINNED_GD_W, rtol=1e-12, atol=0)
+    pred = learners.train_matching_gd(ds, pair, 2.0)
+    assert pred.converged and len(pred.trace) == 6
+    assert [step["step"] for step in pred.trace[1:]] == [1.0] * 5
+    np.testing.assert_allclose(pred.w, PINNED_SOLVER_W, rtol=1e-12, atol=0)
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +365,7 @@ def test_sim_predictor_serialization_roundtrip():
 
 
 # ---------------------------------------------------------------------------
-# matching-loss gradient descent
+# matching-loss minimisation over the ball
 # ---------------------------------------------------------------------------
 
 
@@ -374,7 +375,7 @@ def test_logistic_matches_grid_search_oracle_2d():
     ds = synth.make_dataset(spec, synth.LabelModel(tuple(w), "sigmoid"),
                             5000, 68)
     B = 1.2
-    pred = learners.train_logistic(ds, B, iters=500, tol=1e-14)
+    pred = learners.train_logistic(ds, B)
     pair = fenchel.pair_from_tag("sigmoid")
     final_loss = learners.empirical_matching_loss(pair,
                                                   ds.features @ pred.w,
@@ -392,7 +393,7 @@ def test_logistic_matches_grid_search_oracle_2d():
 def test_logistic_symmetric_noise_stays_at_origin():
     x = synth.sample_marginal(GAUSS5, 20_000, 71)
     ds = synth.Dataset(x, np.full(20_000, 0.5), "interval", 71)
-    pred = learners.train_logistic(ds, 1.0, iters=100)
+    pred = learners.train_logistic(ds, 1.0)
     assert np.linalg.norm(pred.w) <= 1e-9
     pair = fenchel.pair_from_tag("sigmoid")
     loss0 = learners.empirical_matching_loss(pair, np.zeros(ds.n), ds.labels)
@@ -400,19 +401,73 @@ def test_logistic_symmetric_noise_stays_at_origin():
     assert loss0 == pytest.approx(0.0, abs=1e-12)
 
 
+def ball_instance(tag, seed, n=2000):
+    """Labels from ``tag`` on a 0.6-norm planted direction, flipped on 10%
+    of the points so that no weight vector fits them exactly.  A fourth
+    feature that is always 0 leaves every Hessian singular, so each step
+    relies on the solver's eigenvalue floor."""
+    spec = synth.MarginalSpec("standard_gaussian", 3)
+    w = synth.planted_direction(3, 0.6, seed)
+    model = synth.LabelModel(tuple(w), tag, corruption=synth.Corruption(
+        "flip_region", mass=0.1))
+    ds = synth.make_dataset(spec, model, n, seed + 1)
+    return synth.Dataset(np.column_stack([ds.features, np.zeros(n)]),
+                         ds.labels, ds.label_space, ds.seed)
+
+
+@pytest.mark.parametrize("tag", ["sigmoid", "leaky_relu(0.1)",
+                                 "identity_clamped"])
+@pytest.mark.parametrize("B", [0.02, 50.0], ids=["boundary", "interior"])
+def test_matching_gd_matches_slsqp_on_the_ball(tag, B):
+    ds = ball_instance(tag, 5)
+    pair = fenchel.pair_from_tag(tag)
+    x, y = ds.features, ds.labels
+    pred = learners.train_matching_gd(ds, pair, B)
+    ref = minimize(
+        lambda w: learners.empirical_matching_loss(pair, x @ w, y),
+        np.zeros(ds.d), method="SLSQP",
+        jac=lambda w: x.T @ (pair.g_prime(x @ w) - y) / ds.n,
+        constraints=[{"type": "ineq", "fun": lambda w: B * B - w @ w,
+                      "jac": lambda w: -2.0 * w}],
+        options={"ftol": 1e-15, "maxiter": 1000})
+    loss = learners.empirical_matching_loss(pair, x @ pred.w, y)
+    assert pred.converged and pred.trace[-1]["gap"] <= learners.GAP_TOL
+    assert np.linalg.norm(pred.w) <= B
+    assert abs(loss - ref.fun) <= 1e-9
+    # the ball binds at B = 0.02 and not at B = 50
+    assert (np.linalg.norm(pred.w) == pytest.approx(B)) == (B == 0.02)
+
+
 def test_matching_gd_backtracking_contract():
+    # criterion 7's ball minimiser for the perturbed ramp: the knots make
+    # the quadratic model overshoot, so the line search halves most steps
+    spec = synth.MarginalSpec("standard_gaussian", 5, augment_constant=True)
+    w = synth.planted_direction(6, 2.0, 20321, constant_weight=0.2)
+    ds = synth.make_dataset(spec, synth.LabelModel(tuple(w), "sigmoid"),
+                            20_000, 20323)
+    pair = fenchel.pair_from_tag("perturbed(identity_clamped,0.05)")
+    pred = learners.train_matching_gd(ds, pair, 2.0)
+    assert pred.converged
+    assert sum(step["step"] < 1.0 for step in pred.trace[1:]) >= 10
+    losses = [step["loss"] for step in pred.trace]
+    assert all(b <= a for a, b in zip(losses, losses[1:]))
+    assert losses[-1] < losses[0]
+
+
+def test_matching_gd_step_cap_leaves_it_unconverged(monkeypatch):
     ds, _ = planted_sigmoid(5000, 73)
     pair = fenchel.pair_from_tag("sigmoid")
-    pred = learners.train_matching_gd(ds, pair, 2.0, step=64.0, iters=60)
-    losses = [step["loss"] for step in pred.trace]
-    assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
-    assert losses[-1] <= losses[0]
-    assert pred.trace[-1]["step"] < 64.0
+    monkeypatch.setattr(learners, "NEWTON_STEP_CAP", 1)
+    pred = learners.train_matching_gd(ds, pair, 2.0)
+    assert not pred.converged and len(pred.trace) == 2
+    assert pred.trace[-1]["gap"] > learners.GAP_TOL
 
 
 def test_matching_gd_divergence_error():
     class WrongGradientPair:
+        # the loss is |s| and the claimed slope points the other way
         tag = "broken"
+        activation = fenchel.identity_clamped()
 
         def g(self, s):
             return np.abs(s)
@@ -422,9 +477,8 @@ def test_matching_gd_divergence_error():
 
     x = np.ones((100, 1))
     ds = synth.Dataset(x, np.zeros(100), "interval", 0)
-    with pytest.raises(DivergenceError):
-        learners.train_matching_gd(ds, WrongGradientPair(), 5.0, iters=5,
-                                   min_step=2.0 ** -8)
+    with pytest.raises(DivergenceError, match="line search"):
+        learners.train_matching_gd(ds, WrongGradientPair(), 5.0)
 
 
 def test_glm_predictor_serialization_roundtrip():
@@ -457,7 +511,10 @@ def test_read_predictor_rejects_foreign_text(text, cls):
 
 
 def test_matching_gd_converged_only_when_tol_stop_fires():
+    # converged means certified: the Frank-Wolfe gap met GAP_TOL
     ds, _ = planted_sigmoid(5000, 73)
     pair = fenchel.pair_from_tag("sigmoid")
-    assert not learners.train_matching_gd(ds, pair, 2.0, iters=1).converged
-    assert learners.train_matching_gd(ds, pair, 2.0).converged
+    pred = learners.train_matching_gd(ds, pair, 2.0)
+    assert pred.converged
+    assert [step["gap"] <= learners.GAP_TOL for step in pred.trace] == \
+        [False] * (len(pred.trace) - 1) + [True]

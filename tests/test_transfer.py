@@ -122,7 +122,7 @@ def identity_instance(corruption=synth.Corruption("none"), n=20_000, seed=7):
 def test_bilipschitz_transfer_realizable():
     ds, B = identity_instance()
     pair = fenchel.pair_from_tag("identity")
-    pred = learners.train_matching_gd(ds, pair, B, iters=300)
+    pred = learners.train_matching_gd(ds, pair, B)
     p = pred.predict(ds.features)
     chk = transfer.check_bilipschitz_transfer(p, transfer.evaluate(p, ds), ds,
                                               pair, B, [pred.w])
@@ -258,7 +258,7 @@ def test_logistic_squared_realizable_flags_degenerate():
     w = synth.planted_direction(3, 1.0, 31)
     ds = synth.make_dataset(spec, synth.LabelModel(tuple(w), "sigmoid"),
                             20_000, 32)
-    pred = learners.train_logistic(ds, 1.0, iters=200)
+    pred = learners.train_logistic(ds, 1.0)
     p = pred.predict(ds.features)
     chk = transfer.check_logistic_squared(p, transfer.evaluate(p, ds), ds,
                                           1.0, [pred.w])
