@@ -58,26 +58,42 @@ def _flag(value):
     return value
 
 
+def _number(value):
+    """A JSON number as a float; a boolean or a string is a TypeError."""
+    if isinstance(value, (bool, str)):
+        raise TypeError(f"{value!r} is not a JSON number")
+    return float(value)
+
+
+def _count(value):
+    """A size, count or seed: a non-negative integral JSON number, as int."""
+    if not _number(value).is_integer() or value < 0:
+        raise ValueError(f"{value!r} is not a non-negative integer")
+    return int(value)
+
+
+def _optional_float(value):
+    return None if value is None else _number(value)
+
+
 def _convert(kind, value, key, where):
     """``kind(value)``, or a ConfigError that names the key."""
     try:
         return kind(value)
     except (TypeError, ValueError, OverflowError) as exc:
-        expected = "true or false" if kind is _flag else "a number"
+        expected = {_flag: "true or false",
+                    _count: "a non-negative integer"}.get(kind, "a number")
         raise ConfigError(f"{key!r} in {where} must be {expected}, "
                           f"not {value!r}") from exc
-
-
-def _optional_float(value):
-    return None if value is None else float(value)
 
 
 def _marginal_from(obj):
     return synth.MarginalSpec(
         kind=_require(obj, "kind", "marginal"),
-        dim=_convert(int, _require(obj, "dim", "marginal"), "dim", "marginal"),
-        scale=_convert(float, obj.get("scale", 1.0), "scale", "marginal"),
-        dof=_convert(int, obj.get("dof", 5), "dof", "marginal"),
+        dim=_convert(_count, _require(obj, "dim", "marginal"), "dim",
+                     "marginal"),
+        scale=_convert(_number, obj.get("scale", 1.0), "scale", "marginal"),
+        dof=_convert(_count, obj.get("dof", 5), "dof", "marginal"),
         augment_constant=_convert(_flag, obj.get("augment_constant", False),
                                   "augment_constant", "marginal"))
 
@@ -87,7 +103,7 @@ def _corruption_from(obj):
         return synth.Corruption()
     return synth.Corruption(
         kind=obj.get("kind", "none"),
-        **{key: _convert(float, obj.get(key, 0.0), key, "corruption")
+        **{key: _convert(_number, obj.get(key, 0.0), key, "corruption")
            for key in ("mass", "level", "value")})
 
 
@@ -102,17 +118,17 @@ def _activation_tag(tag):
 def _label_model_from(obj, total_dim):
     tag = _activation_tag(_require(obj, "activation", "label_model"))
     if "planted_w" in obj:
-        w = _convert(lambda v: np.asarray(v, dtype=float), obj["planted_w"],
-                     "planted_w", "label_model")
+        w = _convert(lambda v: np.array([_number(x) for x in v]),
+                     obj["planted_w"], "planted_w", "label_model")
         if w.size != total_dim:
             raise ConfigError(
                 f"planted_w has dimension {w.size}, expected {total_dim}")
     else:
         w = synth.planted_direction(
             total_dim,
-            _convert(float, _require(obj, "norm", "label_model"), "norm",
+            _convert(_number, _require(obj, "norm", "label_model"), "norm",
                      "label_model"),
-            _convert(int, obj.get("direction_seed", 0), "direction_seed",
+            _convert(_count, obj.get("direction_seed", 0), "direction_seed",
                      "label_model"),
             constant_weight=_convert(_optional_float,
                                      obj.get("constant_weight"),
@@ -141,7 +157,7 @@ def _learner_entry(obj, idx):
     entry.setdefault("name", algo)
     if needs_activation:
         _activation_tag(_require(obj, "activation", where))
-    entry["norm_bound"] = _convert(float, _require(obj, "norm_bound", where),
+    entry["norm_bound"] = _convert(_number, _require(obj, "norm_bound", where),
                                    "norm_bound", where)
     for key, kind in options.items():
         if key in entry:
@@ -187,11 +203,11 @@ def parse_config(obj):
         instances.append((name, _corruption_from(inst.get("corruption"))))
     return ExperimentConfig(
         marginal=marginal, label_model=label_model,
-        n_train=_convert(int, data.get("n_train", 20000), "n_train", "data"),
-        n_eval=_convert(int, data.get("n_eval", 50000), "n_eval", "data"),
+        n_train=_convert(_count, data.get("n_train", 20000), "n_train", "data"),
+        n_eval=_convert(_count, data.get("n_eval", 50000), "n_eval", "data"),
         learners=entries, pairs=pairs, checks=checks,
-        eps=_convert(float, obj.get("eps", 0.05), "eps", "config"),
-        seeds=[_convert(int, s, f"seeds[{i}]", "config")
+        eps=_convert(_number, obj.get("eps", 0.05), "eps", "config"),
+        seeds=[_convert(_count, s, f"seeds[{i}]", "config")
                for i, s in enumerate(seeds)],
         instances=instances)
 
@@ -207,18 +223,20 @@ def load_config(path):
     return parse_config(obj)
 
 
-OMNI_OPTIONS = {"eps_ma": float, "eps_cal": float, "eps_weak": _optional_float,
-                "step": _optional_float, "bucket_width": float,
-                "round_cap": int, "bernoulli_reduction": _flag}
+OMNI_OPTIONS = {"eps_ma": _number, "eps_cal": _number,
+                "eps_weak": _optional_float, "step": _optional_float,
+                "bucket_width": _number, "round_cap": _count,
+                "bernoulli_reduction": _flag}
 
 # algorithm -> (needs an "activation" tag?, option -> its kind,
 #               trainer(entry, dataset, B, seed, **options))
 ALGORITHMS = {
     "omnipredictor": (False, OMNI_OPTIONS, lambda e, ds, B, seed, **o:
                       learners.train_omnipredictor(ds, B, seed, **o)),
-    "glmtron": (True, {"iters": int, "tol": float}, lambda e, ds, B, seed, **o:
+    "glmtron": (True, {"iters": _count, "tol": _number},
+                lambda e, ds, B, seed, **o:
                 learners.train_glmtron(ds, e["activation"], B, **o)),
-    "isotron": (False, {"iters": int}, lambda e, ds, B, seed, **o:
+    "isotron": (False, {"iters": _count}, lambda e, ds, B, seed, **o:
                 learners.train_isotron(ds, B, **o)),
     "logistic": (False, {}, lambda e, ds, B, seed:
                  learners.train_logistic(ds, B)),

@@ -6,14 +6,15 @@ convex conjugate of ``g`` is the link ``f'``, the (pseudo-)inverse of ``a``
 on its range.  This module provides:
 
 * built-in activations (sigmoid, identity, ReLU variants, piecewise linear)
-  with closed-form integrals and derivatives, and links where they exist,
+  with closed-form integrals and derivatives, each owning its link and
+  conjugate,
 * the matching loss ``l_g(y, t) = g(t) - y*t`` and the Bregman divergence
   ``B_f(y, p) = f(y) - f(p) - (y - p) f'(p)``,
 * additive bi-Lipschitz perturbation ``a(t) + slope*t``,
-* monotone bisection for link values when no closed form is available,
+* monotone bisection, the link of a perturbed non-piecewise activation,
 * a grid-search certificate that a link is polynomially bounded near the
   edges of the unit interval (needed before a pair may be registered for
-  omniprediction).
+  omniprediction); a point of [0, 1] outside the range is no witness.
 """
 
 from __future__ import annotations
@@ -57,7 +58,8 @@ class Activation:
 
     Subclasses define ``__call__``, ``integral`` (the running integral from
     0) and ``derivative`` (the slope, taking the right slope at a kink),
-    all in closed form.
+    all in closed form, and ``inverse``, the link: the minimal score
+    attaining a mean.
     """
 
     def __init__(self, lipschitz_upper, lipschitz_lower, range_lo, range_hi,
@@ -69,14 +71,20 @@ class Activation:
         self.params = dict(params or {})
         self.derived_from = derived_from
 
-    # Closed forms, overridden where available. ``None`` means "use numerics".
-    def inverse(self, r):
-        """Minimal score attaining mean r, or None when no closed form."""
-        return None
+    def _check_range(self, r):
+        """``r`` as a float array; raises RangeError outside the range."""
+        r = np.asarray(r, dtype=float)
+        if np.any(r < self.range_lo) or np.any(r > self.range_hi):
+            raise RangeError(
+                f"value outside the range [{self.range_lo}, {self.range_hi}] "
+                f"of activation {self.tag}")
+        return r
 
     def conjugate_value(self, r):
-        """Closed-form conjugate f(r) including continuous boundary limits."""
-        return None
+        """Conjugate f(r) = r t - g(t) at the link value t = inverse(r)."""
+        t = self.inverse(r)
+        return np.asarray(r, dtype=float) * t - self.integral(t) if np.ndim(r) \
+            else float(r) * t - self.integral(t)
 
     @property
     def tag(self):
@@ -160,10 +168,8 @@ class PiecewiseLinearActivation(Activation):
         return out if out.ndim else float(out)
 
     def inverse(self, r):
-        r = np.asarray(r, dtype=float)
+        r = self._check_range(r)
         ts, vs = self.knots_t, self.knots_v
-        if np.any(r < self.range_lo) or np.any(r > self.range_hi):
-            raise RangeError("value outside activation range")
         out = np.empty_like(r)
         lo_flat = r <= vs[0]
         hi_side = r > vs[-1]
@@ -231,9 +237,7 @@ class SigmoidActivation(Activation):
         return a * (1.0 - a)
 
     def inverse(self, r):
-        r = np.asarray(r, dtype=float)
-        if np.any(r < 0.0) or np.any(r > 1.0):
-            raise RangeError("value outside activation range")
+        r = self._check_range(r)
         # log(r/(1-r)) loses precision near 1/2, where the difference of
         # log1p's keeps it; r = 0 and r = 1 give -inf and inf
         s = 2.0 * (r - 0.5)
@@ -272,6 +276,9 @@ class PerturbedActivation(Activation):
 
     def derivative(self, t):
         return self._base.derivative(t) + self._slope
+
+    def inverse(self, r):
+        return invert_by_bisection(self, r)
 
 
 # Built-in constructors -----------------------------------------------------
@@ -329,58 +336,45 @@ def perturb_bilipschitz(activation, slope):
 # ---------------------------------------------------------------------------
 
 
-def invert_by_bisection(fn, p, tol, beta):
+def invert_by_bisection(fn, p):
     """Minimal t with fn(t) >= p, via predicate bisection on expanding brackets.
 
-    ``fn`` must be non-decreasing and continuous; ``beta`` is its Lipschitz
-    constant, used to convert the value tolerance into a score tolerance.
-    Values attained only on a flat bottom tail invert to the right edge of
-    the tail (the limit of inverses from above).
+    ``fn`` must be continuous and strictly increasing; its Lipschitz
+    constant ``fn.lipschitz_upper`` turns the value tolerance
+    ``DEFAULT_INVERSION_TOL`` into a score tolerance.
     """
     p_arr = np.atleast_1d(np.asarray(p, dtype=float))
-
-    def solve(pred):
-        lo = np.full(p_arr.shape, -1.0)
-        hi = np.full(p_arr.shape, 1.0)
-        for k in range(1, BRACKET_CAP_EXP + 1):
-            bad_hi = ~pred(hi)
-            bad_lo = pred(lo)
-            if not bad_hi.any() and not bad_lo.any():
-                break
-            hi[bad_hi] *= 2.0
-            lo[bad_lo] *= 2.0
-        else:
-            return None
-        t_atol = tol / max(beta, 1.0)
-        n_iter = int(math.ceil(math.log2(max(2.0 ** (BRACKET_CAP_EXP + 2)
-                                             / t_atol, 2.0))))
-        for _ in range(n_iter):
-            mid = 0.5 * (lo + hi)
-            ok = pred(mid)
-            hi = np.where(ok, mid, hi)
-            lo = np.where(ok, lo, mid)
-            if np.all(hi - lo <= t_atol):
-                break
-        return hi
-
-    out = solve(lambda t: fn(t) >= p_arr)
-    if out is None:
-        # Entire flat bottom at value p: take the limit from above instead.
-        out = solve(lambda t: fn(t) > p_arr)
-        if out is None:
-            raise NoConvergenceError(
-                "bracket expansion exceeded 2^%d without straddling the value"
-                % BRACKET_CAP_EXP)
-    return out if np.ndim(p) else float(out[0])
+    lo = np.full(p_arr.shape, -1.0)
+    hi = np.full(p_arr.shape, 1.0)
+    for _ in range(BRACKET_CAP_EXP):
+        bad_hi = ~(fn(hi) >= p_arr)
+        bad_lo = fn(lo) >= p_arr
+        if not bad_hi.any() and not bad_lo.any():
+            break
+        hi[bad_hi] *= 2.0
+        lo[bad_lo] *= 2.0
+    else:
+        raise NoConvergenceError(
+            "bracket expansion exceeded 2^%d without straddling the value"
+            % BRACKET_CAP_EXP)
+    t_atol = DEFAULT_INVERSION_TOL / max(fn.lipschitz_upper, 1.0)
+    n_iter = int(math.ceil(math.log2(max(2.0 ** (BRACKET_CAP_EXP + 2)
+                                         / t_atol, 2.0))))
+    # a bracket stops at its own tolerance, so each value is the one a call
+    # on that value alone returns
+    for _ in range(n_iter):
+        live = hi - lo > t_atol
+        if not live.any():
+            break
+        mid = 0.5 * (lo + hi)
+        ok = fn(mid) >= p_arr
+        hi = np.where(live & ok, mid, hi)
+        lo = np.where(live & ~ok, mid, lo)
+    return hi if np.ndim(p) else float(hi[0])
 
 
 class FenchelPair:
-    """An activation together with its integral, conjugate and link.
-
-    The integral is the activation's closed form.  So is the link where
-    one exists; otherwise it uses monotone bisection with tolerance
-    ``DEFAULT_INVERSION_TOL``.
-    """
+    """An activation with the integral, link and conjugate it owns."""
 
     def __init__(self, activation):
         self.activation = activation
@@ -396,14 +390,6 @@ class FenchelPair:
         return self.activation.lipschitz_upper
 
     @property
-    def range_lo(self):
-        return self.activation.range_lo
-
-    @property
-    def range_hi(self):
-        return self.activation.range_hi
-
-    @property
     def tag(self):
         return self.activation.tag
 
@@ -415,24 +401,10 @@ class FenchelPair:
 
     def f_prime(self, r):
         """Link value: minimal score t with g'(t) = r."""
-        r_arr = np.asarray(r, dtype=float)
-        if np.any(r_arr < self.range_lo) or np.any(r_arr > self.range_hi):
-            raise RangeError(
-                f"value outside the range [{self.range_lo}, {self.range_hi}] "
-                f"of activation {self.tag}")
-        closed = self.activation.inverse(r)
-        if closed is not None:
-            return closed
-        return invert_by_bisection(self.activation, r, DEFAULT_INVERSION_TOL,
-                                   self.beta)
+        return self.activation.inverse(r)
 
     def f(self, r):
-        closed = self.activation.conjugate_value(r)
-        if closed is not None:
-            return closed
-        t = self.f_prime(r)
-        return np.asarray(r, dtype=float) * t - self.g(t) if np.ndim(r) \
-            else float(r) * t - self.g(t)
+        return self.activation.conjugate_value(r)
 
     # -- losses -------------------------------------------------------------
 
@@ -450,11 +422,11 @@ class FenchelPair:
     def _interior(self, p, clamp):
         """Clamp p into the open part of the range where the link is finite."""
         p_arr = np.asarray(p, dtype=float)
-        lo, hi = self.range_lo, self.range_hi
-        lo_open = not np.isfinite(self._link_limit(lo)) if np.isfinite(lo) else False
-        hi_open = not np.isfinite(self._link_limit(hi)) if np.isfinite(hi) else False
-        at_lo = np.isfinite(lo) & (p_arr <= lo) & lo_open
-        at_hi = np.isfinite(hi) & (p_arr >= hi) & hi_open
+        lo, hi = self.activation.range_lo, self.activation.range_hi
+        lo_open = np.isfinite(lo) and np.isinf(self.f_prime(lo))
+        hi_open = np.isfinite(hi) and np.isinf(self.f_prime(hi))
+        at_lo = lo_open & (p_arr <= lo)
+        at_hi = hi_open & (p_arr >= hi)
         if np.any(at_lo) or np.any(at_hi):
             if clamp is None:
                 raise BoundaryError(
@@ -463,23 +435,13 @@ class FenchelPair:
             p_arr = np.clip(p_arr, lo + clamp, hi - clamp)
         return p_arr
 
-    def _link_limit(self, r):
-        if not np.isfinite(r):
-            return np.inf
-        try:
-            return float(self.f_prime(r))
-        except (RangeError, NoConvergenceError):
-            return np.inf
-
     def clamped_link(self, p, clamp=DEFAULT_CLAMP_MARGIN):
         """Link values with p clamped away from diverging range boundaries."""
         return self.f_prime(self._interior(p, clamp))
 
     def bregman(self, y, p, clamp=None):
         """f(y) - f(p) - (y - p) f'(p); the excess matching loss of p vs y."""
-        y_arr = np.asarray(y, dtype=float)
-        if np.any(y_arr < self.range_lo) or np.any(y_arr > self.range_hi):
-            raise RangeError("first argument outside the activation range")
+        y_arr = self.activation._check_range(y)
         p_arr = self._interior(p, clamp)
         out = self.f(y_arr) - self.f(p_arr) - (y_arr - p_arr) * self.f_prime(p_arr)
         return out if (np.ndim(y) or np.ndim(p)) else float(out)
@@ -529,19 +491,20 @@ class BoundednessFailure:
 
 
 def _link_on_unit(pair, r):
-    """Link values on (0,1) with +-inf at diverging endpoints."""
-    out = np.empty_like(r)
-    for i, ri in enumerate(r):
-        if ri <= 0.0:
-            out[i] = pair._link_limit(0.0) if pair.range_lo >= 0.0 else pair.f_prime(0.0)
-        elif ri >= 1.0:
-            out[i] = pair._link_limit(1.0) if pair.range_hi <= 1.0 else pair.f_prime(1.0)
-        else:
-            try:
-                out[i] = pair.f_prime(ri)
-            except (RangeError, NoConvergenceError):
-                out[i] = np.nan
+    """Link values at the points of r; NaN (no witness) outside the range."""
+    act, out = pair.activation, np.full_like(r, np.nan)
+    inside = (r >= act.range_lo) & (r <= act.range_hi)
+    out[inside] = pair.f_prime(r[inside])
     return out
+
+
+def _tail_sups(cands, u_cands, grid, u_grid, weight):
+    """For each candidate c, the largest finite ``weight * (u(r) - u(c))``
+    over the grid points r >= c, or 0 when there is none."""
+    vals = weight * (u_grid - u_cands[:, None])
+    vals = np.where((grid >= cands[:, None]) & np.isfinite(vals), vals, -np.inf)
+    sups = np.max(vals, axis=1)
+    return np.where(sups == -np.inf, 0.0, sups)
 
 
 def check_bounded_link(pair, R, gamma, probes):
@@ -553,13 +516,15 @@ def check_bounded_link(pair, R, gamma, probes):
     * ``(1 - r) * (u(r) - u(r1)) <= eps`` for all r >= r1, and
     * ``r * (u(r0) - u(r)) <= eps`` for all r <= r0,
 
-    where u is the link extended by its one-sided limits.  The tail products
-    use the moving endpoint so that links with a logarithmic blow-up (such as
-    the logit) admit witnesses strictly inside the interval.  The search runs
-    over 100 log-spaced candidates per side and sup-checks the tails on a
-    log-spaced refinement, so it is an approximate, deterministic check: a
-    returned certificate records measured quantities, a failure names the
-    first inequality that could not be satisfied.
+    where u is the link extended by its one-sided limits; a point outside
+    the activation's range has no link value and is no witness.  The tail
+    products use the moving endpoint so that links with a logarithmic
+    blow-up (such as the logit) admit witnesses strictly inside the
+    interval.  The search runs over 100 log-spaced candidates per side and
+    sup-checks the tails on a log-spaced refinement, so it is an
+    approximate, deterministic check: a returned certificate records
+    measured quantities, a failure names the first inequality that could
+    not be satisfied.  The lower side is the upper side of ``r -> -u(-r)``.
     """
     probes = [float(e) for e in probes]
     if any(e <= 0 for e in probes):
@@ -567,78 +532,43 @@ def check_bounded_link(pair, R, gamma, probes):
     # endpoint witnesses first (exact for bounded links), then candidates
     # marching from the center outward so heads stay as small as possible
     deltas = np.logspace(0, -13, 99, base=10.0) * 0.5
+    fine = np.concatenate((np.logspace(-14, -0.30103, 400), [0.5]))
     r1_cands = np.concatenate(([1.0], 1.0 - deltas))
     r0_cands = np.concatenate(([0.0], deltas))
-    fine = np.concatenate((np.logspace(-14, -0.30103, 400), [0.5]))
-    u_hi_grid = 1.0 - fine        # dense near 1
-    u_lo_grid = fine              # dense near 0
-    u_hi_vals = _link_on_unit(pair, u_hi_grid)
-    u_lo_vals = _link_on_unit(pair, u_lo_grid)
-    u_r1 = _link_on_unit(pair, r1_cands)
-    u_r0 = _link_on_unit(pair, r0_cands)
+    u_r1, u_r0 = _link_on_unit(pair, r1_cands), _link_on_unit(pair, r0_cands)
+    hi_grid, lo_grid = 1.0 - fine, fine    # dense near 1 and near 0
+    u_hi, u_lo = _link_on_unit(pair, hi_grid), _link_on_unit(pair, lo_grid)
+    # per side: candidates, their heads, tail sups, violation names, details
+    sides = (
+        (r1_cands, u_r1,
+         _tail_sups(r1_cands, u_r1, hi_grid, u_hi, 1.0 - hi_grid),
+         "upper_tail", "no r1 with u(r1)",
+         "(1-r)*(u(r)-u(r1)) exceeds eps={:g} for every candidate r1"),
+        (r0_cands, -u_r0,
+         _tail_sups(-r0_cands, -u_r0, -lo_grid, -u_lo, lo_grid),
+         "lower_tail", "no r0 with -u(r0)",
+         "r*(u(r0)-u(r)) exceeds eps={:g} for every candidate r0"))
 
     witnesses = []
     for eps in probes:
         head_cap = R * (1.0 / eps) ** gamma
-
-        def tail_hi_sup(r1, u1):
-            mask = u_hi_grid >= r1
-            if not mask.any():
-                return 0.0
-            vals = (1.0 - u_hi_grid[mask]) * (u_hi_vals[mask] - u1)
-            vals = vals[np.isfinite(vals)]
-            return float(np.max(vals)) if vals.size else 0.0
-
-        def tail_lo_sup(r0, u0):
-            mask = u_lo_grid <= r0
-            if not mask.any():
-                return 0.0
-            vals = u_lo_grid[mask] * (u0 - u_lo_vals[mask])
-            vals = vals[np.isfinite(vals)]
-            return float(np.max(vals)) if vals.size else 0.0
-
-        best_r1 = None
-        head_ok_any = False
-        for r1, u1 in zip(r1_cands, u_r1):
-            if not np.isfinite(u1) or u1 > head_cap:
-                continue
-            head_ok_any = True
-            th = tail_hi_sup(r1, u1)
-            if th <= eps:
-                best_r1 = (float(r1), float(u1), th)
-                break
-        if best_r1 is None:
-            if not head_ok_any:
-                return BoundednessFailure(
-                    R, gamma, eps, "head",
-                    f"no r1 with u(r1) <= R*(1/eps)^gamma = {head_cap:g}")
-            return BoundednessFailure(
-                R, gamma, eps, "upper_tail",
-                f"(1-r)*(u(r)-u(r1)) exceeds eps={eps:g} for every candidate r1")
-
-        best_r0 = None
-        head_ok_any = False
-        for r0, u0 in zip(r0_cands, u_r0):
-            if not np.isfinite(u0) or -u0 > head_cap:
-                continue
-            head_ok_any = True
-            tl = tail_lo_sup(r0, u0)
-            if tl <= eps:
-                best_r0 = (float(r0), float(u0), tl)
-                break
-        if best_r0 is None:
-            if not head_ok_any:
-                return BoundednessFailure(
-                    R, gamma, eps, "head",
-                    f"no r0 with -u(r0) <= R*(1/eps)^gamma = {head_cap:g}")
-            return BoundednessFailure(
-                R, gamma, eps, "lower_tail",
-                f"r*(u(r0)-u(r)) exceeds eps={eps:g} for every candidate r0")
-
-        (r1, u1, th), (r0, u0, tl) = best_r1, best_r0
+        found = []
+        for cands, heads, sups, tail, no_head, tail_detail in sides:
+            head_ok = np.isfinite(heads) & (heads <= head_cap)
+            hit = head_ok & (sups <= eps)
+            if not hit.any():
+                if not head_ok.any():
+                    return BoundednessFailure(
+                        R, gamma, eps, "head",
+                        f"{no_head} <= R*(1/eps)^gamma = {head_cap:g}")
+                return BoundednessFailure(R, gamma, eps, tail,
+                                          tail_detail.format(eps))
+            i = int(np.argmax(hit))
+            found.append((float(cands[i]), float(heads[i]), float(sups[i])))
+        (r1, head_hi, th), (r0, head_lo, tl) = found
         witnesses.append(BoundednessWitness(
             epsilon=eps, r0=r0, r1=r1,
-            head=max(-u0, u1), tail_lo=tl, tail_hi=th))
+            head=max(head_lo, head_hi), tail_lo=tl, tail_hi=th))
     return BoundednessCert(R=R, gamma=gamma, epsilon_grid=probes,
                            witnesses=witnesses)
 
@@ -647,16 +577,15 @@ def check_bounded_link(pair, R, gamma, probes):
 # Built-in pair registry
 # ---------------------------------------------------------------------------
 
-# (R, gamma) defaults used by the omniprediction registration gate; recorded
-# conventions, not asserted ground truth.
+# (R, gamma) defaults used by the omniprediction registration gate, by
+# activation kind, and (25, 0.5) for any other kind, perturbations included;
+# recorded conventions, not asserted ground truth.
 DEFAULT_BOUNDEDNESS = {
     "identity": (1.0, 0.0),
     "identity_clamped": (1.0, 0.0),
     "relu": (1.0, 0.0),
     "leaky_relu": (6.0, 0.0),
     "sigmoid": (4.0, 0.5),
-    "perturbed": (25.0, 0.5),
-    "piecewise_linear": (25.0, 0.5),
 }
 
 DEFAULT_PROBES = (0.1, 0.01)
@@ -726,9 +655,7 @@ def default_registered_pairs():
 def registration_gate(pair):
     """Run the boundedness check with the pair's default (R, gamma) at the
     default probes."""
-    base_kind = "perturbed" if pair.activation.derived_from is not None \
-        else pair.activation.kind
-    R, gamma = DEFAULT_BOUNDEDNESS.get(base_kind, (25.0, 0.5))
+    R, gamma = DEFAULT_BOUNDEDNESS.get(pair.activation.kind, (25.0, 0.5))
     return check_bounded_link(pair, R, gamma, list(DEFAULT_PROBES))
 
 

@@ -270,19 +270,6 @@ def logistic_absolute_rhs(opt_hat, B, C, eps_hat):
     return C * B * opt_hat * math.log(1.0 / opt_hat) + eps_hat
 
 
-def squared_bound_comparison(opt_hat, B, lam, C_logistic, C_sim, eps):
-    """Exact-arithmetic comparison of the two squared-error bound formulas.
-
-    Returns (logistic_rhs, sim_rhs, logistic_tighter).  The logistic bound
-    grows near-linearly in opt while the generic one grows like sqrt(opt),
-    so for small opt the logistic formula wins; the crossover depends on B
-    and the constants, which is why both values are reported.
-    """
-    rhs_log = logistic_squared_rhs(opt_hat, B, C_logistic, eps)
-    rhs_sim = sim_bound_rhs(opt_hat, B, lam, eps, C_sim)
-    return rhs_log, rhs_sim, bool(rhs_log < rhs_sim)
-
-
 def gaussian_abs_exp_tail(r, s2):
     """Closed form of E[exp(|Z|) 1{|Z| > r}] for Z ~ N(0, s2)."""
     s = math.sqrt(s2)

@@ -309,7 +309,24 @@ def test_experiment_rejects_malformed_checks(tmp_path, capsys, checks,
     (lambda c: c["learners"][0].update(norm_bound="two"),
      "'norm_bound' in learners[0]"),
     (lambda c: c["learners"][0].update(iters="80x"), "'iters' in learners[0]"),
-], ids=["n_train", "eps", "seed", "norm", "mass", "norm_bound", "iters"])
+    # a number must be a JSON number, not a string that reads as one
+    (lambda c: c["data"].update(n_train="3000"), "'n_train' in data"),
+    (lambda c: c.update(eps="0.05"), "'eps' in config"),
+    (lambda c: c["data"]["label_model"].update(
+        planted_w=["0.5", 0.5, 0.5, 0.5]), "'planted_w' in label_model"),
+    # an integer key takes only integral values, and no boolean
+    (lambda c: c["data"].update(n_train=2500.7), "'n_train' in data"),
+    (lambda c: c["data"]["marginal"].update(dim=3.9), "'dim' in marginal"),
+    (lambda c: c.update(seeds=[True, 2]), "'seeds[0]' in config"),
+    (lambda c: c.update(seeds=[1, 2.5]), "'seeds[1]' in config"),
+    # seeds feed NumPy's generators, which take no negative seed
+    (lambda c: c.update(seeds=[-1]), "'seeds[0]' in config"),
+    (lambda c: c["data"]["label_model"].update(direction_seed=-3),
+     "'direction_seed' in label_model"),
+], ids=["n_train", "eps", "seed", "norm", "mass", "norm_bound", "iters",
+        "n_train_string", "eps_string", "planted_w_string",
+        "n_train_fraction", "dim_fraction", "seed_bool", "seed_fraction",
+        "seed_negative", "direction_seed_negative"])
 def test_experiment_rejects_malformed_numbers(tmp_path, capsys, mutate, key):
     cfg = base_config()
     mutate(cfg)

@@ -167,8 +167,7 @@ def test_invert_link_leaky_closed_vs_bisection():
     # shifted two-slope activation: value 0.2 sits on the 0.1-slope branch
     t = LEAKY.f_prime(0.2)
     assert t == pytest.approx((0.2 - 0.5) / 0.1, abs=1e-9)
-    numeric = F.invert_by_bisection(LEAKY.activation, 0.2,
-                                    F.DEFAULT_INVERSION_TOL, LEAKY.beta)
+    numeric = F.invert_by_bisection(LEAKY.activation, 0.2)
     assert abs(LEAKY.g_prime(numeric) - 0.2) <= F.DEFAULT_INVERSION_TOL
 
 
@@ -375,6 +374,93 @@ def test_bounded_link_rejects_fast_blowup():
     res = F.check_bounded_link(SIG, 1.0, 0.0, [0.01])
     assert not res.ok
     assert res.violated == "upper_tail"
+
+
+def test_bounded_link_fails_on_head():
+    # level 0 makes the link u(r) = r on [0, 1]; every candidate r1 is at
+    # least 0.5, above the head cap R * (1/eps)^0 = 0.1
+    res = F.check_bounded_link(F.pair_from_tag("leaky_relu(0.1,0)"),
+                               0.1, 0.0, [0.1])
+    assert not res.ok
+    assert res.violated == "head"
+
+
+def test_bounded_link_fails_on_lower_tail():
+    # slope 1e-6 below the kink: the link falls like (r - 0.5) * 1e6 near 0
+    res = F.check_bounded_link(F.pair_from_tag("leaky_relu(1e-6)"),
+                               25.0, 0.5, [0.01])
+    assert not res.ok
+    assert res.violated == "lower_tail"
+
+
+def test_bounded_link_range_missing_the_unit_interval_is_a_failure():
+    # values in [-1, -0.5]: no point of [0, 1] has a link value, so there is
+    # no witness, and the search reports that instead of raising
+    pair = F.FenchelPair(F.PiecewiseLinearActivation([0, 1], [-1, -0.5], 0, 0))
+    res = F.check_bounded_link(pair, 1.0, 0.0, [0.1])
+    assert not res.ok
+    assert res.violated == "head"
+
+
+def _loop_bounded_link(pair):
+    """The certificate search, one candidate and one point at a time."""
+    def link(r):
+        try:
+            return float(pair.f_prime(r))
+        except RangeError:
+            return math.nan
+
+    def sup(vals):
+        vals = [v for v in vals if np.isfinite(v)]
+        return float(max(vals)) if vals else 0.0
+
+    deltas = np.logspace(0, -13, 99, base=10.0) * 0.5
+    fine = np.concatenate((np.logspace(-14, -0.30103, 400), [0.5]))
+    hi = [(r, link(r)) for r in 1.0 - fine]
+    lo = [(r, link(r)) for r in fine]
+    # per side, in search order: (candidate, head, tail sup)
+    upper, lower = [], []
+    for c in np.concatenate(([1.0], 1.0 - deltas)):
+        u = link(c)
+        upper.append(
+            (c, u, sup([(1.0 - r) * (v - u) for r, v in hi if r >= c])))
+    for c in np.concatenate(([0.0], deltas)):
+        u = link(c)
+        lower.append((c, -u, sup([r * (u - v) for r, v in lo if r <= c])))
+
+    def search(R, gamma, probes):
+        witnesses = []
+        for eps in probes:
+            cap = R * (1.0 / eps) ** gamma
+            found = []
+            for cands, name in ((upper, "upper_tail"), (lower, "lower_tail")):
+                ok = [c for c in cands if np.isfinite(c[1]) and c[1] <= cap]
+                if not ok:
+                    return "head"
+                hits = [c for c in ok if c[2] <= eps]
+                if not hits:
+                    return name
+                found.append(hits[0])
+            (r1, h1, th), (r0, h0, tl) = found
+            witnesses.append((eps, float(r0), float(r1), max(h0, h1), tl, th))
+        return witnesses
+    return search
+
+
+@pytest.mark.parametrize("tag", DERIVATIVE_TAGS)
+def test_bounded_link_search_matches_the_loop(tag):
+    pair = F.pair_from_tag(tag)
+    search = _loop_bounded_link(pair)
+    for R, gamma in ((1.0, 0.0), (4.0, 0.5), (25.0, 0.5), (0.5, 0.1)):
+        for probes in ([0.5, 0.1, 0.01, 0.001], [0.5], [0.1], [0.01]):
+            want = search(R, gamma, probes)
+            got = F.check_bounded_link(pair, R, gamma, probes)
+            if isinstance(want, str):
+                assert not got.ok and got.violated == want
+            else:
+                assert got.ok and [
+                    (w.epsilon, w.r0, w.r1, w.head, w.tail_lo, w.tail_hi)
+                    for w in got.witnesses] == want
 
 
 def test_bounded_link_probe_validation():

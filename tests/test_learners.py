@@ -272,8 +272,14 @@ def test_lipschitz_isotonic_fit_matches_qp_oracle():
         A = np.zeros((n - 1, n))  # rows: u[i+1] - u[i]
         for i in range(n - 1):
             A[i, i], A[i, i + 1] = -1.0, 1.0
-        cons = LinearConstraint(A, 0.0, np.diff(t))
-        ref = minimize(lambda v: np.sum((v - y) ** 2), y, constraints=[cons],
+        # tied scores give equality rows, which SLSQP takes apart from the
+        # inequality rows
+        gaps = np.diff(t)
+        tied = gaps == 0.0
+        cons = [LinearConstraint(A[~tied], 0.0, gaps[~tied])]
+        if tied.any():
+            cons.append(LinearConstraint(A[tied], 0.0, 0.0))
+        ref = minimize(lambda v: np.sum((v - y) ** 2), y, constraints=cons,
                        method="SLSQP", options={"maxiter": 500, "ftol": 1e-14})
         assert np.max(np.abs(u - ref.x)) <= 1e-6
 

@@ -307,21 +307,6 @@ def test_gaussian_tail_matches_the_normal_survival_function():
                 pytest.approx(want, rel=1e-13, abs=0.0)
 
 
-def test_squared_bound_comparison_small_opt():
-    # near-linear-in-opt beats sqrt-opt once opt is small enough
-    rhs_log, rhs_sim, tighter = transfer.squared_bound_comparison(
-        0.01, 0.5, 1.0, 1.0, 1.0, 1e-3)
-    assert tighter and rhs_log < rhs_sim
-    _, _, tighter_tiny = transfer.squared_bound_comparison(
-        1e-4, 1.0, 1.0, 1.0, 1.0, 0.0)
-    assert tighter_tiny
-    # at the corner (opt=0.01, B=1) with unit constants the exponential
-    # factor still dominates: the comparison honestly reports the other order
-    _, _, tighter_corner = transfer.squared_bound_comparison(
-        0.01, 1.0, 1.0, 1.0, 1.0, 0.0)
-    assert not tighter_corner
-
-
 # ---------------------------------------------------------------------------
 # p-concept disagreement
 # ---------------------------------------------------------------------------
