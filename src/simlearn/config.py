@@ -162,6 +162,10 @@ def _learner_entry(obj, idx):
     for key, kind in options.items():
         if key in entry:
             entry[key] = _convert(kind, entry[key], key, where)
+    for key, (ok, domain) in LEARNER_DOMAINS.items():
+        if key in entry and not ok(entry[key]):
+            raise ConfigError(f"{key!r} in {where} must be {domain}, "
+                              f"not {entry[key]!r}")
     return entry
 
 
@@ -222,6 +226,12 @@ def load_config(path):
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     return parse_config(obj)
 
+
+# option -> (test, the domain it names): values a trainer cannot run with
+LEARNER_DOMAINS = {"norm_bound": (lambda v: v > 0.0, "positive"),
+                   "round_cap": (lambda v: v >= 1, "at least 1"),
+                   "iters": (lambda v: v >= 1, "at least 1"),
+                   "bucket_width": (lambda v: 0.0 < v <= 1.0, "in (0, 1]")}
 
 OMNI_OPTIONS = {"eps_ma": _number, "eps_cal": _number,
                 "eps_weak": _optional_float, "step": _optional_float,

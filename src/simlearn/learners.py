@@ -124,7 +124,7 @@ def weak_learn(features, z, B, eps, *, second_moment=1.0,
 
 
 def _buckets(raw, bucket_width, n_buckets):
-    """Calibration bucket of each raw score in [0, 1]."""
+    """Calibration bucket of each raw score, clipping the index to range."""
     idx = np.floor(np.asarray(raw, dtype=float) / bucket_width).astype(int)
     return np.clip(idx, 0, n_buckets - 1)
 
@@ -188,20 +188,21 @@ def train_omnipredictor(dataset, B, seed=0, *, eps_ma=0.02, eps_cal=0.02,
                         bernoulli_reduction=False):
     """Alternate multiaccuracy boosting rounds with bucket recalibration.
 
-    Each round buckets the clipped raw scores once, rebuilds the calibration
-    table from that index and predicts each bucket's mean label, then runs
-    the weak learner (threshold ``eps_weak``, by default ``eps_ma / 4``) on
-    the residual y - p(x).  On accept, the returned direction is added to
-    the score with ``step``, by default ``eps_weak / (2 B^2 lambda)``.
-    Because every prediction is its bucket's mean label, the calibration
-    error on the training sample is zero up to the output clamp, so the
-    weak learner's rejection decides termination: training stops there,
-    and the calibration error is computed once, recorded on that final
-    trace entry and compared with ``eps_cal`` for the ``converged`` flag.
-    Hitting ``round_cap`` returns the best state so far flagged as
-    non-converged.  ``bernoulli_reduction`` trains on Bernoulli(y) labels.
+    Each round buckets the running score, predicts each bucket's mean label
+    and runs the weak learner (threshold ``eps_weak``, by default
+    ``eps_ma / 4``) on the residual y - p(x); an accepted direction joins
+    the score with ``step``, by default ``eps_weak / (2 B^2 lambda)``.  As
+    the predictions are bucket means, the training calibration error is
+    zero up to the output clamp, so the weak learner's rejection ends
+    training; that round records the calibration error, which sets
+    ``converged`` against ``eps_cal``.  At ``round_cap`` the best state so
+    far returns, non-converged.  ``bernoulli_reduction`` trains on
+    Bernoulli(y) labels.  The rounds use one column-major copy of the
+    features, on which BLAS forms ``x.T @ z`` and ``x @ w_t`` several times
+    faster for few columns; it is made here, not in the dataset, because it
+    moves the last bits of ``score_w`` (never the bucket values).
     """
-    x = dataset.features
+    x = np.asfortranarray(dataset.features)
     y = dataset.labels.astype(float)
     lam = dataset.second_moment
     eps3 = eps_weak if eps_weak is not None else eps_ma / 4.0
@@ -210,36 +211,32 @@ def train_omnipredictor(dataset, B, seed=0, *, eps_ma=0.02, eps_cal=0.02,
     if bernoulli_reduction and dataset.label_space == "interval":
         y = (rng.random(y.shape) < y).astype(float)
 
-    # unclipped running score; clipping happens where the predictor clips,
-    # over the accumulated sum
+    # unclipped running score, bucketed as the clipped score would be
     raw = np.full(x.shape[0], 0.5)
     w = np.zeros(dataset.d)
     n_buckets = int(round(1.0 / bucket_width))
     trace = []
     best = None  # (err2, w, values) for the cap fallback
     for round_no in range(round_cap):
-        idx = _buckets(np.clip(raw, 0.0, 1.0), bucket_width, n_buckets)
+        idx = _buckets(raw, bucket_width, n_buckets)
         values = fit_calibration_table(idx, y, bucket_width)
-        pred = values[idx]
-        err2 = squared_error(pred, y)
+        z = y - values[idx]
+        err2 = float(np.mean(z * z))
         if best is None or err2 < best[0]:
             best = (err2, w, values)
-        result = weak_learn(x, y - pred, B, eps3, second_moment=lam,
+        result = weak_learn(x, z, B, eps3, second_moment=lam,
                             enforce_sample_size=False)
         trace.append({"round": round_no, "err2": err2,
                       "ma_violation": result.correlation_estimate})
         if not result.accepted:
-            # recalibration already ran this round, so a residual the weak
-            # learner cannot improve ends training either way
-            cal_err = calibration_error(pred, y)
+            cal_err = calibration_error(values[idx], y)
             trace[-1]["calibration_error"] = cal_err
             return OmniPredictor(w, values, bucket_width,
                                  converged=cal_err <= eps_cal, trace=trace)
         trace[-1].update(sigma=sigma, w_norm=float(np.linalg.norm(result.w)))
         w = w + sigma * result.w
-        raw = raw + sigma * (x @ result.w)
+        raw += sigma * (x @ result.w)
 
-    # round cap: fall back to the best state seen, flagged non-converged
     _, w, values = best
     return OmniPredictor(w, values, bucket_width, converged=False, trace=trace)
 
@@ -294,8 +291,10 @@ def train_glmtron(dataset, activation_tag, B, iters=500, tol=1e-8):
 
     The update equals the negative gradient of the empirical matching loss
     of the activation.  Stops at the first iterate whose squared error is
-    within ``tol`` of the running minimum; at the cap it returns the
-    running-minimum iterate.
+    within ``tol`` of the running minimum.  At the cap, or at a fixed point
+    (an update that returns ``w`` bit for bit, so every later iterate would
+    repeat it) whose error is above that minimum by more than ``tol``, it
+    returns the running-minimum iterate, non-converged; the trace ends there.
     """
     act = fenchel.activation_from_tag(activation_tag)
     pair = fenchel.FenchelPair(act)
@@ -311,13 +310,14 @@ def train_glmtron(dataset, activation_tag, B, iters=500, tol=1e-8):
         err = squared_error(pred, y)
         trace.append({"iter": t, "err2": err,
                       "matching_loss": empirical_matching_loss(pair, scores, y)})
-        if t > 0 and best_err - tol <= err <= best_err + tol:
-            # stalled within tol of the running minimum
+        if t > 0 and best_err - tol <= err <= best_err + tol:    # stalled
             return GlmPredictor(w, activation_tag, converged=True, trace=trace)
         if err < best_err:
             best_err, best_w = err, w.copy()
-        w = project_ball(w + x.T @ (y - mean) / n, B)
+        w, w_prev = project_ball(w + x.T @ (y - mean) / n, B), w
         _check_finite(w)
+        if err > best_err + tol and np.array_equal(w, w_prev):
+            break    # a fixed point that never stalls
     return GlmPredictor(best_w, activation_tag, converged=False, trace=trace)
 
 

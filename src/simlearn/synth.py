@@ -148,6 +148,13 @@ class Corruption:
         if self.kind not in ("none", "flip_region", "bounded_noise",
                              "constant_override"):
             raise ConfigError(f"unknown corruption kind {self.kind!r}")
+        for key, ok, domain in (("mass", 0.0 <= self.mass <= 1.0, "in [0, 1]"),
+                                ("level", self.level >= 0.0, "non-negative"),
+                                ("value", 0.0 <= self.value <= 1.0,
+                                 "in [0, 1]")):
+            if not ok:
+                raise ConfigError(f"{key!r} in corruption must be {domain}, "
+                                  f"not {getattr(self, key)!r}")
 
     def to_dict(self):
         return {"kind": self.kind, "mass": self.mass, "level": self.level,

@@ -298,6 +298,14 @@ def test_experiment_rejects_malformed_checks(tmp_path, capsys, checks,
     assert not out.exists()
 
 
+def omni_entry(**options):
+    return {"algorithm": "omnipredictor", "norm_bound": 2.0, **options}
+
+
+def instance(kind, **params):
+    return {"name": kind, "corruption": {"kind": kind, **params}}
+
+
 @pytest.mark.parametrize("mutate, key", [
     (lambda c: c["data"].update(n_train="many"), "'n_train' in data"),
     (lambda c: c.update(eps="small"), "'eps' in config"),
@@ -323,10 +331,36 @@ def test_experiment_rejects_malformed_checks(tmp_path, capsys, checks,
     (lambda c: c.update(seeds=[-1]), "'seeds[0]' in config"),
     (lambda c: c["data"]["label_model"].update(direction_seed=-3),
      "'direction_seed' in label_model"),
+    # learner options outside the domain their trainer runs on
+    (lambda c: c.update(learners=[omni_entry(round_cap=0)]),
+     "'round_cap' in learners[0]"),
+    (lambda c: c.update(learners=[{"algorithm": "isotron", "norm_bound": 2.0,
+                                   "iters": 0}]), "'iters' in learners[0]"),
+    (lambda c: c.update(learners=[omni_entry(bucket_width=0)]),
+     "'bucket_width' in learners[0]"),
+    (lambda c: c.update(learners=[omni_entry(bucket_width=1.5)]),
+     "'bucket_width' in learners[0]"),
+    (lambda c: c.update(learners=[omni_entry(norm_bound=0)]),
+     "'norm_bound' in learners[0]"),
+    (lambda c: c["learners"][0].update(norm_bound=-1.0),
+     "'norm_bound' in learners[0]"),
+    # corruption parameters outside their domain
+    (lambda c: c.update(instances=[instance("flip_region", mass=1.5)]),
+     "'mass' in corruption"),
+    (lambda c: c.update(instances=[instance("flip_region", mass=-0.2)]),
+     "'mass' in corruption"),
+    (lambda c: c.update(instances=[instance("bounded_noise", level=-0.3)]),
+     "'level' in corruption"),
+    (lambda c: c.update(instances=[instance("constant_override", mass=0.1,
+                                            value=2.0)]),
+     "'value' in corruption"),
 ], ids=["n_train", "eps", "seed", "norm", "mass", "norm_bound", "iters",
         "n_train_string", "eps_string", "planted_w_string",
         "n_train_fraction", "dim_fraction", "seed_bool", "seed_fraction",
-        "seed_negative", "direction_seed_negative"])
+        "seed_negative", "direction_seed_negative", "round_cap_zero",
+        "isotron_iters_zero", "bucket_width_zero", "bucket_width_above_one",
+        "omni_norm_bound_zero", "glmtron_norm_bound_negative",
+        "mass_above_one", "mass_negative", "level_negative", "value_above_one"])
 def test_experiment_rejects_malformed_numbers(tmp_path, capsys, mutate, key):
     cfg = base_config()
     mutate(cfg)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -168,6 +169,51 @@ def test_omnipredictor_bernoulli_reduction_flag():
     assert learners.squared_error(p, ds.labels) <= 0.02
 
 
+@pytest.mark.parametrize("label_space", ["interval", "binary"])
+def test_omnipredictor_same_fit_from_either_feature_layout(label_space):
+    # the boosting rounds run on their own column-major copy of the features
+    ds, _ = planted_sigmoid(20_000, 19, label_space=label_space)
+    fortran = dataclasses.replace(ds, features=np.asfortranarray(ds.features))
+    assert ds.features.flags.c_contiguous and fortran.features.flags.f_contiguous
+    a = learners.train_omnipredictor(ds, 2.0, seed=5)
+    b = learners.train_omnipredictor(fortran, 2.0, seed=5)
+    assert np.array_equal(a.values, b.values)
+    assert len(a.trace) == len(b.trace) and a.converged == b.converged
+    assert np.array_equal(a.predict(ds.features), b.predict(ds.features))
+
+
+# The round count, flag and bucket values of this fit, recorded at 17 digits
+# before the boosting loop moved to column-major features, pin every round's
+# bucketing: a bucket value is a mean of labels, so it moves only when a
+# running score changes bucket.
+PINNED_OMNI_ROUNDS = 103
+PINNED_OMNI_VALUES = [
+    0.01, 0.029999999999999999, 0.050000000000000003, 0.070000000000000007,
+    0.089999999999999997, 0.00053877181598294057, 0.00078623797544560793,
+    0.0012487395056876007, 0.0016083073449088075, 0.0024470299996739468,
+    0.0036127691889577653, 0.0053738518305688522, 0.0080247562199732229,
+    0.011887015043931914, 0.017203920364282348, 0.024740250088803761,
+    0.036326271945882366, 0.052259766727642383, 0.075791316322784866,
+    0.10788679302619669, 0.15070076238411448, 0.20706586282191369,
+    0.27600555367856044, 0.35939383116230739, 0.4525621905261964,
+    0.54857390146593765, 0.64168593194168899, 0.72523349861953978,
+    0.79388305120088987, 0.85031462978606775, 0.89259755427059684,
+    0.92466621316740227, 0.94747749816050342, 0.96370574857313818,
+    0.97511675982528168, 0.98266595867783191, 0.98839456861503594,
+    0.99188345239923903, 0.99454285521758568, 0.99634070485400783,
+    0.99748036743315194, 0.99826126216010924, 0.99888235723578478, 0.87,
+    0.99939037805812525, 0.99956963239146712, 0.99970950548021487,
+    0.95000000000000007, 0.96999999999999997, 0.98999999999999999]
+
+
+def test_omnipredictor_pinned_rounds_and_values():
+    ds, _ = planted_sigmoid(20_000, 19)
+    omni = learners.train_omnipredictor(ds, 2.0, seed=5)
+    assert omni.converged and len(omni.trace) == PINNED_OMNI_ROUNDS
+    np.testing.assert_allclose(omni.values, PINNED_OMNI_VALUES, rtol=1e-12,
+                               atol=0)
+
+
 def test_omnipredictor_serialization_roundtrip():
     ds, _ = planted_sigmoid(10_000, 29)
     omni = learners.train_omnipredictor(ds, 2.0, seed=7)
@@ -194,6 +240,43 @@ def test_glmtron_constant_labels_stay_at_zero():
     ds = synth.Dataset(x, np.full(2000, 0.5), "interval", 37)
     pred = learners.train_glmtron(ds, "sigmoid", 2.0, iters=50)
     assert np.all(pred.w == 0.0)
+    # w = 0 is a fixed point whose error is the running minimum, so the
+    # next iterate stalls within tol: converged, as without the stop
+    assert pred.converged and len(pred.trace) == 2
+
+
+def glmtron_to_the_cap(ds, tag, B, iters=500, tol=1e-8):
+    """GLMtron without the fixed-point stop: ``(w, converged)``."""
+    act = fenchel.activation_from_tag(tag)
+    x, y = ds.features, ds.labels
+    w = np.zeros(ds.d)
+    best_w, best_err = w.copy(), math.inf
+    for t in range(iters):
+        mean = act(x @ w)
+        err = learners.squared_error(np.clip(mean, 0.0, 1.0), y)
+        if t > 0 and best_err - tol <= err <= best_err + tol:
+            return w, True
+        if err < best_err:
+            best_err, best_w = err, w.copy()
+        w = learners.project_ball(w + x.T @ (y - mean) / ds.n, B)
+    return best_w, False
+
+
+def test_glmtron_fixed_point_returns_what_the_cap_returns():
+    # with an intercept and binary labels the squared error is least early
+    # on and rises as the matching loss falls, until an update returns w
+    # bit for bit
+    spec = synth.MarginalSpec("standard_gaussian", 5, augment_constant=True)
+    w = synth.planted_direction(6, 2.0, 90, constant_weight=0.2)
+    model = synth.LabelModel(tuple(w), "sigmoid", label_space="binary",
+                             corruption=synth.Corruption("flip_region",
+                                                         mass=0.1))
+    ds = synth.make_dataset(spec, model, 5000, 43)
+    pred = learners.train_glmtron(ds, "sigmoid", 2.0, iters=500)
+    ref_w, ref_converged = glmtron_to_the_cap(ds, "sigmoid", 2.0, iters=500)
+    assert not ref_converged and not pred.converged
+    assert np.array_equal(pred.w, ref_w)
+    assert len(pred.trace) < 500
 
 
 def test_glmtron_update_is_negative_matching_loss_gradient():
