@@ -201,6 +201,9 @@ def parse_config(obj):
     seeds = obj.get("seeds", [0])
     if not isinstance(seeds, list) or not seeds:
         raise ConfigError("seeds must be a non-empty list")
+    eps = _convert(_number, obj.get("eps", 0.05), "eps", "config")
+    if not eps >= 0.0:
+        raise ConfigError(f"'eps' in config must be non-negative, not {eps!r}")
     instances = []
     for inst in obj.get("instances", []):
         name = _require(inst, "name", "instances[]")
@@ -210,7 +213,7 @@ def parse_config(obj):
         n_train=_convert(_count, data.get("n_train", 20000), "n_train", "data"),
         n_eval=_convert(_count, data.get("n_eval", 50000), "n_eval", "data"),
         learners=entries, pairs=pairs, checks=checks,
-        eps=_convert(_number, obj.get("eps", 0.05), "eps", "config"),
+        eps=eps,
         seeds=[_convert(_count, s, f"seeds[{i}]", "config")
                for i, s in enumerate(seeds)],
         instances=instances)
@@ -231,12 +234,17 @@ def load_config(path):
 LEARNER_DOMAINS = {"norm_bound": (lambda v: v > 0.0, "positive"),
                    "round_cap": (lambda v: v >= 1, "at least 1"),
                    "iters": (lambda v: v >= 1, "at least 1"),
-                   "bucket_width": (lambda v: 0.0 < v <= 1.0, "in (0, 1]")}
+                   "eps_ma": (lambda v: v > 0.0, "positive"),
+                   "eps_cal": (lambda v: v > 0.0, "positive"),
+                   "eps_weak": (lambda v: v is None or v > 0.0, "positive"),
+                   "tol": (lambda v: v >= 0.0, "non-negative"),
+                   "bucket_width": (lambda v: 0.0 < v <= 1.0 and abs(
+                       (1.0 / v + 0.5) % 1.0 - 0.5) <= 1e-9,
+                       "1/n for an integer n >= 1")}
 
 OMNI_OPTIONS = {"eps_ma": _number, "eps_cal": _number,
-                "eps_weak": _optional_float, "step": _optional_float,
-                "bucket_width": _number, "round_cap": _count,
-                "bernoulli_reduction": _flag}
+                "eps_weak": _optional_float, "bucket_width": _number,
+                "round_cap": _count, "bernoulli_reduction": _flag}
 
 # algorithm -> (needs an "activation" tag?, option -> its kind,
 #               trainer(entry, dataset, B, seed, **options))

@@ -76,9 +76,6 @@ class LinearWeakLearnerResult:
     w: np.ndarray = None           # norm exactly B when accepted
     correlation_estimate: float = 0.0   # ||mean(z x)||, the decision statistic
 
-    def __bool__(self):
-        return self.accepted
-
 
 def weak_learner_sample_requirement(d, second_moment, B, eps):
     """Sample count demanded by the Chebyshev analysis of the weak learner."""
@@ -182,48 +179,44 @@ class OmniPredictor:
 
 
 def train_omnipredictor(dataset, B, seed=0, *, eps_ma=0.02, eps_cal=0.02,
-                        eps_weak=None, step=None,
-                        bucket_width=DEFAULT_BUCKET_WIDTH,
+                        eps_weak=None, bucket_width=DEFAULT_BUCKET_WIDTH,
                         round_cap=DEFAULT_ROUND_CAP,
                         bernoulli_reduction=False):
-    """Alternate multiaccuracy boosting rounds with bucket recalibration.
+    """Multiaccuracy boosting rounds, each followed by bucket recalibration.
 
-    Each round buckets the running score, predicts each bucket's mean label
-    and runs the weak learner (threshold ``eps_weak``, by default
-    ``eps_ma / 4``) on the residual y - p(x); an accepted direction joins
-    the score with ``step``, by default ``eps_weak / (2 B^2 lambda)``.  As
-    the predictions are bucket means, the training calibration error is
-    zero up to the output clamp, so the weak learner's rejection ends
-    training; that round records the calibration error, which sets
-    ``converged`` against ``eps_cal``.  At ``round_cap`` the best state so
-    far returns, non-converged.  ``bernoulli_reduction`` trains on
-    Bernoulli(y) labels.  The rounds use one column-major copy of the
-    features, on which BLAS forms ``x.T @ z`` and ``x @ w_t`` several times
-    faster for few columns; it is made here, not in the dataset, because it
-    moves the last bits of ``score_w`` (never the bucket values).
+    Each round runs the weak learner (threshold ``eps_weak``, by default
+    ``eps_ma / 4``) on the residual y - p(x), p(x) the mean label of x's
+    score bucket.  An accepted direction joins the score with the rung of
+    ``bucket_width * 2^k / (B sqrt(lambda))``, k = -6..4, whose recalibrated
+    training squared error is least (ties to the smaller), if strictly
+    lower; else the fit stops ``stalled``, non-converged.  (The theory step
+    ``eps_weak / (2 B^2 lambda)`` moves scores far less than a bucket, so
+    rebucketing rounds it away and the loop cycles.)  Rejection ends
+    training; that round's calibration error (zero up to the output clamp)
+    sets ``converged`` against ``eps_cal``.  ``round_cap`` is a guard.
+    ``bernoulli_reduction`` trains on Bernoulli(y) labels.  The rounds use a
+    column-major copy of the features (faster BLAS for few columns), made
+    here because it moves the last bits of ``score_w``.
     """
     x = np.asfortranarray(dataset.features)
     y = dataset.labels.astype(float)
     lam = dataset.second_moment
     eps3 = eps_weak if eps_weak is not None else eps_ma / 4.0
-    sigma = step if step is not None else eps3 / (2.0 * B ** 2 * lam)
+    ladder = bucket_width / (B * math.sqrt(lam)) * 2.0 ** np.arange(-6, 5)
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x0821]))
     if bernoulli_reduction and dataset.label_space == "interval":
         y = (rng.random(y.shape) < y).astype(float)
-
-    # unclipped running score, bucketed as the clipped score would be
-    raw = np.full(x.shape[0], 0.5)
-    w = np.zeros(dataset.d)
     n_buckets = int(round(1.0 / bucket_width))
-    trace = []
-    best = None  # (err2, w, values) for the cap fallback
-    for round_no in range(round_cap):
+
+    def recalibrate(raw):    # the unclipped score, bucketed as if clipped
         idx = _buckets(raw, bucket_width, n_buckets)
         values = fit_calibration_table(idx, y, bucket_width)
         z = y - values[idx]
-        err2 = float(np.mean(z * z))
-        if best is None or err2 < best[0]:
-            best = (err2, w, values)
+        return float(np.mean(z * z)), raw, idx, values, z
+
+    err2, raw, idx, values, z = recalibrate(np.full(x.shape[0], 0.5))
+    w, trace = np.zeros(dataset.d), []
+    for round_no in range(round_cap):
         result = weak_learn(x, z, B, eps3, second_moment=lam,
                             enforce_sample_size=False)
         trace.append({"round": round_no, "err2": err2,
@@ -233,11 +226,18 @@ def train_omnipredictor(dataset, B, seed=0, *, eps_ma=0.02, eps_cal=0.02,
             trace[-1]["calibration_error"] = cal_err
             return OmniPredictor(w, values, bucket_width,
                                  converged=cal_err <= eps_cal, trace=trace)
+        u = x @ result.w
+        sigma, best = None, (err2,)
+        for rung in ladder.tolist():    # keeps only the best rung's arrays
+            state = recalibrate(raw + rung * u)
+            if state[0] < best[0]:
+                sigma, best = rung, state
+        if sigma is None:
+            trace[-1]["stalled"] = True
+            break
+        err2, raw, idx, values, z = best
         trace[-1].update(sigma=sigma, w_norm=float(np.linalg.norm(result.w)))
         w = w + sigma * result.w
-        raw += sigma * (x @ result.w)
-
-    _, w, values = best
     return OmniPredictor(w, values, bucket_width, converged=False, trace=trace)
 
 

@@ -162,6 +162,13 @@ def test_matching_loss_fits_are_certified(suite, number):
     assert suite[number].details["nonconverged"] == []
 
 
+@pytest.mark.parametrize("number", [6, 7])
+def test_omnipredictor_fits_converge(suite, number):
+    # with the ladder step search every omnipredictor fit of these criteria
+    # ends by the weak learner's rejection at the default seed
+    assert suite[number].details["nonconverged"] == []
+
+
 def test_criterion_05_names_nonconverged_learners(suite, monkeypatch):
     train = learners.train_matching_gd
 

@@ -354,13 +354,26 @@ def instance(kind, **params):
     (lambda c: c.update(instances=[instance("constant_override", mass=0.1,
                                             value=2.0)]),
      "'value' in corruption"),
+    # numbers outside the domain the bound checks and learners run on
+    (lambda c: c.update(eps=-1.0), "'eps' in config"),
+    (lambda c: c.update(learners=[omni_entry(eps_ma=-1.0)]),
+     "'eps_ma' in learners[0]"),
+    (lambda c: c.update(learners=[omni_entry(eps_cal=-1.0)]),
+     "'eps_cal' in learners[0]"),
+    (lambda c: c.update(learners=[omni_entry(eps_weak=0.0)]),
+     "'eps_weak' in learners[0]"),
+    (lambda c: c.update(learners=[omni_entry(bucket_width=0.3)]),
+     "'bucket_width' in learners[0]"),
+    (lambda c: c["learners"][0].update(tol=-1.0), "'tol' in learners[0]"),
 ], ids=["n_train", "eps", "seed", "norm", "mass", "norm_bound", "iters",
         "n_train_string", "eps_string", "planted_w_string",
         "n_train_fraction", "dim_fraction", "seed_bool", "seed_fraction",
         "seed_negative", "direction_seed_negative", "round_cap_zero",
         "isotron_iters_zero", "bucket_width_zero", "bucket_width_above_one",
         "omni_norm_bound_zero", "glmtron_norm_bound_negative",
-        "mass_above_one", "mass_negative", "level_negative", "value_above_one"])
+        "mass_above_one", "mass_negative", "level_negative", "value_above_one",
+        "eps_negative", "eps_ma_negative", "eps_cal_negative", "eps_weak_zero",
+        "bucket_width_not_dividing_one", "glmtron_tol_negative"])
 def test_experiment_rejects_malformed_numbers(tmp_path, capsys, mutate, key):
     cfg = base_config()
     mutate(cfg)
@@ -369,6 +382,12 @@ def test_experiment_rejects_malformed_numbers(tmp_path, capsys, mutate, key):
                      "--out", str(out)]) == 2
     assert key in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("width", [1.0, 0.1, 1 / 3, 0.02])
+def test_bucket_widths_that_tile_the_unit_interval_are_taken(width):
+    cfg = base_config(learners=[omni_entry(bucket_width=width)])
+    assert config.parse_config(cfg).learners[0]["bucket_width"] == width
 
 
 @pytest.mark.parametrize("where, key, parsed", [
@@ -403,6 +422,8 @@ def test_experiment_takes_only_json_booleans_as_flags(tmp_path, capsys, where,
      "step"),
     ({"algorithm": "logistic", "activation": "sigmoid"}, "activation"),
     ({"algorithm": "omnipredictor", "tol": 1e-8}, "tol"),
+    # the step is searched over a fixed ladder, not configured
+    ({"algorithm": "omnipredictor", "step": 0.01}, "step"),
 ])
 def test_experiment_rejects_unknown_learner_keys(tmp_path, capsys, entry,
                                                  key):

@@ -135,15 +135,37 @@ def test_omnipredictor_noise_labels_near_best_constant():
 
 
 def test_omnipredictor_steps_follow_config():
+    # every accepted step is a rung of the ladder bucket_width 2^k /
+    # (B sqrt(lambda)), k = -6..4, and the training err2 falls every round
     ds, _ = planted_sigmoid(20_000, 19)
-    omni = learners.train_omnipredictor(ds, 2.0, seed=5, eps_ma=0.02)
-    lam = ds.second_moment
-    # eps_weak defaults to eps_ma / 4
-    expect = (0.02 / 4.0) / (2.0 * 2.0 ** 2 * lam)
-    accepted = [step for step in omni.trace if "sigma" in step]
-    assert accepted
-    assert all(step["sigma"] == pytest.approx(expect) for step in accepted)
-    assert all(step["w_norm"] == pytest.approx(2.0) for step in accepted)
+    for bucket_width in (learners.DEFAULT_BUCKET_WIDTH, 0.05):
+        omni = learners.train_omnipredictor(ds, 2.0, seed=5, eps_ma=0.02,
+                                            bucket_width=bucket_width)
+        scale = bucket_width / (2.0 * math.sqrt(ds.second_moment))
+        ladder = [scale * 2.0 ** k for k in range(-6, 5)]
+        accepted = [step for step in omni.trace if "sigma" in step]
+        assert accepted
+        assert all(step["sigma"] in ladder for step in accepted)
+        assert all(step["w_norm"] == pytest.approx(2.0) for step in accepted)
+        errs = [step["err2"] for step in omni.trace]
+        assert all(later < earlier for earlier, later in zip(errs, errs[1:]))
+
+
+def test_omnipredictor_stalls_when_no_rung_lowers_the_error(monkeypatch):
+    # the weak learner accepts a direction along a feature that is 0
+    # everywhere, so every rung leaves the buckets and err2 as they are
+    ds, _ = planted_sigmoid(5000, 19)
+    features = np.column_stack([ds.features, np.zeros(ds.n)])
+    ds = dataclasses.replace(ds, features=features)
+    direction = np.zeros(ds.d)
+    direction[-1] = 2.0
+    monkeypatch.setattr(learners, "weak_learn", lambda *a, **k:
+                        learners.LinearWeakLearnerResult(True, direction, 1.0))
+    omni = learners.train_omnipredictor(ds, 2.0, seed=5)
+    assert not omni.converged
+    assert len(omni.trace) == 1 and omni.trace[-1]["stalled"]
+    assert "sigma" not in omni.trace[-1]
+    assert np.array_equal(omni.score_w, np.zeros(ds.d))
 
 
 def test_omnipredictor_records_calibration_error_once():
@@ -183,27 +205,27 @@ def test_omnipredictor_same_fit_from_either_feature_layout(label_space):
 
 
 # The round count, flag and bucket values of this fit, recorded at 17 digits
-# before the boosting loop moved to column-major features, pin every round's
-# bucketing: a bucket value is a mean of labels, so it moves only when a
-# running score changes bucket.
-PINNED_OMNI_ROUNDS = 103
+# with the ladder step search, pin every round's bucketing: a bucket value is
+# a mean of labels, so it moves only when a running score changes bucket.
+PINNED_OMNI_ROUNDS = 3
 PINNED_OMNI_VALUES = [
-    0.01, 0.029999999999999999, 0.050000000000000003, 0.070000000000000007,
-    0.089999999999999997, 0.00053877181598294057, 0.00078623797544560793,
-    0.0012487395056876007, 0.0016083073449088075, 0.0024470299996739468,
-    0.0036127691889577653, 0.0053738518305688522, 0.0080247562199732229,
-    0.011887015043931914, 0.017203920364282348, 0.024740250088803761,
-    0.036326271945882366, 0.052259766727642383, 0.075791316322784866,
-    0.10788679302619669, 0.15070076238411448, 0.20706586282191369,
-    0.27600555367856044, 0.35939383116230739, 0.4525621905261964,
-    0.54857390146593765, 0.64168593194168899, 0.72523349861953978,
-    0.79388305120088987, 0.85031462978606775, 0.89259755427059684,
-    0.92466621316740227, 0.94747749816050342, 0.96370574857313818,
-    0.97511675982528168, 0.98266595867783191, 0.98839456861503594,
-    0.99188345239923903, 0.99454285521758568, 0.99634070485400783,
-    0.99748036743315194, 0.99826126216010924, 0.99888235723578478, 0.87,
-    0.99939037805812525, 0.99956963239146712, 0.99970950548021487,
-    0.95000000000000007, 0.96999999999999997, 0.98999999999999999]
+    0.025428322998613109, 0.050735563911161789, 0.057120283062928941,
+    0.064398857074341315, 0.072231045102598215, 0.080916438634235296,
+    0.090807475391759471, 0.10139673505048549, 0.11367050993885779,
+    0.12622713510957009, 0.14086540414035364, 0.15681402995441385,
+    0.1734947308293463, 0.19272565353490864, 0.21270004112959828,
+    0.23456760455654074, 0.25737158191720366, 0.28134588478332673,
+    0.3079943269548896, 0.33451467673397628, 0.36384954610534881,
+    0.39311958523214341, 0.42285651156517889, 0.45353877154762873,
+    0.48430496868490613, 0.51556906845876094, 0.5469589105771574,
+    0.57687972459345871, 0.60739360332061731, 0.63643765702305855,
+    0.66556459331503204, 0.6923883023422116, 0.71815650972965783,
+    0.74253107365425075, 0.76529889802794615, 0.78696752142429105,
+    0.80701117381757881, 0.82572856014687301, 0.84323098573186561,
+    0.85865404208342067, 0.87327457205128722, 0.88597156065427618,
+    0.89829223564391703, 0.90927810758937178, 0.9190833048883108,
+    0.9281170298642174, 0.93575275594555574, 0.94301257198032851,
+    0.94911305100225951, 0.9753450208582416]
 
 
 def test_omnipredictor_pinned_rounds_and_values():
