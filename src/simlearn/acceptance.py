@@ -17,7 +17,7 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 
-from . import fenchel, learners, synth, transfer
+from . import config, fenchel, learners, synth, transfer
 from .errors import ConfigError, InvalidInputError, NoConvergenceError
 
 DEFAULT_SEED = 20250
@@ -51,28 +51,52 @@ class Row:
         ])
 
 
-def check_rows(instance, learner, checks, p, dataset, B, extra=(), eps=None,
-               seed=0, runtime_ms=0):
-    """One ``(BoundCheck, Row)`` per ``(kind, tags)`` check of
-    ``transfer.CHECKS`` run on the predictions ``p``; ``p`` is evaluated
-    once, and every check and row takes that report.  A check that does not
-    apply becomes a failed ``<kind>_inapplicable`` check."""
-    report = transfer.evaluate(p, dataset)
+def run_unit(unit):
+    """Draw the unit's training set from its seed and its evaluation set
+    from the seed + 1, train, predict and evaluate once, and run each
+    ``(kind, tags)`` check of ``transfer.CHECKS`` on that one report; a
+    check that does not apply becomes a failed ``<kind>_inapplicable``
+    check.  Returns ``(predictor, [(BoundCheck, Row)], train_ms)``."""
+    train = synth.make_dataset(unit.marginal, unit.model, unit.n_train,
+                               unit.seed)
+    ev = synth.make_dataset(unit.marginal, unit.model, unit.n_eval,
+                            unit.seed + 1)
+    t0 = time.time()
+    pred = config.train_learner(unit.entry, train, unit.seed)
+    train_ms = int((time.time() - t0) * 1000)
+    p = pred.predict(ev.features)
+    report = transfer.evaluate(p, ev)
+    extra = [pred.w] if hasattr(pred, "w") else []
     out = []
-    for kind, tags in checks:
+    for kind, tags in unit.checks:
         try:
-            chk = transfer.CHECKS[kind][2](p, report, dataset, B, eps, seed,
-                                           extra, *tags)
+            chk = transfer.CHECKS[kind][2](p, report, ev,
+                                           unit.entry["norm_bound"], unit.eps,
+                                           unit.seed, extra, *tags)
         except (InvalidInputError, NoConvergenceError):
             chk = transfer.BoundCheck(
                 f"{kind}_inapplicable", 0.0, 0.0, -1.0, False,
-                {"opt_hat": dataset.certified_opt_upper_bound})
+                {"opt_hat": ev.certified_opt_upper_bound})
         out.append((chk, Row(
-            instance, learner,
+            unit.instance, unit.entry["name"],
             chk.params.get("opt_hat", chk.params.get("opt1_hat")),
             report.err2, report.err1, chk.theorem_tag, chk.rhs, chk.slack,
-            chk.extras.get("c_needed"), runtime_ms)))
-    return out
+            chk.extras.get("c_needed"))))
+    return pred, out, train_ms
+
+
+def _run_table(units, gate=lambda chk: True):
+    """Run units of one check each: whether every check passed and meets
+    ``gate``, the rows in unit order, and the instances whose learner did
+    not converge (reported, not gated)."""
+    ok, rows, nonconv = True, [], []
+    for unit in units:
+        pred, [(chk, row)], _ = run_unit(unit)
+        ok &= chk.passed and gate(chk)
+        rows.append(row)
+        if not pred.converged:
+            nonconv.append(row.instance)
+    return ok, rows, nonconv
 
 
 @dataclass
@@ -272,37 +296,26 @@ def criterion_4(seed=DEFAULT_SEED):
 # ---------------------------------------------------------------------------
 
 
-def _bilipschitz_instance(act_tag, constant_weight, corruption, seed):
-    spec = synth.MarginalSpec("standard_gaussian", 4, scale=0.35,
-                              augment_constant=True)
-    norm = math.sqrt(0.35 ** 2 + constant_weight ** 2)
-    w = synth.planted_direction(5, norm, seed, constant_weight=constant_weight)
-    model = synth.LabelModel(tuple(w), act_tag, corruption=corruption)
-    return spec, model, float(np.linalg.norm(w)) + 0.1
-
-
 def criterion_5(seed=DEFAULT_SEED):
     t0 = time.time()
-    rows, nonconv, ok = [], [], True
-    cases = [("identity", 0.5), ("leaky_relu(0.1)", 0.0)]
+    spec = synth.MarginalSpec("standard_gaussian", 4, scale=0.35,
+                              augment_constant=True)
     opts = [("opt0", synth.Corruption("none")),
             ("opt.04", synth.Corruption("constant_override", mass=0.12,
                                         value=0.05))]
-    for act_tag, cw in cases:
-        pair = fenchel.pair_from_tag(act_tag)
-        for opt_name, corr in opts:
-            spec, model, B = _bilipschitz_instance(act_tag, cw, corr, seed + 41)
-            train = synth.make_dataset(spec, model, 20_000, seed + 42)
-            ev = synth.make_dataset(spec, model, 100_000, seed + 43)
-            pred = learners.train_matching_gd(train, pair, B)
-            [(chk, row)] = check_rows(
-                f"{act_tag}_{opt_name}", "matching_gd",
-                [("bilipschitz", (act_tag,))], pred.predict(ev.features), ev,
-                B, [pred.w])
-            ok &= chk.passed
-            rows.append(row)
-            if not pred.converged:
-                nonconv.append(row.instance)
+    units = []
+    for act_tag, cw in [("identity", 0.5), ("leaky_relu(0.1)", 0.0)]:
+        w = synth.planted_direction(5, math.sqrt(0.35 ** 2 + cw ** 2),
+                                    seed + 41, constant_weight=cw)
+        entry = {"name": "matching_gd", "algorithm": "matching_gd",
+                 "activation": act_tag,
+                 "norm_bound": float(np.linalg.norm(w)) + 0.1}
+        units += [config.Unit(
+            f"{act_tag}_{opt_name}", spec,
+            synth.LabelModel(tuple(w), act_tag, corruption=corr), 20_000,
+            100_000, seed + 42, entry, [("bilipschitz", (act_tag,))], None)
+            for opt_name, corr in opts]
+    ok, rows, nonconv = _run_table(units)
     return CriterionResult(5, "bi-Lipschitz transfer", bool(ok),
                            time.time() - t0, 300.0, {"nonconverged": nonconv},
                            rows)
@@ -319,7 +332,6 @@ SIM_SUITE_EPS = 5e-4
 
 def criterion_6(seed=DEFAULT_SEED):
     t0 = time.time()
-    rows, nonconv, ok = [], [], True
     B = 2.0
     marginals = [("gaussian", synth.MarginalSpec("standard_gaussian", 5,
                                                  augment_constant=True)),
@@ -334,19 +346,13 @@ def criterion_6(seed=DEFAULT_SEED):
             ("opt.09", synth.Corruption("constant_override", mass=0.11,
                                         value=0.0))]
     w = synth.planted_direction(6, B, seed + 61, constant_weight=0.2)
-    for mname, spec in marginals:
-        for oname, corr in opts:
-            model = synth.LabelModel(tuple(w), "sigmoid", corruption=corr)
-            train = synth.make_dataset(spec, model, 20_000, seed + 62)
-            ev = synth.make_dataset(spec, model, 50_000, seed + 63)
-            omni = learners.train_omnipredictor(train, B, seed + 64)
-            [(chk, row)] = check_rows(
-                f"{mname}_{oname}", "omnipredictor", [("sim_sqrt", ())],
-                omni.predict(ev.features), ev, B, eps=SIM_SUITE_EPS)
-            ok &= chk.passed
-            rows.append(row)
-            if not omni.converged:
-                nonconv.append(row.instance)
+    entry = {"name": "omnipredictor", "algorithm": "omnipredictor",
+             "norm_bound": B}
+    ok, rows, nonconv = _run_table([config.Unit(
+        f"{mname}_{oname}", spec,
+        synth.LabelModel(tuple(w), "sigmoid", corruption=corr), 20_000,
+        50_000, seed + 62, entry, [("sim_sqrt", ())], SIM_SUITE_EPS)
+        for mname, spec in marginals for oname, corr in opts])
     # c_needed; an inapplicable check has none and has failed already
     c_report = max(row.c_report or 0.0 for row in rows)
     ok &= c_report <= transfer.SIM_C
@@ -458,26 +464,22 @@ def _rhs_matches_decimal(chk):
 def criterion_9(seed=DEFAULT_SEED):
     t0 = time.time()
     n_train, n_eval = 20_000, 100_000
-    rows, nonconv, ok = [], [], True
+
+    def logistic(B):
+        return {"name": "logistic", "algorithm": "logistic", "norm_bound": B}
 
     # squared-error side: subgaussian marginal, interval labels
     spec = synth.MarginalSpec("standard_gaussian", 4, scale=2 ** -0.5)
     w = synth.planted_direction(4, 1.0, seed + 91)
-    for mass, nm in [(0.016, "opt.01"), (0.16, "opt.1")]:
-        model = synth.LabelModel(tuple(w), "sigmoid",
-                                 corruption=synth.Corruption(
-                                     "constant_override", mass=mass, value=0.0))
-        train = synth.make_dataset(spec, model, n_train, seed + 92)
-        ev = synth.make_dataset(spec, model, n_eval, seed + 93)
-        pred = learners.train_logistic(train, 1.0)
-        [(chk, row)] = check_rows(
-            f"gauss_{nm}", "logistic", [("logistic_squared", ())],
-            pred.predict(ev.features), ev, 1.0, [pred.w])
-        ok &= (chk.passed and chk.extras.get("tail_pass", True)
-               and _rhs_matches_decimal(chk))
-        rows.append(row)
-        if not pred.converged:
-            nonconv.append(row.instance)
+    ok, rows, nonconv = _run_table(
+        [config.Unit(f"gauss_{nm}", spec, synth.LabelModel(
+            tuple(w), "sigmoid", corruption=synth.Corruption(
+                "constant_override", mass=mass, value=0.0)),
+            n_train, n_eval, seed + 92, logistic(1.0),
+            [("logistic_squared", ())], None)
+         for mass, nm in [(0.016, "opt.01"), (0.16, "opt.1")]],
+        lambda chk: (chk.extras.get("tail_pass", True)
+                     and _rhs_matches_decimal(chk)))
 
     # closed-form Gaussian tail spot check at r=2, B=1
     s_planted = math.sqrt(0.5)  # score std: ||w*|| = 1 on a var-1/2 marginal
@@ -487,8 +489,7 @@ def criterion_9(seed=DEFAULT_SEED):
     mc = float(vals.mean())
     se = float(vals.std(ddof=1)) / math.sqrt(n_eval)
     oracle = transfer.gaussian_abs_exp_tail(2.0, s_planted ** 2)
-    tail_ok = mc <= oracle + 3.0 * se
-    ok &= tail_ok
+    ok &= mc <= oracle + 3.0 * se
     rows.append(Row("gauss_tail_r2", "oracle", None, None, None,
                     "gaussian_tail_oracle", oracle + 3.0 * se,
                     oracle + 3.0 * se - mc, None))
@@ -498,28 +499,21 @@ def criterion_9(seed=DEFAULT_SEED):
     abs_cases = [(10.0, synth.Corruption("none"), "opt.1"),
                  (100.0, synth.Corruption("none"), "opt.01"),
                  (10.0, synth.Corruption("flip_region", mass=0.05), "flip.05")]
-    c_abs = []
-    for B, corr, nm in abs_cases:
-        wb = synth.planted_direction(4, B, seed + 96)
-        model = synth.LabelModel(tuple(wb), "sigmoid", label_space="binary",
-                                 corruption=corr)
-        train = synth.make_dataset(spec2, model, n_train, seed + 97)
-        ev = synth.make_dataset(spec2, model, n_eval, seed + 98)
-        pred = learners.train_logistic(train, B)
-        [(chk, row)] = check_rows(
-            f"laplace_{nm}", "logistic", [("logistic_absolute", ())],
-            pred.predict(ev.features), ev, B, [pred.w])
-        ok &= chk.passed and _rhs_matches_decimal(chk)
-        rows.append(row)
-        # c_needed; an inapplicable check has none and has failed already
-        c_abs.append(row.c_report or 0.0)
-        if not pred.converged:
-            nonconv.append(row.instance)
-    ok &= max(c_abs) <= 20.0  # regression guard, not a derived constant
+    abs_ok, abs_rows, abs_nonconv = _run_table(
+        [config.Unit(f"laplace_{nm}", spec2, synth.LabelModel(
+            tuple(synth.planted_direction(4, B, seed + 96)), "sigmoid",
+            label_space="binary", corruption=corr),
+            n_train, n_eval, seed + 97, logistic(B),
+            [("logistic_absolute", ())], None)
+         for B, corr, nm in abs_cases], _rhs_matches_decimal)
+    # c_needed; an inapplicable check has none and has failed already
+    c_abs = max(row.c_report or 0.0 for row in abs_rows)
+    ok &= abs_ok and c_abs <= 20.0  # regression guard, not a derived constant
     return CriterionResult(9, "logistic bound formulas", bool(ok),
                            time.time() - t0, 300.0,
-                           {"c_report_absolute": max(c_abs),
-                            "nonconverged": nonconv}, rows)
+                           {"c_report_absolute": c_abs,
+                            "nonconverged": nonconv + abs_nonconv},
+                           rows + abs_rows)
 
 
 # ---------------------------------------------------------------------------

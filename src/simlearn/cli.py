@@ -19,7 +19,6 @@ import argparse
 import json
 import os
 import sys
-import time
 from concurrent.futures import ProcessPoolExecutor
 
 from . import acceptance, config as config_mod, fenchel, learners, synth, \
@@ -126,23 +125,17 @@ def _row_key(row):
     return (row.instance, row.learner, row.theorem)
 
 
-def _run_instance(payload):
-    """One (instance, seed, learner) unit: train and predict once, then run
-    every configured check on the predictions."""
-    cfg, inst_name, model, seed, entry = payload
-    train_ds = synth.make_dataset(cfg.marginal, model, cfg.n_train, seed)
-    eval_ds = synth.make_dataset(cfg.marginal, model, cfg.n_eval, seed + 1)
-    t0 = time.time()
-    predictor = config_mod.train_learner(entry, train_ds, seed)
-    train_ms = int((time.time() - t0) * 1000)
-    extra = [predictor.w] if hasattr(predictor, "w") else []
-    return [row for _, row in acceptance.check_rows(
-        f"{inst_name}_s{seed}", entry["name"], cfg.checks,
-        predictor.predict(eval_ds.features), eval_ds, entry["norm_bound"],
-        extra, cfg.eps, seed, train_ms)]
+def _run_instance(unit):
+    """The rows of one experiment unit, each carrying its training time."""
+    _, checked, train_ms = acceptance.run_unit(unit)
+    for _, row in checked:
+        row.runtime_ms = train_ms
+    return [row for _, row in checked]
 
 
 def cmd_experiment(args):
+    if args.workers < 1:
+        raise ConfigError(f"--workers must be at least 1, not {args.workers}")
     cfg = config_mod.load_config(args.config)
     if not cfg.learners:
         raise ConfigError("empty learner list")
@@ -161,14 +154,9 @@ def cmd_experiment(args):
                         from exc
                 existing[_row_key(row)] = row
 
-    units = []
-    for inst_name, model in cfg.instance_models():
-        for seed in cfg.seeds:
-            for entry in cfg.learners:
-                units.append((cfg, inst_name, model, seed, entry))
     needed = []
-    for unit in units:
-        key_prefix = (f"{unit[1]}_s{unit[3]}", unit[4]["name"])
+    for unit in cfg.units():
+        key_prefix = (unit.instance, unit.entry["name"])
         # a check's row carries its theorem tag, or <kind>_inapplicable
         missing = any(all((*key_prefix, theorem) not in existing
                           for theorem in (transfer.CHECKS[kind][0],
@@ -177,8 +165,10 @@ def cmd_experiment(args):
         if missing or not existing:
             needed.append(unit)
 
-    if args.workers > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
+    # the pool starts all its processes at once: no more than the units
+    workers = min(args.workers, len(needed))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             produced = list(pool.map(_run_instance, needed))
     else:
         produced = [_run_instance(u) for u in needed]

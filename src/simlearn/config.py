@@ -9,7 +9,7 @@ settings on top of the base label model.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -32,17 +32,31 @@ class ExperimentConfig:
     seeds: list = field(default_factory=lambda: [0])
     instances: list = field(default_factory=list)   # (name, corruption) pairs
 
-    def instance_models(self):
-        """The label-model sweep: the base model under each instance name."""
-        if not self.instances:
-            return [("base", self.label_model)]
-        out = []
-        for name, corruption in self.instances:
-            out.append((name, synth.LabelModel(
-                self.label_model.planted_w, self.label_model.activation_tag,
-                corruption=corruption, label_space=self.label_model.label_space,
-                clip=self.label_model.clip)))
-        return out
+    def units(self):
+        """The units in (instance, seed, learner) order, named
+        ``<instance>_s<seed>``; without instances the instance is ``base``."""
+        lm = self.label_model
+        models = [(name, replace(lm, corruption=corruption))
+                  for name, corruption in self.instances] or [("base", lm)]
+        return [Unit(f"{name}_s{seed}", self.marginal, model, self.n_train,
+                     self.n_eval, seed, entry, self.checks, self.eps)
+                for name, model in models for seed in self.seeds
+                for entry in self.learners]
+
+
+@dataclass(frozen=True)
+class Unit:
+    """One pass of ``acceptance.run_unit``; ``entry`` is a parsed learner
+    entry and ``checks`` lists ``(kind, tags)`` pairs."""
+    instance: str
+    marginal: synth.MarginalSpec
+    model: synth.LabelModel
+    n_train: int
+    n_eval: int
+    seed: int
+    entry: dict
+    checks: list
+    eps: float
 
 
 def _require(mapping, key, where):
@@ -204,18 +218,29 @@ def parse_config(obj):
     eps = _convert(_number, obj.get("eps", 0.05), "eps", "config")
     if not eps >= 0.0:
         raise ConfigError(f"'eps' in config must be non-negative, not {eps!r}")
+    seeds = [_convert(_count, s, f"seeds[{i}]", "config")
+             for i, s in enumerate(seeds)]
     instances = []
     for inst in obj.get("instances", []):
         name = _require(inst, "name", "instances[]")
         instances.append((name, _corruption_from(inst.get("corruption"))))
+    # rows are keyed by instance, seed and learner name: a repeat would
+    # overwrite the rows of an earlier unit
+    for what, values in (("learner name", [e["name"] for e in entries]),
+                         ("instance name", [n for n, _ in instances]),
+                         ("seed", seeds)):
+        dup = next((v for i, v in enumerate(values) if v in values[:i]), None)
+        if dup is not None:
+            raise ConfigError(f"duplicate {what} {dup!r}")
+    n_train = _convert(_count, data.get("n_train", 20000), "n_train", "data")
+    for i, e in enumerate(entries):
+        if "bucket_width" in e and round(1.0 / e["bucket_width"]) > n_train:
+            raise ConfigError(f"'bucket_width' in learners[{i}] gives more "
+                              f"buckets than n_train = {n_train} can fill")
     return ExperimentConfig(
-        marginal=marginal, label_model=label_model,
-        n_train=_convert(_count, data.get("n_train", 20000), "n_train", "data"),
+        marginal=marginal, label_model=label_model, n_train=n_train,
         n_eval=_convert(_count, data.get("n_eval", 50000), "n_eval", "data"),
-        learners=entries, pairs=pairs, checks=checks,
-        eps=eps,
-        seeds=[_convert(_count, s, f"seeds[{i}]", "config")
-               for i, s in enumerate(seeds)],
+        learners=entries, pairs=pairs, checks=checks, eps=eps, seeds=seeds,
         instances=instances)
 
 

@@ -416,7 +416,7 @@ def _pconcept_check(p, dataset, seed=0):
 # predictions, their ErrorReport, the evaluation sample, the norm bound B,
 # the sqrt-opt slack eps, the unit's seed, the extra premise candidates and
 # then the activation tags, and returns a BoundCheck carrying the theorem
-# tag, which keys the rows of a resumed sweep.  ``acceptance.check_rows`` is
+# tag, which keys the rows of a resumed sweep.  ``acceptance.run_unit`` is
 # the one caller.
 CHECKS = {
     "sim_sqrt": ("sim_sqrt_transfer", 0,

@@ -13,7 +13,7 @@ import sys
 import numpy as np
 import pytest
 
-from simlearn import acceptance, learners, synth, transfer
+from simlearn import acceptance, config, learners, synth, transfer
 from simlearn.errors import InvalidInputError
 
 SEED = acceptance.DEFAULT_SEED
@@ -186,6 +186,20 @@ def test_criterion_05_names_nonconverged_learners(suite, monkeypatch):
     assert res.passed == suite[5].passed
     assert acceptance.rows_to_csv(res.rows) \
         == acceptance.rows_to_csv(suite[5].rows)
+
+
+def test_transfer_criteria_train_once_per_unit(monkeypatch):
+    # criteria 5, 6 and 9 train through the unit runner, once per unit
+    calls = []
+    train = config.train_learner
+    monkeypatch.setattr(config, "train_learner",
+                        lambda *args: calls.append(args[0]) or train(*args))
+    counts = {}
+    for number in (5, 6, 9):
+        calls.clear()
+        acceptance.CRITERIA[number](SEED)
+        counts[number] = len(calls)
+    assert counts == {5: 4, 6: 9, 9: 5}
 
 
 def _squared_without_sqrt_term(opt_hat, B, C, eps_hat):

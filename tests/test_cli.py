@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -225,9 +226,8 @@ def test_unit_rows_carry_the_check_table_tag(check, marginal, label_space):
     cfg["data"].update(marginal=marginal, n_train=1000, n_eval=1000)
     cfg["data"]["label_model"]["label_space"] = label_space
     cfg["learners"][0]["iters"] = 20
-    parsed = config.parse_config(cfg)
-    (row,) = cli._run_instance((parsed, "base", parsed.label_model, 1,
-                                parsed.learners[0]))
+    (unit,) = config.parse_config(cfg).units()
+    (row,) = cli._run_instance(unit)
     assert row.theorem == transfer.CHECKS[check.split(":")[0]][0]
     assert set(transfer.CHECKS) == {"sim_sqrt", "bilipschitz", "general",
                                     "logistic_squared", "logistic_absolute",
@@ -269,6 +269,111 @@ def test_experiment_workers_match_serial(tmp_path):
     cli.main(["experiment", "--config", cfg_path, "--out", str(b),
               "--workers", "2"])
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_experiment_pool_is_no_larger_than_the_units(tmp_path, monkeypatch):
+    # a recorder in place of the pool: it maps serially, so no process starts
+    sizes = []
+
+    class Recorder:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", Recorder)
+    cfg = base_config(seeds=[1, 2])
+    cfg["data"].update(n_train=500, n_eval=500)
+    cfg_path = write_config(tmp_path, cfg)
+    for workers, expected in (("8", [2]), ("2", [2]), ("1", [])):
+        sizes.clear()
+        assert cli.main(["experiment", "--config", cfg_path, "--out",
+                         str(tmp_path / "x.csv"), "--workers", workers]) == 0
+        assert sizes == expected
+
+
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_experiment_rejects_fewer_than_one_worker(tmp_path, capsys, workers):
+    out = tmp_path / "x.csv"
+    assert cli.main(["experiment", "--config",
+                     write_config(tmp_path, base_config()), "--out", str(out),
+                     "--workers", workers]) == 2
+    assert "--workers" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mutate, needle", [
+    (lambda c: c.update(learners=[
+        {"algorithm": "glmtron", "activation": "sigmoid", "norm_bound": 2.0},
+        {"algorithm": "glmtron", "activation": "identity_clamped",
+         "norm_bound": 2.0}]), "duplicate learner name 'glmtron'"),
+    (lambda c: c.update(seeds=[1, 1]), "duplicate seed 1"),
+    (lambda c: c.update(instances=[instance("none"), instance("none")]),
+     "duplicate instance name 'none'"),
+], ids=["learner", "seed", "instance"])
+def test_experiment_rejects_duplicate_unit_keys(tmp_path, capsys, mutate,
+                                                needle):
+    # rows are keyed by instance, seed and learner name: a repeat would
+    # overwrite an earlier unit's rows
+    cfg = base_config()
+    mutate(cfg)
+    out = tmp_path / "x.csv"
+    assert cli.main(["experiment", "--config", write_config(tmp_path, cfg),
+                     "--out", str(out)]) == 2
+    assert needle in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_units_run_in_instance_seed_learner_order():
+    cfg = base_config(seeds=[3, 1], learners=[
+        {"name": "a", "algorithm": "logistic", "norm_bound": 1.0},
+        {"name": "b", "algorithm": "logistic", "norm_bound": 2.0}])
+    assert [(u.instance, u.entry["name"], u.seed)
+            for u in config.parse_config(cfg).units()] == [
+        ("base_s3", "a", 3), ("base_s3", "b", 3),
+        ("base_s1", "a", 1), ("base_s1", "b", 1)]
+    cfg["instances"] = [instance("none"),
+                        instance("flip_region", mass=0.1)]
+    units = config.parse_config(cfg).units()
+    assert [(u.instance, u.entry["name"]) for u in units] == [
+        (f"{inst}_s{seed}", name) for inst in ("none", "flip_region")
+        for seed in (3, 1) for name in ("a", "b")]
+    assert [u.model.corruption.kind for u in units[::4]] == [
+        "none", "flip_region"]
+
+
+def test_experiment_timing_writes_one_training_time_per_unit(tmp_path,
+                                                             monkeypatch):
+    # a training step of at least 5 ms, so every recorded time is non-zero
+    train = config.train_learner
+
+    def slow(*args):
+        time.sleep(0.005)
+        return train(*args)
+
+    monkeypatch.setattr(config, "train_learner", slow)
+    cfg = base_config(checks=["sim_sqrt", "pconcept"], seeds=[1, 2])
+    cfg["data"].update(n_train=500, n_eval=500)
+    cfg_path = write_config(tmp_path, cfg)
+    plain, timed = tmp_path / "plain.csv", tmp_path / "timed.csv"
+    assert cli.main(["experiment", "--config", cfg_path,
+                     "--out", str(plain)]) == 0
+    assert cli.main(["experiment", "--config", cfg_path, "--out", str(timed),
+                     "--timing"]) == 0
+    rows = read_rows(timed)
+    assert [r[:-1] + ["0"] for r in rows] == read_rows(plain)
+    per_unit = {}
+    for r in rows:
+        per_unit.setdefault((r[0], r[1]), set()).add(int(r[-1]))
+    assert len(per_unit) == 2 and len(rows) == 4
+    assert all(len(ms) == 1 and min(ms) >= 5 for ms in per_unit.values())
 
 
 def test_experiment_unknown_check(tmp_path):
@@ -388,6 +493,18 @@ def test_experiment_rejects_malformed_numbers(tmp_path, capsys, mutate, key):
 def test_bucket_widths_that_tile_the_unit_interval_are_taken(width):
     cfg = base_config(learners=[omni_entry(bucket_width=width)])
     assert config.parse_config(cfg).learners[0]["bucket_width"] == width
+
+
+def test_bucket_width_is_bounded_by_what_the_sample_fills(tmp_path, capsys):
+    # 40,000 buckets for 2,000 training samples
+    cfg = base_config(learners=[omni_entry(bucket_width=1 / 40_000)])
+    out = tmp_path / "x.csv"
+    assert cli.main(["experiment", "--config", write_config(tmp_path, cfg),
+                     "--out", str(out)]) == 2
+    assert "'bucket_width' in learners[0]" in capsys.readouterr().err
+    assert not out.exists()
+    cfg["learners"] = [omni_entry(bucket_width=1 / 2000)]
+    assert config.parse_config(cfg).learners[0]["bucket_width"] == 1 / 2000
 
 
 @pytest.mark.parametrize("where, key, parsed", [
