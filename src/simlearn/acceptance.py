@@ -66,13 +66,12 @@ def run_unit(unit):
     train_ms = int((time.time() - t0) * 1000)
     p = pred.predict(ev.features)
     report = transfer.evaluate(p, ev)
-    extra = [pred.w] if hasattr(pred, "w") else []
     out = []
     for kind, tags in unit.checks:
         try:
             chk = transfer.CHECKS[kind][2](p, report, ev,
                                            unit.entry["norm_bound"], unit.eps,
-                                           unit.seed, extra, *tags)
+                                           unit.seed, *tags)
         except (InvalidInputError, NoConvergenceError):
             chk = transfer.BoundCheck(
                 f"{kind}_inapplicable", 0.0, 0.0, -1.0, False,
@@ -85,15 +84,28 @@ def run_unit(unit):
     return pred, out, train_ms
 
 
-def _run_table(units, gate=lambda chk: True):
+def _premise_row(instance, learner, opt_hat, theorem, eps, gap):
+    """A premise gap against its allowance ``eps``: slack ``eps - gap``."""
+    return Row(instance, learner, opt_hat, None, None, theorem, eps,
+               eps - gap, gap)
+
+
+def _run_table(units, gate=lambda chk: True, premise_eps=None):
     """Run units of one check each: whether every check passed and meets
     ``gate``, the rows in unit order, and the instances whose learner did
-    not converge (reported, not gated)."""
+    not converge (reported, not gated).  With ``premise_eps``, a check's
+    row is followed by a ``<kind>_premise`` row gating its ``eps_hat``."""
     ok, rows, nonconv = True, [], []
     for unit in units:
         pred, [(chk, row)], _ = run_unit(unit)
         ok &= chk.passed and gate(chk)
         rows.append(row)
+        # an inapplicable check measured no premise and has failed already
+        if premise_eps is not None and "eps_hat" in chk.params:
+            rows.append(_premise_row(row.instance, row.learner, row.opt_hat,
+                                     f"{unit.checks[0][0]}_premise",
+                                     premise_eps, chk.params["eps_hat"]))
+            ok &= rows[-1].slack >= 0.0
         if not pred.converged:
             nonconv.append(row.instance)
     return ok, rows, nonconv
@@ -296,6 +308,11 @@ def criterion_4(seed=DEFAULT_SEED):
 # ---------------------------------------------------------------------------
 
 
+# eps_hat over seeds 1-20, 777, 20250: at most 1.1e-5 trained; at least
+# 3.1e-3 for a constant 0.5 and 4.6e-5 for a fit to shuffled labels
+PREMISE_EPS_5 = 2e-5
+
+
 def criterion_5(seed=DEFAULT_SEED):
     t0 = time.time()
     spec = synth.MarginalSpec("standard_gaussian", 4, scale=0.35,
@@ -315,7 +332,7 @@ def criterion_5(seed=DEFAULT_SEED):
             synth.LabelModel(tuple(w), act_tag, corruption=corr), 20_000,
             100_000, seed + 42, entry, [("bilipschitz", (act_tag,))], None)
             for opt_name, corr in opts]
-    ok, rows, nonconv = _run_table(units)
+    ok, rows, nonconv = _run_table(units, premise_eps=PREMISE_EPS_5)
     return CriterionResult(5, "bi-Lipschitz transfer", bool(ok),
                            time.time() - t0, 300.0, {"nonconverged": nonconv},
                            rows)
@@ -381,17 +398,13 @@ def criterion_7(seed=DEFAULT_SEED):
     p = omni.predict(ev.features)
     rows, ok = [], True
     for pair in fenchel.default_registered_pairs():
-        gate = fenchel.registration_gate(pair)
-        # against the empirical minimiser over the ball, raw_slack is the
-        # exact empirical premise gap
-        ball_min = learners.train_matching_gd(ev, pair, B)
-        prem = transfer.measure_premise(p, ev, pair, B, [ball_min.w])
-        good = (gate.ok and ball_min.converged
-                and prem.raw_slack <= SIMULTANEITY_EPS)
-        ok &= good
-        rows.append(Row("realizable_sigmoid", f"omni/{pair.tag}", 0.0, None,
-                        None, "omni_simultaneity", SIMULTANEITY_EPS,
-                        SIMULTANEITY_EPS - prem.raw_slack, prem.raw_slack))
+        try:
+            gap = transfer.measure_premise(p, ev, pair, B).raw_slack
+        except NoConvergenceError:
+            gap = math.inf    # an uncertified comparator proves nothing
+        rows.append(_premise_row("realizable_sigmoid", f"omni/{pair.tag}", 0.0,
+                                 "omni_simultaneity", SIMULTANEITY_EPS, gap))
+        ok &= fenchel.registration_gate(pair).ok and rows[-1].slack >= 0.0
     return CriterionResult(7, "omnipredictor simultaneity", bool(ok),
                            time.time() - t0, 300.0,
                            {"max_eps_report": max(r.c_report for r in rows),
@@ -461,6 +474,11 @@ def _rhs_matches_decimal(chk):
         return abs(Decimal(chk.rhs) - exact) <= Decimal("1e-12") * exact
 
 
+# eps_hat over seeds 1-20, 777, 20250: at most 2.7e-4 trained; at least
+# 1.2e-3 for a constant 0.5 and 9.1e-4 for a fit to shuffled labels
+PREMISE_EPS_9 = 8e-4
+
+
 def criterion_9(seed=DEFAULT_SEED):
     t0 = time.time()
     n_train, n_eval = 20_000, 100_000
@@ -479,7 +497,7 @@ def criterion_9(seed=DEFAULT_SEED):
             [("logistic_squared", ())], None)
          for mass, nm in [(0.016, "opt.01"), (0.16, "opt.1")]],
         lambda chk: (chk.extras.get("tail_pass", True)
-                     and _rhs_matches_decimal(chk)))
+                     and _rhs_matches_decimal(chk)), PREMISE_EPS_9)
 
     # closed-form Gaussian tail spot check at r=2, B=1
     s_planted = math.sqrt(0.5)  # score std: ||w*|| = 1 on a var-1/2 marginal
@@ -505,9 +523,11 @@ def criterion_9(seed=DEFAULT_SEED):
             label_space="binary", corruption=corr),
             n_train, n_eval, seed + 97, logistic(B),
             [("logistic_absolute", ())], None)
-         for B, corr, nm in abs_cases], _rhs_matches_decimal)
-    # c_needed; an inapplicable check has none and has failed already
-    c_abs = max(row.c_report or 0.0 for row in abs_rows)
+         for B, corr, nm in abs_cases], _rhs_matches_decimal, PREMISE_EPS_9)
+    # c_needed of the transfer rows; an inapplicable check has none and has
+    # failed already
+    c_abs = max((row.c_report for row in abs_rows
+                 if row.theorem == "logistic_absolute_transfer"), default=0.0)
     ok &= abs_ok and c_abs <= 20.0  # regression guard, not a derived constant
     return CriterionResult(9, "logistic bound formulas", bool(ok),
                            time.time() - t0, 300.0,

@@ -79,6 +79,13 @@ def _number(value):
     return float(value)
 
 
+def _text(value):
+    """A JSON string; anything else is a TypeError."""
+    if not isinstance(value, str):
+        raise TypeError(f"{value!r} is not a JSON string")
+    return value
+
+
 def _count(value):
     """A size, count or seed: a non-negative integral JSON number, as int."""
     if not _number(value).is_integer() or value < 0:
@@ -95,7 +102,7 @@ def _convert(kind, value, key, where):
     try:
         return kind(value)
     except (TypeError, ValueError, OverflowError) as exc:
-        expected = {_flag: "true or false",
+        expected = {_flag: "true or false", _text: "a string",
                     _count: "a non-negative integer"}.get(kind, "a number")
         raise ConfigError(f"{key!r} in {where} must be {expected}, "
                           f"not {value!r}") from exc
@@ -168,7 +175,7 @@ def _learner_entry(obj, idx):
             raise ConfigError(f"unknown key {key!r} in {where} "
                               f"(algorithm {algo!r})")
     entry = dict(obj)
-    entry.setdefault("name", algo)
+    entry["name"] = _convert(_text, obj.get("name", algo), "name", where)
     if needs_activation:
         _activation_tag(_require(obj, "activation", where))
     entry["norm_bound"] = _convert(_number, _require(obj, "norm_bound", where),
@@ -221,13 +228,17 @@ def parse_config(obj):
     seeds = [_convert(_count, s, f"seeds[{i}]", "config")
              for i, s in enumerate(seeds)]
     instances = []
-    for inst in obj.get("instances", []):
-        name = _require(inst, "name", "instances[]")
+    for i, inst in enumerate(obj.get("instances", [])):
+        where = f"instances[{i}]"
+        name = _convert(_text, _require(inst, "name", where), "name", where)
         instances.append((name, _corruption_from(inst.get("corruption"))))
-    # rows are keyed by instance, seed and learner name: a repeat would
+    # rows are keyed by instance, seed and learner name as a CSV row writes
+    # them (acceptance.Row.render turns "," into ";"): a repeat would
     # overwrite the rows of an earlier unit
-    for what, values in (("learner name", [e["name"] for e in entries]),
-                         ("instance name", [n for n, _ in instances]),
+    for what, values in (("learner name",
+                          [e["name"].replace(",", ";") for e in entries]),
+                         ("instance name",
+                          [n.replace(",", ";") for n, _ in instances]),
                          ("seed", seeds)):
         dup = next((v for i, v in enumerate(values) if v in values[:i]), None)
         if dup is not None:

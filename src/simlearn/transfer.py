@@ -8,10 +8,11 @@ assemble each bound's right-hand side from measured quantities:
 * the certified optimum upper bound recorded by the dataset generator
   (every right-hand side is increasing in opt, so an upper bound preserves
   the direction of the test), and
-* a measured premise slack ``eps_hat``: the empirical matching loss of the
-  predictor minus the best over a candidate set of norm-bounded linear
-  functions (the planted weights and the caller's candidates, such as the
-  learner's own weights or the empirical minimiser over the ball).
+* the premise gap ``eps_hat``: the predictor's empirical matching loss
+  minus that of the comparator, the loss's minimiser over the norm-B ball
+  on the same sample (:func:`learners.train_matching_gd`), whose
+  Frank-Wolfe certificate puts ``eps_hat`` within ``learners.GAP_TOL`` =
+  1e-12 of the exact empirical premise gap.
 
 Functions take the predictions ``p`` on ``dataset.features``, so a caller
 predicts once per sample; the bound checks also take the
@@ -30,8 +31,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import fenchel
-from .errors import InvalidInputError
+from . import fenchel, learners
+from .errors import InvalidInputError, NoConvergenceError
 
 CHECK_TOL = 1e-6
 OPT_FLOOR = 1e-6
@@ -113,36 +114,30 @@ def linear_matching_losses(dataset, pair, W):
 @dataclass
 class PremiseEstimate:
     predictor_loss: float
-    best_candidate_loss: float
-    best_source: str
-    eps_hat: float          # max(0, predictor_loss - best_candidate_loss)
-    raw_slack: float        # predictor_loss - best_candidate_loss, signed
+    comparator_loss: float
+    best_source: str  # "ball_minimiser"; tracer-only, ROADMAP item 1 drops it
+    eps_hat: float          # max(0, predictor_loss - comparator_loss)
+    raw_slack: float        # predictor_loss - comparator_loss, signed
 
 
-def measure_premise(p, dataset, pair, B, extra_candidates=()):
-    """Measured surrogate for the matching-loss near-optimality premise.
+def measure_premise(p, dataset, pair, B):
+    """The matching-loss premise gap of the predictions ``p``.
 
-    The population minimum over the norm-B ball is unobservable; the best of
-    the candidates in the ball (the planted weights and
-    ``extra_candidates``) is an upper bound for it, making the resulting
-    ``eps_hat`` a stringent (smaller-is-harder) surrogate that more
-    candidates can only tighten.  With the empirical minimiser over the
-    ball as a candidate, ``raw_slack`` is the exact empirical premise gap;
-    the signed slack is kept so sampling effects stay visible.
+    The comparator minimises ``pair``'s empirical matching loss over
+    ``||w|| <= B`` on ``dataset`` (:func:`learners.train_matching_gd`); its
+    Frank-Wolfe certificate makes ``raw_slack`` the exact empirical premise
+    gap to within ``learners.GAP_TOL`` = 1e-12, and ``eps_hat`` is its
+    positive part.  The signed slack is kept, since a predictor outside the
+    linear class can beat the ball.  Raises NoConvergenceError when the
+    comparator misses its certificate.
     """
     pred_loss = _matching_loss(pair, _predictions(p, dataset), dataset.labels)
-    cands = {}    # source -> weights
-    model = dataset.label_model
-    if model is not None and model.w.size == dataset.d:
-        cands["planted"] = model.w
-    cands.update((f"extra_{i}", np.asarray(w, dtype=float))
-                 for i, w in enumerate(extra_candidates))
-    if not cands:
-        raise InvalidInputError("no candidates to measure the premise against")
-    losses = linear_matching_losses(dataset, pair, list(cands.values()))
-    k = int(np.argmin(losses))
-    best = float(losses[k])
-    return PremiseEstimate(pred_loss, best, list(cands)[k],
+    ball_min = learners.train_matching_gd(dataset, pair, B)
+    if not ball_min.converged:
+        raise NoConvergenceError(
+            f"the {pair.tag} ball minimiser missed its certificate")
+    best = float(linear_matching_losses(dataset, pair, ball_min.w)[0])
+    return PremiseEstimate(pred_loss, best, "ball_minimiser",
                            max(0.0, pred_loss - best), pred_loss - best)
 
 
@@ -187,25 +182,20 @@ def _finish(tag, lhs, rhs, params, extras):
                       bool(slack >= -CHECK_TOL), params, extras)
 
 
-def check_bilipschitz_transfer(p, report, dataset, pair, B,
-                               extra_candidates=()):
+def check_bilipschitz_transfer(p, report, dataset, pair, B):
     """err2 <= (beta/alpha) * opt_hat + 2 beta * eps_hat, bi-Lipschitz pairs."""
     if pair.alpha <= 0.0:
         raise InvalidInputError(
             f"pair {pair.tag} is not bi-Lipschitz; the transfer is inapplicable")
     opt_hat = _certified_opt(dataset)
-    premise = measure_premise(p, dataset, pair, B, extra_candidates)
-    eps_hat = premise.eps_hat
+    eps_hat = measure_premise(p, dataset, pair, B).eps_hat
     rhs = (pair.beta / pair.alpha) * opt_hat + 2.0 * pair.beta * eps_hat
     params = {"pair": pair.tag, "alpha": pair.alpha, "beta": pair.beta,
-              "B": B, "opt_hat": opt_hat, "eps_hat": float(eps_hat)}
-    extras = {"premise_raw_slack": premise.raw_slack,
-              "premise_best_source": premise.best_source}
-    return _finish("bilipschitz_transfer", report.err2, rhs, params, extras)
+              "B": B, "opt_hat": opt_hat, "eps_hat": eps_hat}
+    return _finish("bilipschitz_transfer", report.err2, rhs, params, {})
 
 
-def check_general_activation_transfer(p, report, dataset, g_pair, phi_pair,
-                                      B, extra_candidates=()):
+def check_general_activation_transfer(p, report, dataset, g_pair, phi_pair, B):
     """Transfer through a bi-Lipschitz stand-in phi' for a general activation.
 
     err2 <= (2 beta/alpha) opt_hat + (2 beta/alpha) E[(g'(w*.x) - phi'(w*.x))^2]
@@ -220,17 +210,14 @@ def check_general_activation_transfer(p, report, dataset, g_pair, phi_pair,
     w_star = dataset.label_model.w
     s = dataset.features @ w_star
     approx = float(np.mean((g_pair.g_prime(s) - phi_pair.g_prime(s)) ** 2))
-    premise = measure_premise(p, dataset, phi_pair, B, extra_candidates)
-    eps_hat = premise.eps_hat
+    eps_hat = measure_premise(p, dataset, phi_pair, B).eps_hat
     ratio = 2.0 * phi_pair.beta / phi_pair.alpha
     rhs = ratio * opt_hat + ratio * approx + 2.0 * phi_pair.beta * eps_hat
     params = {"g_pair": g_pair.tag, "phi_pair": phi_pair.tag,
               "alpha": phi_pair.alpha, "beta": phi_pair.beta, "B": B,
-              "opt_hat": opt_hat, "eps_hat": float(eps_hat)}
-    extras = {"approximation_term": approx,
-              "premise_raw_slack": premise.raw_slack}
+              "opt_hat": opt_hat, "eps_hat": eps_hat}
     return _finish("general_activation_transfer", report.err2, rhs, params,
-                   extras)
+                   {"approximation_term": approx})
 
 
 def sim_bound_rhs(opt_hat, B, lam, eps, c_report):
@@ -287,7 +274,7 @@ def _require_concentration(dataset, gamma):
     return conc
 
 
-def check_logistic_squared(p, report, dataset, B, extra_candidates=()):
+def check_logistic_squared(p, report, dataset, B):
     """Squared-error bound for approximate logistic-loss minimizers.
 
     Requires a subgaussian-declared marginal.  Also reports the intermediate
@@ -299,8 +286,7 @@ def check_logistic_squared(p, report, dataset, B, extra_candidates=()):
     opt_hat = _certified_opt(dataset)
     degenerate = opt_hat < OPT_FLOOR
     opt_eff = max(opt_hat, OPT_FLOOR)
-    premise = measure_premise(p, dataset, pair, B, extra_candidates)
-    eps_hat = premise.eps_hat
+    eps_hat = measure_premise(p, dataset, pair, B).eps_hat
     rhs = logistic_squared_rhs(opt_eff, B, LOGISTIC_C, eps_hat)
     growth = opt_eff * math.exp(B ** 2 + math.sqrt(B ** 2 * math.log(1.0 / opt_eff)))
     c_needed = max(0.0, (report.err2 - 2.0 * eps_hat) / growth)
@@ -314,9 +300,7 @@ def check_logistic_squared(p, report, dataset, B, extra_candidates=()):
             + 8.0 * TAIL_C * math.exp(B ** 2) * math.exp(r) * math.exp(-(r / B) ** 2)
         extras.update({"tail_lhs": tail_lhs, "tail_rhs": tail_rhs, "tail_r": r,
                        "tail_pass": bool(tail_lhs <= tail_rhs + CHECK_TOL)})
-    extras["premise_raw_slack"] = premise.raw_slack
-    params = {"B": B, "C": LOGISTIC_C, "opt_hat": opt_hat,
-              "eps_hat": float(eps_hat)}
+    params = {"B": B, "C": LOGISTIC_C, "opt_hat": opt_hat, "eps_hat": eps_hat}
     return _finish("logistic_squared_transfer", report.err2, rhs, params,
                    extras)
 
@@ -330,7 +314,7 @@ def planted_absolute_error(dataset):
     return float(np.mean(np.abs(dataset.labels - planted)))
 
 
-def check_logistic_absolute(p, report, dataset, B, extra_candidates=()):
+def check_logistic_absolute(p, report, dataset, B):
     """Absolute-error bound for approximate logistic-loss minimizers on
     binary labels over a subexponential-declared marginal."""
     if dataset.label_space != "binary":
@@ -340,15 +324,12 @@ def check_logistic_absolute(p, report, dataset, B, extra_candidates=()):
     opt1 = planted_absolute_error(dataset)
     degenerate = opt1 < OPT_FLOOR
     opt_eff = max(opt1, OPT_FLOOR)
-    premise = measure_premise(p, dataset, pair, B, extra_candidates)
-    eps_hat = premise.eps_hat
+    eps_hat = measure_premise(p, dataset, pair, B).eps_hat
     rhs = logistic_absolute_rhs(opt_eff, B, LOGISTIC_C, eps_hat)
     denom = B * opt_eff * math.log(1.0 / opt_eff)
     c_needed = max(0.0, (report.err1 - eps_hat) / denom) if denom > 0 else math.inf
-    extras = {"c_needed": c_needed, "degenerate_opt": degenerate,
-              "premise_raw_slack": premise.raw_slack}
-    params = {"B": B, "C": LOGISTIC_C, "opt1_hat": opt1,
-              "eps_hat": float(eps_hat)}
+    extras = {"c_needed": c_needed, "degenerate_opt": degenerate}
+    params = {"B": B, "C": LOGISTIC_C, "opt1_hat": opt1, "eps_hat": eps_hat}
     return _finish("logistic_absolute_transfer", report.err1, rhs, params,
                    extras)
 
@@ -414,30 +395,29 @@ def _pconcept_check(p, dataset, seed=0):
 # names a check as ``kind`` followed by that many ``:tag`` parts, which
 # ``config.parse_config`` splits into ``(kind, tags)``.  A runner takes the
 # predictions, their ErrorReport, the evaluation sample, the norm bound B,
-# the sqrt-opt slack eps, the unit's seed, the extra premise candidates and
-# then the activation tags, and returns a BoundCheck carrying the theorem
-# tag, which keys the rows of a resumed sweep.  ``acceptance.run_unit`` is
-# the one caller.
+# the sqrt-opt slack eps, the unit's seed and then the activation tags, and
+# returns a BoundCheck carrying the theorem tag, which keys the rows of a
+# resumed sweep.  ``acceptance.run_unit`` is the one caller.
 CHECKS = {
     "sim_sqrt": ("sim_sqrt_transfer", 0,
-                 lambda p, rep, ds, B, eps, seed, extra:
+                 lambda p, rep, ds, B, eps, seed:
                  check_sim_bound(rep, ds, B, ds.second_moment, eps)),
     "bilipschitz": ("bilipschitz_transfer", 1,
-                    lambda p, rep, ds, B, eps, seed, extra, tag:
+                    lambda p, rep, ds, B, eps, seed, tag:
                     check_bilipschitz_transfer(
-                        p, rep, ds, fenchel.pair_from_tag(tag), B, extra)),
+                        p, rep, ds, fenchel.pair_from_tag(tag), B)),
     "general": ("general_activation_transfer", 2,
-                lambda p, rep, ds, B, eps, seed, extra, g_tag, phi_tag:
+                lambda p, rep, ds, B, eps, seed, g_tag, phi_tag:
                 check_general_activation_transfer(
                     p, rep, ds, fenchel.pair_from_tag(g_tag),
-                    fenchel.pair_from_tag(phi_tag), B, extra)),
+                    fenchel.pair_from_tag(phi_tag), B)),
     "logistic_squared": ("logistic_squared_transfer", 0,
-                         lambda p, rep, ds, B, eps, seed, extra:
-                         check_logistic_squared(p, rep, ds, B, extra)),
+                         lambda p, rep, ds, B, eps, seed:
+                         check_logistic_squared(p, rep, ds, B)),
     "logistic_absolute": ("logistic_absolute_transfer", 0,
-                          lambda p, rep, ds, B, eps, seed, extra:
-                          check_logistic_absolute(p, rep, ds, B, extra)),
+                          lambda p, rep, ds, B, eps, seed:
+                          check_logistic_absolute(p, rep, ds, B)),
     "pconcept": ("pconcept_identity", 0,
-                 lambda p, rep, ds, B, eps, seed, extra:
+                 lambda p, rep, ds, B, eps, seed:
                  _pconcept_check(p, ds, seed=seed)),
 }

@@ -33,11 +33,15 @@ def test_tracer_wraps_every_hook_and_restores_it():
             "probe", synth.MarginalSpec("standard_gaussian", 3),
             synth.LabelModel((0.5, 0.0, 0.0), "sigmoid"), 200, 200, 1,
             {"name": "logistic", "algorithm": "logistic", "norm_bound": 1.0},
-            [("sim_sqrt", ())], 0.05))
+            [("sim_sqrt", ()), ("bilipschitz", ("identity",))], 0.05))
     finally:
         tracer.uninstall()
-    assert tracer.totals()["transfer.check_sim_bound"][0] == 1
-    assert tracer.totals()["config.train_learner"][0] == 1
+    totals = tracer.totals()
+    assert totals["transfer.check_sim_bound"][0] == 1
+    assert totals["config.train_learner"][0] == 1
+    # the premise hook reads the PremiseEstimate of a matching-loss check
+    assert totals["transfer.measure_premise"][0] == 1
+    assert totals["learners.train_matching_gd"][0] >= 1
     assert all(vars(owner)[name] is original
                for owner, name, original in patched)
 

@@ -317,7 +317,17 @@ def test_experiment_rejects_fewer_than_one_worker(tmp_path, capsys, workers):
     (lambda c: c.update(seeds=[1, 1]), "duplicate seed 1"),
     (lambda c: c.update(instances=[instance("none"), instance("none")]),
      "duplicate instance name 'none'"),
-], ids=["learner", "seed", "instance"])
+    # a row writes "," as ";", so these names would write the same rows
+    (lambda c: c.update(learners=[
+        {"name": "a,b", "algorithm": "logistic", "norm_bound": 1.0},
+        {"name": "a;b", "algorithm": "logistic", "norm_bound": 2.0}]),
+     "duplicate learner name 'a;b'"),
+    (lambda c: c.update(instances=[
+        {"name": "x,y", "corruption": {"kind": "none"}},
+        {"name": "x;y", "corruption": {"kind": "none"}}]),
+     "duplicate instance name 'x;y'"),
+], ids=["learner", "seed", "instance", "learner_separator",
+        "instance_separator"])
 def test_experiment_rejects_duplicate_unit_keys(tmp_path, capsys, mutate,
                                                 needle):
     # rows are keyed by instance, seed and learner name: a repeat would
@@ -328,6 +338,23 @@ def test_experiment_rejects_duplicate_unit_keys(tmp_path, capsys, mutate,
     assert cli.main(["experiment", "--config", write_config(tmp_path, cfg),
                      "--out", str(out)]) == 2
     assert needle in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mutate, key", [
+    (lambda c: c["learners"][0].update(name=5), "'name' in learners[0]"),
+    (lambda c: c.update(instances=[instance("none"), {
+        "name": 5, "corruption": {"kind": "none"}}]),
+     "'name' in instances[1]"),
+], ids=["learner", "instance"])
+def test_experiment_rejects_names_that_are_not_strings(tmp_path, capsys,
+                                                       mutate, key):
+    cfg = base_config()
+    mutate(cfg)
+    out = tmp_path / "x.csv"
+    assert cli.main(["experiment", "--config", write_config(tmp_path, cfg),
+                     "--out", str(out)]) == 2
+    assert f"{key} must be a string" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from simlearn import fenchel, learners, synth, transfer
-from simlearn.errors import InvalidInputError
+from simlearn.errors import InvalidInputError, NoConvergenceError
 
 
 def planted_dataset(act="sigmoid", n=20_000, seed=5, d=5, B=2.0, **kw):
@@ -83,26 +83,44 @@ def test_premise_planted_predictor_is_optimal():
     ds = planted_dataset(n=30_000)
     pair = fenchel.pair_from_tag("sigmoid")
     prem = transfer.measure_premise(planted_predictions(ds), ds, pair, 2.0)
-    # realizable: the planted scores minimize the loss pointwise
-    assert prem.raw_slack <= 1e-10
+    # realizable: the planted scores minimize the loss pointwise, so no
+    # point of the ball does better
     assert prem.eps_hat <= 1e-12
-    assert prem.best_source == "planted"
+    assert abs(prem.raw_slack) <= 1e-12
 
 
-def test_premise_extra_candidates_only_lower_the_bar():
+def test_premise_ball_minimiser_is_at_least_as_strict_as_the_planted_weights():
     ds = planted_dataset(n=10_000, corruption=synth.Corruption(
         "flip_region", mass=0.1))
     pair = fenchel.pair_from_tag("sigmoid")
     p = learners.train_glmtron(ds, "sigmoid", 2.0, iters=10).predict(ds.features)
-    ball_min = learners.train_matching_gd(ds, pair, 2.0)
-    assert ball_min.converged
-    few = transfer.measure_premise(p, ds, pair, 2.0)
-    many = transfer.measure_premise(p, ds, pair, 2.0, [ball_min.w])
-    # on its own sample the empirical minimiser beats the planted weights
-    assert few.best_source == "planted" and many.best_source == "extra_0"
-    assert many.best_candidate_loss < few.best_candidate_loss
-    assert many.eps_hat >= few.eps_hat
-    assert many.predictor_loss == few.predictor_loss
+    prem = transfer.measure_premise(p, ds, pair, 2.0)
+    planted_loss = float(transfer.linear_matching_losses(
+        ds, pair, ds.label_model.w)[0])
+    # on its own sample the ball minimiser beats the planted weights
+    assert prem.comparator_loss < planted_loss
+    assert prem.eps_hat >= max(0.0, prem.predictor_loss - planted_loss)
+    assert prem.eps_hat > 0.0
+
+
+def test_premise_needs_a_certified_comparator(monkeypatch):
+    ds = planted_dataset(n=2000, corruption=synth.Corruption(
+        "flip_region", mass=0.1))
+    monkeypatch.setattr(learners, "NEWTON_STEP_CAP", 0)
+    with pytest.raises(NoConvergenceError):
+        transfer.measure_premise(constant(ds, 0.5), ds,
+                                 fenchel.pair_from_tag("sigmoid"), 2.0)
+
+
+def test_premise_needs_no_label_model():
+    x = synth.sample_marginal(synth.MarginalSpec("standard_gaussian", 3),
+                              2000, 1)
+    y = np.clip(x @ np.array([0.2, -0.1, 0.3]), 0.0, 1.0)
+    ds = synth.Dataset(x, y, "interval", 1)
+    pair = fenchel.pair_from_tag("identity")
+    # the scores of w = 0 lie in the ball, and the labels follow x
+    prem = transfer.measure_premise(constant(ds, 0.0), ds, pair, 1.0)
+    assert prem.eps_hat == prem.raw_slack > 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +143,7 @@ def test_bilipschitz_transfer_realizable():
     pred = learners.train_matching_gd(ds, pair, B)
     p = pred.predict(ds.features)
     chk = transfer.check_bilipschitz_transfer(p, transfer.evaluate(p, ds), ds,
-                                              pair, B, [pred.w])
+                                              pair, B)
     assert chk.passed
     # realizable: the bound collapses to err2 <= 2 beta eps_hat
     assert chk.lhs <= 2.0 * pair.beta * chk.params["eps_hat"] + 1e-6
@@ -261,7 +279,7 @@ def test_logistic_squared_realizable_flags_degenerate():
     pred = learners.train_logistic(ds, 1.0)
     p = pred.predict(ds.features)
     chk = transfer.check_logistic_squared(p, transfer.evaluate(p, ds), ds,
-                                          1.0, [pred.w])
+                                          1.0)
     assert chk.extras["degenerate_opt"]
     assert chk.passed
 
