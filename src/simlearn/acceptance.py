@@ -443,8 +443,7 @@ def criterion_8(seed=DEFAULT_SEED):
                                              ds, seed=seed + 87)
         ok &= rep.within()
         rows.append(Row(name, "pconcept", None, None, rep.err1,
-                        "pconcept_identity", 3.0 * rep.stderr,
-                        3.0 * rep.stderr - rep.gap, None))
+                        "pconcept_identity", rep.bound, rep.slack, None))
     return CriterionResult(8, "p-concept identity", bool(ok),
                            time.time() - t0, 30.0,
                            {"nonconverged": [] if pred.converged

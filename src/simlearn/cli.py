@@ -7,10 +7,12 @@ Subcommands:
   experiment        sweep instances x seeds x learners x checks into a CSV
   verify            run the acceptance suite; exit 0 iff everything passes
 
-Exit codes: 0 success, 2 configuration error, 3 numeric failure (training
-divergence or non-convergence).  CSV artifacts are byte-stable for a fixed
-config and seed; the runtime_ms column is written as 0 unless --timing is
-given, so timing noise never touches the bytes.
+Exit codes: 0 success, 2 malformed input (a library error that is a
+ValueError: a bad config, dataset or argument), 3 numeric failure (one that
+is a RuntimeError: training divergence or non-convergence).  CSV artifacts
+are byte-stable for a fixed config and seed; the runtime_ms column is
+written as 0 unless --timing is given, so timing noise never touches the
+bytes.
 """
 
 from __future__ import annotations
@@ -23,13 +25,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 from . import acceptance, config as config_mod, fenchel, learners, synth, \
     transfer
-from .errors import (
-    ConfigError,
-    DivergenceError,
-    InvalidInputError,
-    NoConvergenceError,
-    SimlearnError,
-)
+from .errors import ConfigError, SimlearnError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -259,14 +255,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        return _fail(EXIT_CONFIG, str(exc))
-    except (DivergenceError, NoConvergenceError) as exc:
-        return _fail(EXIT_NUMERIC, str(exc))
-    except InvalidInputError as exc:
-        return _fail(EXIT_CONFIG, str(exc))
     except SimlearnError as exc:
-        return _fail(EXIT_NUMERIC, str(exc))
+        return _fail(EXIT_CONFIG if isinstance(exc, ValueError)
+                     else EXIT_NUMERIC, str(exc))
 
 
 if __name__ == "__main__":

@@ -3,15 +3,14 @@
 A config describes one data distribution (marginal plus planted label
 model), the learners to train, the evaluation pairs, the bound checks to
 run, and the seeds.  An optional ``instances`` list sweeps corruption
-settings on top of the base label model.
+settings on top of the base label model.  Each JSON object is read against
+one table, which maps its keys to kinds: conversion, domain and error text.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
-
-import numpy as np
 
 from . import fenchel, learners, synth, transfer
 from .errors import ConfigError, InvalidInputError
@@ -23,9 +22,9 @@ SCHEMA_VERSION = 1
 class ExperimentConfig:
     marginal: synth.MarginalSpec
     label_model: synth.LabelModel
-    n_train: int
-    n_eval: int
     learners: list
+    n_train: int = 20000
+    n_eval: int = 50000
     pairs: list = field(default_factory=list)
     checks: list = field(default_factory=lambda: [("sim_sqrt", ())])
     eps: float = 0.05
@@ -59,238 +58,119 @@ class Unit:
     eps: float
 
 
-def _require(mapping, key, where):
-    if key not in mapping:
-        raise ConfigError(f"missing key {key!r} in {where}")
-    return mapping[key]
+@dataclass(frozen=True)
+class Kind:
+    """How a key is read: ``read(value, key, where)`` returns the value, or
+    raises a ConfigError naming ``key`` in ``where``."""
+    read: object
+    required: bool = False
 
 
-def _flag(value):
-    """A JSON ``true`` or ``false``; anything else is a TypeError."""
-    if not isinstance(value, bool):
-        raise TypeError(f"{value!r} is not a JSON boolean")
-    return value
+def _need(kind):
+    return replace(kind, required=True)
 
 
-def _number(value):
-    """A JSON number as a float; a boolean or a string is a TypeError."""
-    if isinstance(value, (bool, str)):
-        raise TypeError(f"{value!r} is not a JSON number")
-    return float(value)
+def _scalar(what, ok, convert=lambda value: value, nullable=False):
+    """The kind of a value ``ok`` accepts, read as ``convert(value)`` (with
+    ``nullable``, a JSON null reads as None); any other must be ``what``."""
+    def read(value, key, where):
+        if nullable and value is None:
+            return None
+        try:
+            if ok(value):
+                return convert(value)
+        except ConfigError:
+            raise
+        except (TypeError, ValueError, LookupError, OverflowError):
+            pass
+        raise ConfigError(f"{key!r} in {where} must be {what}, not {value!r}")
+    return Kind(read)
 
 
-def _text(value):
-    """A JSON string; anything else is a TypeError."""
-    if not isinstance(value, str):
-        raise TypeError(f"{value!r} is not a JSON string")
-    return value
+def _number(what, ok=lambda value: True, convert=float, nullable=False):
+    """The kind of a JSON number (a boolean is not one) that ``ok`` takes."""
+    return _scalar(what, lambda v: type(v) in (int, float) and ok(v), convert,
+                   nullable)
 
 
-def _count(value):
-    """A size, count or seed: a non-negative integral JSON number, as int."""
-    if not _number(value).is_integer() or value < 0:
-        raise ValueError(f"{value!r} is not a non-negative integer")
-    return int(value)
-
-
-def _optional_float(value):
-    return None if value is None else _number(value)
-
-
-def _convert(kind, value, key, where):
-    """``kind(value)``, or a ConfigError that names the key."""
+def _tag(value):
+    """An activation tag, checked by parsing it."""
     try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        expected = {_flag: "true or false", _text: "a string",
-                    _count: "a non-negative integer"}.get(kind, "a number")
-        raise ConfigError(f"{key!r} in {where} must be {expected}, "
-                          f"not {value!r}") from exc
-
-
-def _marginal_from(obj):
-    return synth.MarginalSpec(
-        kind=_require(obj, "kind", "marginal"),
-        dim=_convert(_count, _require(obj, "dim", "marginal"), "dim",
-                     "marginal"),
-        scale=_convert(_number, obj.get("scale", 1.0), "scale", "marginal"),
-        dof=_convert(_count, obj.get("dof", 5), "dof", "marginal"),
-        augment_constant=_convert(_flag, obj.get("augment_constant", False),
-                                  "augment_constant", "marginal"))
-
-
-def _corruption_from(obj):
-    if obj is None:
-        return synth.Corruption()
-    return synth.Corruption(
-        kind=obj.get("kind", "none"),
-        **{key: _convert(_number, obj.get(key, 0.0), key, "corruption")
-           for key in ("mass", "level", "value")})
-
-
-def _activation_tag(tag):
-    try:
-        fenchel.activation_from_tag(tag)
+        fenchel.activation_from_tag(value)
     except InvalidInputError as exc:
-        raise ConfigError(f"unknown activation tag {tag!r}") from exc
-    return tag
+        raise ConfigError(f"unknown activation tag {value!r}") from exc
+    return value
 
 
-def _label_model_from(obj, total_dim):
-    tag = _activation_tag(_require(obj, "activation", "label_model"))
-    if "planted_w" in obj:
-        w = _convert(lambda v: np.array([_number(x) for x in v]),
-                     obj["planted_w"], "planted_w", "label_model")
-        if w.size != total_dim:
-            raise ConfigError(
-                f"planted_w has dimension {w.size}, expected {total_dim}")
-    else:
-        w = synth.planted_direction(
-            total_dim,
-            _convert(_number, _require(obj, "norm", "label_model"), "norm",
-                     "label_model"),
-            _convert(_count, obj.get("direction_seed", 0), "direction_seed",
-                     "label_model"),
-            constant_weight=_convert(_optional_float,
-                                     obj.get("constant_weight"),
-                                     "constant_weight", "label_model"))
-    return synth.LabelModel(
-        planted_w=tuple(float(v) for v in w),
-        activation_tag=tag,
-        corruption=_corruption_from(obj.get("corruption")),
-        label_space=obj.get("label_space", "interval"),
-        clip=_convert(_flag, obj.get("clip", True), "clip", "label_model"))
+def _check(value):
+    """A check name, ``kind`` and its ``:tag`` parts, as (kind, tags)."""
+    kind, *tags = value.split(":")
+    if len(tags) != transfer.CHECKS[kind][1]:
+        raise ConfigError(f"check {value!r} needs {transfer.CHECKS[kind][1]}"
+                          f" activation tag(s) after {kind!r}")
+    return kind, tuple(map(_tag, tags))
 
 
-def _learner_entry(obj, idx):
-    algo = _require(obj, "algorithm", f"learners[{idx}]")
-    if algo not in ALGORITHMS:
-        raise ConfigError(f"unknown algorithm {algo!r}")
-    needs_activation, options, _ = ALGORITHMS[algo]
-    where = f"learners[{idx}]"
-    known = {"algorithm", "name", "norm_bound", *options} | (
-        {"activation"} if needs_activation else set())
+def _fields(obj, table, where):
+    """The keys of the JSON object ``obj``, each read by its kind in
+    ``table``; a missing required key or an unknown one is a ConfigError."""
+    for key, kind in table.items():
+        if kind.required and key not in obj:
+            raise ConfigError(f"missing key {key!r} in {where}")
     for key in obj:
-        if key not in known:
-            raise ConfigError(f"unknown key {key!r} in {where} "
-                              f"(algorithm {algo!r})")
-    entry = dict(obj)
-    entry["name"] = _convert(_text, obj.get("name", algo), "name", where)
-    if needs_activation:
-        _activation_tag(_require(obj, "activation", where))
-    entry["norm_bound"] = _convert(_number, _require(obj, "norm_bound", where),
-                                   "norm_bound", where)
-    for key, kind in options.items():
-        if key in entry:
-            entry[key] = _convert(kind, entry[key], key, where)
-    for key, (ok, domain) in LEARNER_DOMAINS.items():
-        if key in entry and not ok(entry[key]):
-            raise ConfigError(f"{key!r} in {where} must be {domain}, "
-                              f"not {entry[key]!r}")
-    return entry
+        if key not in table:
+            raise ConfigError(f"unknown key {key!r} in {where}")
+    return {key: table[key].read(value, key, where)
+            for key, value in obj.items()}
 
 
-def parse_config(obj):
-    """Validate a parsed JSON object into an ExperimentConfig."""
-    if not isinstance(obj, dict):
-        raise ConfigError("config root must be an object")
-    version = _require(obj, "schema_version", "config")
-    if version != SCHEMA_VERSION:
-        raise ConfigError(f"unsupported schema_version {version!r}")
-    data = _require(obj, "data", "config")
-    marginal = _marginal_from(_require(data, "marginal", "data"))
-    label_model = _label_model_from(_require(data, "label_model", "data"),
-                                    marginal.total_dim)
-    learner_objs = _require(obj, "learners", "config")
-    if not isinstance(learner_objs, list):
-        raise ConfigError("learners must be a list")
-    entries = [_learner_entry(o, i) for i, o in enumerate(learner_objs)]
-    pairs = [_activation_tag(tag) for tag in obj.get("pairs", [])]
-    checks = []    # (kind, activation tags)
-    for chk in obj.get("checks", ["sim_sqrt"]):
-        kind, *tags = chk.split(":")
-        if kind not in transfer.CHECKS:
-            raise ConfigError(f"unknown check {chk!r}")
-        if len(tags) != transfer.CHECKS[kind][1]:
-            raise ConfigError(f"check {chk!r} needs {transfer.CHECKS[kind][1]}"
-                              f" activation tag(s) after {kind!r}")
-        # rows are keyed by the check's theorem tag: one check per kind
-        if kind in [k for k, _ in checks]:
-            raise ConfigError(f"check {chk!r}: only one {kind!r} check "
-                              f"may be listed")
-        checks.append((kind, tuple(_activation_tag(tag) for tag in tags)))
-    seeds = obj.get("seeds", [0])
-    if not isinstance(seeds, list) or not seeds:
-        raise ConfigError("seeds must be a non-empty list")
-    eps = _convert(_number, obj.get("eps", 0.05), "eps", "config")
-    if not eps >= 0.0:
-        raise ConfigError(f"'eps' in config must be non-negative, not {eps!r}")
-    seeds = [_convert(_count, s, f"seeds[{i}]", "config")
-             for i, s in enumerate(seeds)]
-    instances = []
-    for i, inst in enumerate(obj.get("instances", [])):
-        where = f"instances[{i}]"
-        name = _convert(_text, _require(inst, "name", where), "name", where)
-        instances.append((name, _corruption_from(inst.get("corruption"))))
-    # rows are keyed by instance, seed and learner name as a CSV row writes
-    # them (acceptance.Row.render turns "," into ";"): a repeat would
-    # overwrite the rows of an earlier unit
-    for what, values in (("learner name",
-                          [e["name"].replace(",", ";") for e in entries]),
-                         ("instance name",
-                          [n.replace(",", ";") for n, _ in instances]),
-                         ("seed", seeds)):
-        dup = next((v for i, v in enumerate(values) if v in values[:i]), None)
-        if dup is not None:
-            raise ConfigError(f"duplicate {what} {dup!r}")
-    n_train = _convert(_count, data.get("n_train", 20000), "n_train", "data")
-    for i, e in enumerate(entries):
-        if "bucket_width" in e and round(1.0 / e["bucket_width"]) > n_train:
-            raise ConfigError(f"'bucket_width' in learners[{i}] gives more "
-                              f"buckets than n_train = {n_train} can fill")
-    return ExperimentConfig(
-        marginal=marginal, label_model=label_model, n_train=n_train,
-        n_eval=_convert(_count, data.get("n_eval", 50000), "n_eval", "data"),
-        learners=entries, pairs=pairs, checks=checks, eps=eps, seeds=seeds,
-        instances=instances)
+def _object(table, build=dict, nullable=False):
+    """The kind of a JSON object read against ``table`` as ``build(**fields)``
+    (with ``nullable``, null reads as ``{}``); its key is its fields' where."""
+    is_object = _scalar("an object", lambda v: type(v) is dict,
+                        nullable=nullable)
+    return Kind(lambda value, key, where: build(
+        **_fields(is_object.read(value, key, where) or {}, table, key)))
 
 
-def load_config(path):
-    try:
-        with open(path) as fh:
-            obj = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    return parse_config(obj)
+def _list(item, nonempty=False):
+    """The kind of a JSON list whose i-th entry, named ``<key>[i]``, is read
+    as ``item``."""
+    is_list = _scalar("a non-empty list" if nonempty else "a list",
+                      lambda v: type(v) is list and (bool(v) or not nonempty))
+    return Kind(lambda value, key, where: [
+        item.read(entry, f"{key}[{i}]", where)
+        for i, entry in enumerate(is_list.read(value, key, where))])
 
 
-# option -> (test, the domain it names): values a trainer cannot run with
-LEARNER_DOMAINS = {"norm_bound": (lambda v: v > 0.0, "positive"),
-                   "round_cap": (lambda v: v >= 1, "at least 1"),
-                   "iters": (lambda v: v >= 1, "at least 1"),
-                   "eps_ma": (lambda v: v > 0.0, "positive"),
-                   "eps_cal": (lambda v: v > 0.0, "positive"),
-                   "eps_weak": (lambda v: v is None or v > 0.0, "positive"),
-                   "tol": (lambda v: v >= 0.0, "non-negative"),
-                   "bucket_width": (lambda v: 0.0 < v <= 1.0 and abs(
-                       (1.0 / v + 0.5) % 1.0 - 0.5) <= 1e-9,
-                       "1/n for an integer n >= 1")}
+FLAG = _scalar("true or false", lambda v: type(v) is bool)
+TEXT = _scalar("a string", lambda v: type(v) is str)
+TAG = _scalar("an activation tag", lambda v: type(v) is str, _tag)
+NUMBER = _number("a number")
+NON_NEGATIVE = _number("a non-negative number", lambda v: v >= 0.0)
+POSITIVE = _number("a positive number", lambda v: v > 0.0)
+COUNT = _number("a non-negative integer", lambda v: v >= 0 and v == int(v),
+                int)
+CAP = _number("a positive integer", lambda v: v >= 1 and v == int(v), int)
 
-OMNI_OPTIONS = {"eps_ma": _number, "eps_cal": _number,
-                "eps_weak": _optional_float, "bucket_width": _number,
-                "round_cap": _count, "bernoulli_reduction": _flag}
+OMNI_OPTIONS = {
+    "eps_ma": POSITIVE, "eps_cal": POSITIVE,
+    "eps_weak": _number("null or a positive number", lambda v: v > 0.0,
+                        nullable=True),
+    "bucket_width": _number("1/n for an integer n >= 1", lambda v: 0.0 < v
+                            <= 1.0 and abs((1.0 / v + 0.5) % 1.0 - 0.5)
+                            <= 1e-9),
+    "round_cap": CAP, "bernoulli_reduction": FLAG}
 
 # algorithm -> (needs an "activation" tag?, option -> its kind,
 #               trainer(entry, dataset, B, seed, **options))
 ALGORITHMS = {
     "omnipredictor": (False, OMNI_OPTIONS, lambda e, ds, B, seed, **o:
                       learners.train_omnipredictor(ds, B, seed, **o)),
-    "glmtron": (True, {"iters": _count, "tol": _number},
+    "glmtron": (True, {"iters": CAP, "tol": NON_NEGATIVE},
                 lambda e, ds, B, seed, **o:
                 learners.train_glmtron(ds, e["activation"], B, **o)),
-    "isotron": (False, {"iters": _count}, lambda e, ds, B, seed, **o:
+    "isotron": (False, {"iters": CAP}, lambda e, ds, B, seed, **o:
                 learners.train_isotron(ds, B, **o)),
     "logistic": (False, {}, lambda e, ds, B, seed:
                  learners.train_logistic(ds, B)),
@@ -298,6 +178,108 @@ ALGORITHMS = {
                     learners.train_matching_gd(
                         ds, fenchel.pair_from_tag(e["activation"]), B)),
 }
+
+# the keys of every learner entry; ALGORITHMS adds each algorithm's own
+LEARNER = {"algorithm": _need(_scalar("one of " + ", ".join(ALGORITHMS),
+                                      lambda v: v in ALGORITHMS)),
+           "name": TEXT, "norm_bound": _need(POSITIVE)}
+
+
+def _learner_entry(value, key, where):
+    """A learner entry, read against its algorithm's table."""
+    algo = None
+    if type(value) is dict and "algorithm" in value:
+        algo = LEARNER["algorithm"].read(value["algorithm"], "algorithm", key)
+    needs_activation, options, _ = ALGORITHMS.get(algo, (False, {}, None))
+    table = {**LEARNER, **options,
+             **({"activation": _need(TAG)} if needs_activation else {})}
+    entry = _object(table).read(value, key, where)
+    entry.setdefault("name", algo)
+    return entry
+
+
+CORRUPTION = _object({"kind": TEXT, "mass": NUMBER, "level": NUMBER,
+                      "value": NUMBER}, synth.Corruption, nullable=True)
+
+CONFIG = {
+    "schema_version": _need(_scalar(str(SCHEMA_VERSION),
+                                    lambda v: v == SCHEMA_VERSION)),
+    "data": _need(_object({
+        "marginal": _need(_object({
+            "kind": _need(TEXT), "dim": _need(CAP), "scale": POSITIVE,
+            "dof": COUNT, "augment_constant": FLAG}, synth.MarginalSpec)),
+        "label_model": _need(_object({
+            "activation": _need(TAG),
+            "planted_w": _scalar("a list of numbers", lambda v: type(v) is list
+                                 and all(type(x) in (int, float) for x in v),
+                                 lambda v: tuple(map(float, v))),
+            "norm": NON_NEGATIVE, "direction_seed": COUNT,
+            "constant_weight": _number("null or a number", nullable=True),
+            "corruption": CORRUPTION, "label_space": TEXT, "clip": FLAG})),
+        "n_train": CAP, "n_eval": CAP})),
+    "learners": _need(_list(Kind(_learner_entry))),
+    "pairs": _list(TAG),
+    "checks": _list(_scalar("a check name", lambda v: type(v) is str,
+                            _check)),
+    "eps": NON_NEGATIVE,
+    "seeds": _list(COUNT, nonempty=True),
+    "instances": _list(_object({"name": _need(TEXT), "corruption": CORRUPTION},
+                               lambda name, corruption=synth.Corruption():
+                               (name, corruption))),
+}
+
+
+def _label_model(total_dim, activation, planted_w=None, norm=None,
+                 direction_seed=0, constant_weight=None, **model):
+    """The label model: ``planted_w``, or a planted direction of ``norm``."""
+    if planted_w is None:
+        if norm is None:
+            raise ConfigError("missing key 'norm' in label_model")
+        planted_w = tuple(map(float, synth.planted_direction(
+            total_dim, norm, direction_seed, constant_weight)))
+    if len(planted_w) != total_dim:
+        raise ConfigError(f"planted_w has dimension {len(planted_w)}, "
+                          f"expected {total_dim}")
+    return synth.LabelModel(planted_w, activation, **model)
+
+
+def parse_config(obj):
+    """Validate a parsed JSON object into an ExperimentConfig."""
+    if not isinstance(obj, dict):
+        raise ConfigError("config root must be an object")
+    top = _fields(obj, CONFIG, "config")
+    del top["schema_version"]
+    data = top.pop("data")
+    data["label_model"] = _label_model(data["marginal"].total_dim,
+                                       **data["label_model"])
+    cfg = ExperimentConfig(**data, **top)
+    # rows are keyed by the check's theorem tag, and by instance, seed and
+    # learner name as a CSV row writes them (acceptance.Row.render turns ","
+    # into ";"): a repeat would overwrite the rows of an earlier unit
+    for error, values in (
+            ("only one {!r} check may be listed", [k for k, _ in cfg.checks]),
+            ("duplicate learner name {!r}", [e["name"] for e in cfg.learners]),
+            ("duplicate instance name {!r}", [n for n, _ in cfg.instances]),
+            ("duplicate seed {!r}", cfg.seeds)):
+        values = [v.replace(",", ";") if type(v) is str else v for v in values]
+        dup = next((v for i, v in enumerate(values) if v in values[:i]), None)
+        if dup is not None:
+            raise ConfigError(error.format(dup))
+    for i, e in enumerate(cfg.learners):
+        if "bucket_width" in e and round(1 / e["bucket_width"]) > cfg.n_train:
+            raise ConfigError(f"'bucket_width' in learners[{i}] gives more "
+                              f"buckets than n_train = {cfg.n_train} can fill")
+    return cfg
+
+
+def load_config(path):
+    try:
+        with open(path) as fh:
+            return parse_config(json.load(fh))
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config is not valid JSON: {exc}") from exc
 
 
 def train_learner(entry, dataset, seed):

@@ -13,7 +13,7 @@ import io
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -88,14 +88,6 @@ class MarginalSpec:
                 else (2.0, 1.0)
         return None
 
-    def to_dict(self):
-        return {"kind": self.kind, "dim": self.dim, "scale": self.scale,
-                "dof": self.dof, "augment_constant": self.augment_constant}
-
-    @staticmethod
-    def from_dict(d):
-        return MarginalSpec(**d)
-
 
 def sample_marginal(spec, n, seed):
     """Draw an (n, d) feature matrix; deterministic in (spec, n, seed)."""
@@ -156,14 +148,6 @@ class Corruption:
                 raise ConfigError(f"{key!r} in corruption must be {domain}, "
                                   f"not {getattr(self, key)!r}")
 
-    def to_dict(self):
-        return {"kind": self.kind, "mass": self.mass, "level": self.level,
-                "value": self.value}
-
-    @staticmethod
-    def from_dict(d):
-        return Corruption(**d)
-
 
 @dataclass(frozen=True)
 class LabelModel:
@@ -194,19 +178,6 @@ class LabelModel:
         if np.any(mean < 0.0) or np.any(mean > 1.0):
             raise RangeError("activation output leaves [0, 1]; enable clipping")
         return mean
-
-    def to_dict(self):
-        return {"planted_w": list(self.planted_w),
-                "activation_tag": self.activation_tag,
-                "corruption": self.corruption.to_dict(),
-                "label_space": self.label_space, "clip": self.clip}
-
-    @staticmethod
-    def from_dict(d):
-        d = dict(d)
-        d["corruption"] = Corruption.from_dict(d["corruption"])
-        d["planted_w"] = tuple(d["planted_w"])
-        return LabelModel(**d)
 
 
 def planted_direction(dim, norm, seed, constant_weight=None):
@@ -342,9 +313,9 @@ def save_dataset(ds, path):
         fh.write(serialize_dataset(ds))
     meta = {}
     if ds.marginal is not None:
-        meta["marginal"] = ds.marginal.to_dict()
+        meta["marginal"] = asdict(ds.marginal)
     if ds.label_model is not None:
-        meta["label_model"] = ds.label_model.to_dict()
+        meta["label_model"] = asdict(ds.label_model)
     if ds.certified_opt_upper_bound is not None:
         meta["certified_opt_upper_bound"] = ds.certified_opt_upper_bound
     if meta:
@@ -390,8 +361,11 @@ def load_dataset(path):
         with open(meta_path) as fh:
             meta = json.load(fh)
         if "marginal" in meta:
-            ds.marginal = MarginalSpec.from_dict(meta["marginal"])
+            ds.marginal = MarginalSpec(**meta["marginal"])
         if "label_model" in meta:
-            ds.label_model = LabelModel.from_dict(meta["label_model"])
+            lm = meta["label_model"]
+            ds.label_model = LabelModel(**{
+                **lm, "planted_w": tuple(lm["planted_w"]),
+                "corruption": Corruption(**lm["corruption"])})
         ds.certified_opt_upper_bound = meta.get("certified_opt_upper_bound")
     return ds

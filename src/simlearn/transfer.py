@@ -81,8 +81,10 @@ def _predictions(p, dataset):
 
 
 def _matching_loss(pair, p, labels):
-    scores = pair.clamped_link(p, fenchel.DEFAULT_CLAMP_MARGIN)
-    return float(np.mean(pair.g(scores) - labels * scores))
+    """The empirical matching loss of the predictions ``p``, scored at their
+    clamped link."""
+    return learners.empirical_matching_loss(
+        pair, pair.clamped_link(p, fenchel.DEFAULT_CLAMP_MARGIN), labels)
 
 
 def evaluate(p, dataset, pairs=()):
@@ -350,9 +352,17 @@ class PconceptReport:
     def gap(self):
         return abs(self.disagreement - self.err1)
 
+    @property
+    def bound(self):
+        """The allowance on the gap: three standard errors."""
+        return 3.0 * self.stderr
+
+    @property
+    def slack(self):
+        return self.bound - self.gap
+
     def within(self):
-        """Whether the gap is at most three standard errors."""
-        return self.gap <= 3.0 * max(self.stderr, 1e-300)
+        return self.gap <= self.bound
 
 
 def pconcept_disagreement(p, dataset, resamples=100_000, seed=0):
@@ -385,10 +395,11 @@ def pconcept_disagreement(p, dataset, resamples=100_000, seed=0):
 
 
 def _pconcept_check(p, dataset, seed=0):
-    """The p-concept identity as a check: |disagreement - err1| <= 3 stderr."""
+    """The p-concept identity as a check: |disagreement - err1| within the
+    report's bound."""
     rep = pconcept_disagreement(p, dataset, seed=seed)
-    return BoundCheck("pconcept_identity", rep.gap, 3.0 * rep.stderr,
-                      3.0 * rep.stderr - rep.gap, rep.within())
+    return BoundCheck("pconcept_identity", rep.gap, rep.bound, rep.slack,
+                      rep.within())
 
 
 # check kind -> (theorem tag, number of activation tags, runner).  A config

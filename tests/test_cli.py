@@ -1,5 +1,6 @@
 import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -236,18 +237,23 @@ def test_unit_rows_carry_the_check_table_tag(check, marginal, label_space):
 
 @pytest.mark.parametrize("algorithm", sorted(config.ALGORITHMS))
 def test_every_algorithm_trains_through_the_table(algorithm):
-    # an entry holds only the keys its algorithm takes; integer options
-    # (iteration and round caps) are set to 5
+    # an entry holds only the keys its algorithm takes; count options
+    # (iteration and round caps) are set to 5, which bounds the trace
     needs_activation, options, _ = config.ALGORITHMS[algorithm]
     entry = {"name": algorithm, "algorithm": algorithm, "norm_bound": 2.0}
     if needs_activation:
         entry["activation"] = "sigmoid"
-    entry.update({key: 5 for key, kind in options.items() if kind is int})
+    caps = {key: 5 for key, kind in options.items()
+            if kind in (config.COUNT, config.CAP)}
+    assert bool(caps) == (algorithm in ("glmtron", "isotron", "omnipredictor"))
+    entry.update(caps)
     cfg = config.parse_config(base_config(learners=[entry]))
     ds = synth.make_dataset(cfg.marginal, cfg.label_model, 500, 1)
     predictor = config.train_learner(cfg.learners[0], ds, 1)
     p = predictor.predict(ds.features)
     assert p.shape == (500,) and np.all((p >= 0.0) & (p <= 1.0))
+    if caps:
+        assert len(predictor.trace) <= 5
 
 
 def test_experiment_empty_learners(tmp_path, capsys):
@@ -497,6 +503,9 @@ def instance(kind, **params):
     (lambda c: c.update(learners=[omni_entry(bucket_width=0.3)]),
      "'bucket_width' in learners[0]"),
     (lambda c: c["learners"][0].update(tol=-1.0), "'tol' in learners[0]"),
+    # sizes no sampler can draw
+    (lambda c: c["data"].update(n_eval=0), "'n_eval' in data"),
+    (lambda c: c["data"]["marginal"].update(dim=0), "'dim' in marginal"),
 ], ids=["n_train", "eps", "seed", "norm", "mass", "norm_bound", "iters",
         "n_train_string", "eps_string", "planted_w_string",
         "n_train_fraction", "dim_fraction", "seed_bool", "seed_fraction",
@@ -505,7 +514,8 @@ def instance(kind, **params):
         "omni_norm_bound_zero", "glmtron_norm_bound_negative",
         "mass_above_one", "mass_negative", "level_negative", "value_above_one",
         "eps_negative", "eps_ma_negative", "eps_cal_negative", "eps_weak_zero",
-        "bucket_width_not_dividing_one", "glmtron_tol_negative"])
+        "bucket_width_not_dividing_one", "glmtron_tol_negative", "n_eval_zero",
+        "dim_zero"])
 def test_experiment_rejects_malformed_numbers(tmp_path, capsys, mutate, key):
     cfg = base_config()
     mutate(cfg)
@@ -577,6 +587,71 @@ def test_experiment_rejects_unknown_learner_keys(tmp_path, capsys, entry,
                      "--out", str(out)]) == 2
     assert f"unknown key {key!r} in learners[0]" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("mutate, needle", [
+    # a misspelt key used to run with its default
+    (lambda c: c.update(chekcs=["pconcept"]), "unknown key 'chekcs' in config"),
+    (lambda c: c["data"].update(n_trian=500), "unknown key 'n_trian' in data"),
+    (lambda c: c["data"]["marginal"].update(scael=2.0),
+     "unknown key 'scael' in marginal"),
+    (lambda c: c["data"]["label_model"].update(corruptoin={
+        "kind": "flip_region", "mass": 0.1}),
+     "unknown key 'corruptoin' in label_model"),
+    (lambda c: c.update(instances=[{"name": "flip", "corruptoin": {
+        "kind": "flip_region", "mass": 0.1}}]),
+     "unknown key 'corruptoin' in instances[0]"),
+    # values of the wrong type used to raise AttributeError
+    (lambda c: c.update(checks=[5]), "'checks[0]' in config"),
+    (lambda c: c.update(pairs=[5]), "'pairs[0]' in config"),
+    (lambda c: c.update(instances=[{"name": "flip",
+                                    "corruption": "flip_region"}]),
+     "'corruption' in instances[0]"),
+    # a scale outside (0, inf) used to raise in NumPy or in training
+    (lambda c: c["data"]["marginal"].update(kind="laplace_product",
+                                            scale=-1.0),
+     "'scale' in marginal"),
+    (lambda c: (c["data"]["marginal"].update(scale=0.0),
+                c.update(learners=[omni_entry()])), "'scale' in marginal"),
+    # negative values used to run: a flipped direction, a mirrored ball
+    (lambda c: c["data"]["label_model"].update(norm=-2.0),
+     "'norm' in label_model"),
+    (lambda c: c["data"]["marginal"].update(kind="uniform_ball", scale=-1.0),
+     "'scale' in marginal"),
+], ids=["misspelt_checks", "misspelt_n_train", "misspelt_scale",
+        "misspelt_corruption", "misspelt_instance_corruption",
+        "check_not_a_string", "pair_not_a_string",
+        "instance_corruption_not_an_object", "laplace_scale_negative",
+        "gaussian_scale_zero", "norm_negative", "ball_scale_negative"])
+def test_experiment_rejects_malformed_configs(tmp_path, capsys, mutate,
+                                              needle):
+    cfg = base_config()
+    mutate(cfg)
+    out = tmp_path / "x.csv"
+    assert cli.main(["experiment", "--config", write_config(tmp_path, cfg),
+                     "--out", str(out)]) == 2
+    assert needle in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["gen-data", "train", "experiment"])
+def test_means_outside_the_unit_interval_without_clipping_exit_2(
+        tmp_path, capsys, command):
+    # a RangeError is malformed input, not a numeric failure
+    cfg = base_config()
+    cfg["data"]["label_model"].update(activation="identity", clip=False)
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", write_config(tmp_path, cfg),
+                     "--out", str(out)]) == 2
+    assert "enable clipping" in capsys.readouterr().err
+
+
+def test_readme_example_config_parses():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### Config files", 1)[1]
+    example = section.split("```json\n", 1)[1].split("```", 1)[0]
+    cfg = config.parse_config(json.loads(example))
+    assert len(cfg.units()) == 2 * 3 * 2
 
 
 def test_resume_of_a_complete_csv_runs_no_unit(tmp_path, monkeypatch):

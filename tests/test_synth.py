@@ -203,6 +203,7 @@ def test_round_trip_bytes(tmp_path):
     assert back.seed == ds.seed
     assert back.certified_opt_upper_bound == ds.certified_opt_upper_bound
     assert back.marginal == ds.marginal
+    assert back.label_model == ds.label_model
 
 
 def test_reproducibility_same_spec_seed():
