@@ -133,8 +133,6 @@ def cmd_experiment(args):
     if args.workers < 1:
         raise ConfigError(f"--workers must be at least 1, not {args.workers}")
     cfg = config_mod.load_config(args.config)
-    if not cfg.learners:
-        raise ConfigError("empty learner list")
     existing = {}
     if args.resume and os.path.exists(args.out):
         with open(args.out) as fh:

@@ -93,6 +93,11 @@ def _number(what, ok=lambda value: True, convert=float, nullable=False):
                    nullable)
 
 
+def _choice(choices):
+    """The kind of a value that is one of ``choices``."""
+    return _scalar("one of " + ", ".join(choices), lambda v: v in choices)
+
+
 def _tag(value):
     """An activation tag, checked by parsing it."""
     try:
@@ -180,8 +185,7 @@ ALGORITHMS = {
 }
 
 # the keys of every learner entry; ALGORITHMS adds each algorithm's own
-LEARNER = {"algorithm": _need(_scalar("one of " + ", ".join(ALGORITHMS),
-                                      lambda v: v in ALGORITHMS)),
+LEARNER = {"algorithm": _need(_choice(ALGORITHMS)),
            "name": TEXT, "norm_bound": _need(POSITIVE)}
 
 
@@ -198,16 +202,18 @@ def _learner_entry(value, key, where):
     return entry
 
 
-CORRUPTION = _object({"kind": TEXT, "mass": NUMBER, "level": NUMBER,
-                      "value": NUMBER}, synth.Corruption, nullable=True)
+CORRUPTION = _object({"kind": _choice(synth.CORRUPTION_KINDS),
+                      "mass": NUMBER, "level": NUMBER, "value": NUMBER},
+                     synth.Corruption, nullable=True)
 
 CONFIG = {
     "schema_version": _need(_scalar(str(SCHEMA_VERSION),
                                     lambda v: v == SCHEMA_VERSION)),
     "data": _need(_object({
         "marginal": _need(_object({
-            "kind": _need(TEXT), "dim": _need(CAP), "scale": POSITIVE,
-            "dof": COUNT, "augment_constant": FLAG}, synth.MarginalSpec)),
+            "kind": _need(_choice(synth.MARGINAL_KINDS)), "dim": _need(CAP),
+            "scale": POSITIVE, "dof": COUNT, "augment_constant": FLAG},
+            synth.MarginalSpec)),
         "label_model": _need(_object({
             "activation": _need(TAG),
             "planted_w": _scalar("a list of numbers", lambda v: type(v) is list
@@ -215,9 +221,10 @@ CONFIG = {
                                  lambda v: tuple(map(float, v))),
             "norm": NON_NEGATIVE, "direction_seed": COUNT,
             "constant_weight": _number("null or a number", nullable=True),
-            "corruption": CORRUPTION, "label_space": TEXT, "clip": FLAG})),
+            "corruption": CORRUPTION,
+            "label_space": _choice(synth.LABEL_SPACES), "clip": FLAG})),
         "n_train": CAP, "n_eval": CAP})),
-    "learners": _need(_list(Kind(_learner_entry))),
+    "learners": _need(_list(Kind(_learner_entry), nonempty=True)),
     "pairs": _list(TAG),
     "checks": _list(_scalar("a check name", lambda v: type(v) is str,
                             _check)),
@@ -235,6 +242,10 @@ def _label_model(total_dim, activation, planted_w=None, norm=None,
     if planted_w is None:
         if norm is None:
             raise ConfigError("missing key 'norm' in label_model")
+        if constant_weight is not None and abs(constant_weight) > norm:
+            raise ConfigError(f"'constant_weight' in label_model must be at "
+                              f"most 'norm' = {norm!r} in absolute value, "
+                              f"not {constant_weight!r}")
         planted_w = tuple(map(float, synth.planted_direction(
             total_dim, norm, direction_seed, constant_weight)))
     if len(planted_w) != total_dim:

@@ -339,43 +339,68 @@ def lipschitz_isotonic_fit(t_sorted, y):
     shifted by delta_i); adding 2 (u - y_i) moves the zero across knots.
     The backward pass clips each zero into the window its successor allows.
     """
-    t = np.asarray(t_sorted, dtype=float).tolist()
-    y = np.asarray(y, dtype=float).tolist()
-    if not y:
+    t = np.asarray(t_sorted, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if not y.size:
         return np.empty(0)
-    # (position, jump) knots above sentinels; right positions minus shift
-    left, right = [(-math.inf, 0.0)], [(math.inf, 0.0)]
-    shift = 0.0
-    a, b = -2.0 * y[0], 2.0
-    zeros = [y[0]]
-    for i in range(1, len(y)):
-        delta = t[i] - t[i - 1]
+    gaps = np.diff(t).tolist()
+    y2 = (2.0 * y).tolist()
+    # knot positions and jumps above sentinels, right positions minus shift;
+    # lo and hi are the stack tops, m the last zero
+    lx, lj, rx, rj = [-math.inf], [0.0], [math.inf], [0.0]
+    lo, hi, shift = -math.inf, math.inf, 0.0
+    a, b = -y2[0], 2.0
+    m = float(y[0])
+    zeros = [m]
+    for delta, y2i in zip(gaps, y2[1:]):
         if delta > 0.0:    # tied scores leave F' as it is
-            left.append((zeros[-1], -b))
+            lx.append(m)
+            lj.append(-b)
             shift += delta
-            right.append((zeros[-1] + delta - shift, b))
+            lo, hi = m, m + delta - shift
+            rx.append(hi)
+            rj.append(b)
             a, b = 0.0, 0.0
-        a -= 2.0 * y[i]
+        a -= y2i
         b += 2.0
         # knots cross in one direction only, so rounding cannot make one
         # bounce between the stacks
-        if a + b * left[-1][0] > 0.0:
-            while a + b * left[-1][0] > 0.0:
-                x, jump = left.pop()
-                a += jump * x
+        if a + b * lo > 0.0:
+            while a + b * lo > 0.0:
+                lx.pop()
+                jump = lj.pop()
+                a += jump * lo
                 b -= jump
-                right.append((x - shift, jump))
+                hi = lo - shift
+                rx.append(hi)
+                rj.append(jump)
+                lo = lx[-1]
         else:
-            while a + b * (right[-1][0] + shift) < 0.0:
-                x, jump = right.pop()
-                x += shift
-                a -= jump * x
+            while a + b * (hi + shift) < 0.0:
+                rx.pop()
+                jump = rj.pop()
+                lo = hi + shift
+                a -= jump * lo
                 b += jump
-                left.append((x, jump))
-        zeros.append(min(max(-a / b, left[-1][0]), right[-1][0] + shift))
+                lx.append(lo)
+                lj.append(jump)
+                hi = rx[-1]
+        m = -a / b
+        if lo > m:
+            m = lo
+        if hi + shift < m:
+            m = hi + shift
+        zeros.append(m)
+    # u[i] = min(max(u[i], u[i + 1] - gaps[i]), u[i + 1]), from the top down
     u = zeros
-    for i in range(len(u) - 1, 0, -1):
-        u[i - 1] = min(max(u[i - 1], u[i] - (t[i] - t[i - 1])), u[i])
+    for i in range(len(gaps) - 1, -1, -1):
+        v, top = u[i], u[i + 1]
+        floor = top - gaps[i]
+        if floor > v:
+            v = floor
+        if top < v:
+            v = top
+        u[i] = v
     return np.array(u)
 
 

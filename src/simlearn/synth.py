@@ -23,6 +23,13 @@ from . import fenchel
 FILE_MAGIC = "#simlearn"
 FILE_VERSION = "v1"
 
+# the choices of MarginalSpec.kind, Corruption.kind and label_space
+MARGINAL_KINDS = ("standard_gaussian", "uniform_ball", "laplace_product",
+                  "student_t")
+CORRUPTION_KINDS = ("none", "flip_region", "bounded_noise",
+                    "constant_override")
+LABEL_SPACES = ("interval", "binary")
+
 
 # ---------------------------------------------------------------------------
 # Marginals
@@ -47,8 +54,7 @@ class MarginalSpec:
     augment_constant: bool = False
 
     def __post_init__(self):
-        if self.kind not in ("standard_gaussian", "uniform_ball",
-                             "laplace_product", "student_t"):
+        if self.kind not in MARGINAL_KINDS:
             raise ConfigError(f"unknown marginal kind {self.kind!r}")
         if self.dim < 1:
             raise ConfigError("dim must be >= 1")
@@ -137,8 +143,7 @@ class Corruption:
     value: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("none", "flip_region", "bounded_noise",
-                             "constant_override"):
+        if self.kind not in CORRUPTION_KINDS:
             raise ConfigError(f"unknown corruption kind {self.kind!r}")
         for key, ok, domain in (("mass", 0.0 <= self.mass <= 1.0, "in [0, 1]"),
                                 ("level", self.level >= 0.0, "non-negative"),
@@ -160,8 +165,9 @@ class LabelModel:
     clip: bool = True
 
     def __post_init__(self):
-        if self.label_space not in ("interval", "binary"):
-            raise ConfigError("label_space must be 'interval' or 'binary'")
+        if self.label_space not in LABEL_SPACES:
+            raise ConfigError("label_space must be one of "
+                              + ", ".join(LABEL_SPACES))
 
     @property
     def w(self):
@@ -338,7 +344,7 @@ def load_dataset(path):
             seed = int(kv["seed"])
         except (KeyError, ValueError) as exc:
             raise ConfigError(f"malformed dataset header: {header.strip()!r}") from exc
-        if label_space not in ("interval", "binary"):
+        if label_space not in LABEL_SPACES:
             raise ConfigError(f"unknown label space {label_space!r}")
         rows = np.empty((n, d + 1))
         for i in range(n):

@@ -13,6 +13,7 @@ import sys
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from simlearn import acceptance, config, learners, synth, transfer
 from simlearn.errors import InvalidInputError
@@ -106,16 +107,44 @@ def test_seed_override_changes_draws_not_outcomes():
         assert res.passed, (num, res.details)
 
 
+def test_planted_correlation_is_the_gaussian_integral():
+    # E[x clip(x, -1, 1)] for x ~ N(0, 1), by quadrature
+    value, _ = quad(lambda x: x * np.clip(x, -1.0, 1.0)
+                    * math.exp(-x * x / 2.0) / math.sqrt(2.0 * math.pi),
+                    -math.inf, math.inf)
+    assert abs(acceptance.PLANTED_CORRELATION - value) <= 1e-12
+
+
 def test_criterion_03_fails_when_the_weak_learner_accepts_anything(
         monkeypatch):
     # a fixed direction orthogonal to the planted feature: every accepted
-    # vector fails the fresh-sample soundness test
+    # vector has population correlation 0 and fails soundness
     w = np.eye(10)[1]
     monkeypatch.setattr(learners, "weak_learn", lambda *_, **__:
                         learners.LinearWeakLearnerResult(True, w, 1.0))
     res = acceptance.criterion_3(SEED)
     assert not res.passed
     assert res.details["soundness_failures"] == 60
+
+
+def test_criterion_03_fails_when_the_weak_learner_negates_its_output(
+        monkeypatch):
+    # every planted trial accepts, and -w has correlation -w_1 * 0.68 < 0;
+    # the null trials reject, as unfaulted
+    weak_learn = learners.weak_learn
+
+    def negated(*args, **kwargs):
+        res = weak_learn(*args, **kwargs)
+        if res.accepted:
+            res.w = -res.w
+        return res
+
+    monkeypatch.setattr(learners, "weak_learn", negated)
+    res = acceptance.criterion_3(SEED)
+    assert not res.passed
+    assert res.details["completeness_failures"] == 0
+    assert res.details["null_accepts"] == 0
+    assert res.details["soundness_failures"] == 30
 
 
 def test_criterion_04_fails_with_a_constant_activation_fit(monkeypatch):

@@ -262,7 +262,20 @@ def test_experiment_empty_learners(tmp_path, capsys):
     cfg_path = write_config(tmp_path, cfg)
     assert cli.main(["experiment", "--config", cfg_path,
                      "--out", str(tmp_path / "x.csv")]) == 2
-    assert "empty learner list" in capsys.readouterr().err
+    assert "'learners' in config must be a non-empty list" \
+        in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["gen-data", "train"])
+def test_an_empty_learner_list_exits_2(tmp_path, capsys, command):
+    # train used to exit 0 and write nothing
+    out = tmp_path / "out"
+    assert cli.main([command, "--config",
+                     write_config(tmp_path, base_config(learners=[])),
+                     "--out", str(out)]) == 2
+    assert "'learners' in config must be a non-empty list" \
+        in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_experiment_workers_match_serial(tmp_path):
@@ -618,11 +631,27 @@ def test_experiment_rejects_unknown_learner_keys(tmp_path, capsys, entry,
      "'norm' in label_model"),
     (lambda c: c["data"]["marginal"].update(kind="uniform_ball", scale=-1.0),
      "'scale' in marginal"),
+    # choices and budgets the synth dataclasses used to check
+    (lambda c: c["data"]["marginal"].update(kind="cauchy"),
+     "'kind' in marginal must be one of standard_gaussian, uniform_ball, "
+     "laplace_product, student_t, not 'cauchy'"),
+    (lambda c: c.update(instances=[instance("flip")]),
+     "'kind' in corruption must be one of none, flip_region, bounded_noise, "
+     "constant_override, not 'flip'"),
+    (lambda c: c["data"]["label_model"].update(corruption={"kind": 3}),
+     "'kind' in corruption must be one of"),
+    (lambda c: c["data"]["label_model"].update(label_space="bool"),
+     "'label_space' in label_model must be one of interval, binary, "
+     "not 'bool'"),
+    (lambda c: c["data"]["label_model"].update(constant_weight=-2.5),
+     "'constant_weight' in label_model must be at most 'norm' = 2.0"),
 ], ids=["misspelt_checks", "misspelt_n_train", "misspelt_scale",
         "misspelt_corruption", "misspelt_instance_corruption",
         "check_not_a_string", "pair_not_a_string",
         "instance_corruption_not_an_object", "laplace_scale_negative",
-        "gaussian_scale_zero", "norm_negative", "ball_scale_negative"])
+        "gaussian_scale_zero", "norm_negative", "ball_scale_negative",
+        "marginal_kind", "corruption_kind", "corruption_kind_not_a_string",
+        "label_space", "constant_weight_above_norm"])
 def test_experiment_rejects_malformed_configs(tmp_path, capsys, mutate,
                                               needle):
     cfg = base_config()

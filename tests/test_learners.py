@@ -421,6 +421,64 @@ def test_lipschitz_isotonic_fit_postconditions(ys, seed):
     assert np.all(du <= np.diff(t) + 1e-8)
 
 
+def tuple_stack_isotonic_fit(t_sorted, y):
+    """The dynamic programme of ``learners.lipschitz_isotonic_fit`` as it
+    was first written, on stacks of (position, jump) tuples: the oracle
+    for the flat-stack version, which must return the same bytes."""
+    t = np.asarray(t_sorted, dtype=float).tolist()
+    y = np.asarray(y, dtype=float).tolist()
+    if not y:
+        return np.empty(0)
+    left, right = [(-math.inf, 0.0)], [(math.inf, 0.0)]
+    shift = 0.0
+    a, b = -2.0 * y[0], 2.0
+    zeros = [y[0]]
+    for i in range(1, len(y)):
+        delta = t[i] - t[i - 1]
+        if delta > 0.0:
+            left.append((zeros[-1], -b))
+            shift += delta
+            right.append((zeros[-1] + delta - shift, b))
+            a, b = 0.0, 0.0
+        a -= 2.0 * y[i]
+        b += 2.0
+        if a + b * left[-1][0] > 0.0:
+            while a + b * left[-1][0] > 0.0:
+                x, jump = left.pop()
+                a += jump * x
+                b -= jump
+                right.append((x - shift, jump))
+        else:
+            while a + b * (right[-1][0] + shift) < 0.0:
+                x, jump = right.pop()
+                x += shift
+                a -= jump * x
+                b += jump
+                left.append((x, jump))
+        zeros.append(min(max(-a / b, left[-1][0]), right[-1][0] + shift))
+    u = zeros
+    for i in range(len(u) - 1, 0, -1):
+        u[i - 1] = min(max(u[i - 1], u[i] - (t[i] - t[i - 1])), u[i])
+    return np.array(u)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(-3.0, 3.0),
+       st.lists(st.tuples(st.sampled_from([0.0, 1e-12, None]),
+                          st.floats(0.0, 1.0), st.floats(-1.0, 2.0)),
+                max_size=60),
+       st.floats(-1.0, 2.0))
+def test_lipschitz_isotonic_fit_is_bitwise_the_tuple_stack_dp(t0, steps, y0):
+    # each step is a tie, a 1e-12 gap or a gap drawn from [0, 1]; no steps
+    # is a single point
+    t, y = [t0], [y0]
+    for gap, drawn, label in steps:
+        t.append(t[-1] + (drawn if gap is None else gap))
+        y.append(label)
+    u = learners.lipschitz_isotonic_fit(np.array(t), np.array(y))
+    assert u.tobytes() == tuple_stack_isotonic_fit(t, y).tobytes()
+
+
 def test_isotron_recovers_planted_ramp():
     spec = synth.MarginalSpec("standard_gaussian", 3)
     w = synth.planted_direction(3, 1.0, 53)
