@@ -234,11 +234,17 @@ PLANTED_CORRELATION = math.erf(1.0 / math.sqrt(2.0))
 
 
 def criterion_3(seed=DEFAULT_SEED):
-    """Completeness over 30 planted trials and soundness over those and 30
-    null trials.  An accepted ``w`` is sound when its exact population
+    """Completeness and soundness over 30 trials, each with a planted arm and
+    a null arm.  An accepted ``w`` is sound when its exact population
     correlation E[z (w.x)] is at least eps/4: ``w_1 * PLANTED_CORRELATION``
     on a planted trial, and 0 on a null trial, whose coin is independent of
-    x, so every null accept is unsound."""
+    x, so every null accept is unsound.
+
+    One Gaussian sample x serves both arms of a trial.  The null arm asks
+    whether the learner accepts a coin independent of x.  The coin comes
+    from its own seed, so it is as independent of the planted trial's x as
+    of a fresh draw: (x, z) keeps its law, and so does each arm's failure
+    count.  ``weak_learn`` does not write to x."""
     t0 = time.time()
     trials, n, d, eps = 30, 100_000, 10, 0.5
     spec = synth.MarginalSpec("standard_gaussian", d)
@@ -255,8 +261,6 @@ def criterion_3(seed=DEFAULT_SEED):
             comp_fail += 1
         elif float(res.w[0]) * PLANTED_CORRELATION < eps / 4.0:
             sound_fail += 1
-    for trial in range(trials):
-        x = synth.sample_marginal(spec, n, seed + 2000 + trial)
         if learners.weak_learn(x, coin(3000 + trial), 1.0, eps).accepted:
             null_accepts += 1
     sound_fail += null_accepts

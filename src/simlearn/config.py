@@ -157,6 +157,9 @@ POSITIVE = _number("a positive number", lambda v: v > 0.0)
 COUNT = _number("a non-negative integer", lambda v: v >= 0 and v == int(v),
                 int)
 CAP = _number("a positive integer", lambda v: v >= 1 and v == int(v), int)
+# a Student-t marginal has bounded second moments only for dof > 2
+DOF = _number("an integer greater than 2", lambda v: v > 2 and v == int(v),
+              int)
 
 OMNI_OPTIONS = {
     "eps_ma": POSITIVE, "eps_cal": POSITIVE,
@@ -212,7 +215,7 @@ CONFIG = {
     "data": _need(_object({
         "marginal": _need(_object({
             "kind": _need(_choice(synth.MARGINAL_KINDS)), "dim": _need(CAP),
-            "scale": POSITIVE, "dof": COUNT, "augment_constant": FLAG},
+            "scale": POSITIVE, "dof": DOF, "augment_constant": FLAG},
             synth.MarginalSpec)),
         "label_model": _need(_object({
             "activation": _need(TAG),
@@ -236,18 +239,30 @@ CONFIG = {
 }
 
 
-def _label_model(total_dim, activation, planted_w=None, norm=None,
-                 direction_seed=0, constant_weight=None, **model):
-    """The label model: ``planted_w``, or a planted direction of ``norm``."""
+def _planted_direction(total_dim, norm=None, direction_seed=0,
+                       constant_weight=None):
+    """A planted direction of ``norm``, as a tuple of floats."""
+    if norm is None:
+        raise ConfigError("missing key 'norm' in label_model")
+    if constant_weight is not None and abs(constant_weight) > norm:
+        raise ConfigError(f"'constant_weight' in label_model must be at "
+                          f"most 'norm' = {norm!r} in absolute value, "
+                          f"not {constant_weight!r}")
+    return tuple(map(float, synth.planted_direction(
+        total_dim, norm, direction_seed, constant_weight)))
+
+
+def _label_model(total_dim, activation, planted_w=None, **model):
+    """The label model: ``planted_w``, or a planted direction; the keys that
+    draw the direction must be left out when ``planted_w`` is given."""
+    direction = {key: model.pop(key) for key in
+                 ("norm", "direction_seed", "constant_weight") if key in model}
     if planted_w is None:
-        if norm is None:
-            raise ConfigError("missing key 'norm' in label_model")
-        if constant_weight is not None and abs(constant_weight) > norm:
-            raise ConfigError(f"'constant_weight' in label_model must be at "
-                              f"most 'norm' = {norm!r} in absolute value, "
-                              f"not {constant_weight!r}")
-        planted_w = tuple(map(float, synth.planted_direction(
-            total_dim, norm, direction_seed, constant_weight)))
+        planted_w = _planted_direction(total_dim, **direction)
+    elif direction:
+        key, value = next(iter(direction.items()))
+        raise ConfigError(f"{key!r} in label_model must be left out when "
+                          f"'planted_w' is given, not {value!r}")
     if len(planted_w) != total_dim:
         raise ConfigError(f"planted_w has dimension {len(planted_w)}, "
                           f"expected {total_dim}")

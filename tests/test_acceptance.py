@@ -147,6 +147,48 @@ def test_criterion_03_fails_when_the_weak_learner_negates_its_output(
     assert res.details["soundness_failures"] == 30
 
 
+def test_criterion_03_draws_one_sample_per_trial_for_both_arms(monkeypatch):
+    sample_marginal, weak_learn = synth.sample_marginal, learners.weak_learn
+    seeds, samples, features = [], [], []
+
+    def sample(spec, n, seed):
+        seeds.append(seed)
+        samples.append(sample_marginal(spec, n, seed))
+        return samples[-1]
+
+    def learn(x, *args, **kwargs):
+        features.append(x)
+        return weak_learn(x, *args, **kwargs)
+
+    monkeypatch.setattr(synth, "sample_marginal", sample)
+    monkeypatch.setattr(learners, "weak_learn", learn)
+    assert acceptance.criterion_3(SEED).passed
+    assert seeds == [SEED + 1000 + trial for trial in range(30)]
+    assert len(features) == 60
+    for x in samples:
+        assert sum(f is x for f in features) == 2
+
+
+def test_criterion_03_fails_when_the_weak_learner_accepts_every_coin(
+        monkeypatch):
+    # the null arm's coins are +-1 everywhere, the planted clip(x_1) is not:
+    # only the null arm is faulted, and each of its accepts is unsound
+    weak_learn = learners.weak_learn
+
+    def accepts_coins(x, z, *args, **kwargs):
+        res = weak_learn(x, z, *args, **kwargs)
+        if np.all(np.abs(z) == 1.0):
+            res.accepted = True
+        return res
+
+    monkeypatch.setattr(learners, "weak_learn", accepts_coins)
+    res = acceptance.criterion_3(SEED)
+    assert not res.passed
+    assert res.details["completeness_failures"] == 0
+    assert res.details["null_accepts"] == 30
+    assert res.details["soundness_failures"] == 30
+
+
 def test_criterion_04_fails_with_a_constant_activation_fit(monkeypatch):
     monkeypatch.setattr(learners, "lipschitz_isotonic_fit",
                         lambda t, y: np.full(len(y), np.mean(y)))

@@ -457,6 +457,10 @@ def instance(kind, **params):
     return {"name": kind, "corruption": {"kind": kind, **params}}
 
 
+def planted(**keys):
+    return {"activation": "sigmoid", "planted_w": [0.5] * 4, **keys}
+
+
 @pytest.mark.parametrize("mutate, key", [
     (lambda c: c["data"].update(n_train="many"), "'n_train' in data"),
     (lambda c: c.update(eps="small"), "'eps' in config"),
@@ -602,6 +606,12 @@ def test_experiment_rejects_unknown_learner_keys(tmp_path, capsys, entry,
     assert not out.exists()
 
 
+def test_planted_w_alone_is_the_label_models_direction():
+    cfg = base_config()
+    cfg["data"]["label_model"] = planted()
+    assert config.parse_config(cfg).label_model.planted_w == (0.5,) * 4
+
+
 @pytest.mark.parametrize("mutate, needle", [
     # a misspelt key used to run with its default
     (lambda c: c.update(chekcs=["pconcept"]), "unknown key 'chekcs' in config"),
@@ -645,13 +655,29 @@ def test_experiment_rejects_unknown_learner_keys(tmp_path, capsys, entry,
      "not 'bool'"),
     (lambda c: c["data"]["label_model"].update(constant_weight=-2.5),
      "'constant_weight' in label_model must be at most 'norm' = 2.0"),
+    # a Student-t marginal with dof <= 2 has no bounded second moments
+    (lambda c: c["data"]["marginal"].update(kind="student_t", dof=2),
+     "'dof' in marginal must be an integer greater than 2, not 2"),
+    # planted_w fixes the direction, so a key that draws one is an error,
+    # even at its default value
+    (lambda c: c["data"]["label_model"].update(planted_w=[0.5] * 4),
+     "'norm' in label_model must be left out when 'planted_w' is given, "
+     "not 2.0"),
+    (lambda c: c["data"].update(label_model=planted(direction_seed=0)),
+     "'direction_seed' in label_model must be left out when 'planted_w' "
+     "is given, not 0"),
+    (lambda c: c["data"].update(label_model=planted(constant_weight=None)),
+     "'constant_weight' in label_model must be left out when 'planted_w' "
+     "is given, not None"),
 ], ids=["misspelt_checks", "misspelt_n_train", "misspelt_scale",
         "misspelt_corruption", "misspelt_instance_corruption",
         "check_not_a_string", "pair_not_a_string",
         "instance_corruption_not_an_object", "laplace_scale_negative",
         "gaussian_scale_zero", "norm_negative", "ball_scale_negative",
         "marginal_kind", "corruption_kind", "corruption_kind_not_a_string",
-        "label_space", "constant_weight_above_norm"])
+        "label_space", "constant_weight_above_norm", "student_t_dof_two",
+        "planted_w_with_norm", "planted_w_with_default_direction_seed",
+        "planted_w_with_null_constant_weight"])
 def test_experiment_rejects_malformed_configs(tmp_path, capsys, mutate,
                                               needle):
     cfg = base_config()
