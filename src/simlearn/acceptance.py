@@ -51,16 +51,12 @@ class Row:
         ])
 
 
-def run_unit(unit):
-    """Draw the unit's training set from its seed and its evaluation set
-    from the seed + 1, train, predict and evaluate once, and run each
-    ``(kind, tags)`` check of ``transfer.CHECKS`` on that one report; a
-    check that does not apply becomes a failed ``<kind>_inapplicable``
-    check.  Returns ``(predictor, [(BoundCheck, Row)], train_ms)``."""
-    train = synth.make_dataset(unit.marginal, unit.model, unit.n_train,
-                               unit.seed)
-    ev = synth.make_dataset(unit.marginal, unit.model, unit.n_eval,
-                            unit.seed + 1)
+def run_unit(unit, train, ev):
+    """Train the unit's learner on ``train``, predict ``ev`` and evaluate
+    once, and run each ``(kind, tags)`` check of ``transfer.CHECKS`` on that
+    one report; a check that does not apply becomes a failed
+    ``<kind>_inapplicable`` check.  Returns
+    ``(predictor, [(BoundCheck, Row)], train_ms)``."""
     t0 = time.time()
     pred = config.train_learner(unit.entry, train, unit.seed)
     train_ms = int((time.time() - t0) * 1000)
@@ -84,6 +80,53 @@ def run_unit(unit):
     return pred, out, train_ms
 
 
+def _read_only(a):
+    """``a``, no longer writeable: a learner that wrote into data shared by
+    several units would raise instead of changing the next unit's data."""
+    a.flags.writeable = False
+    return a
+
+
+def _labelled(x, unit, seed):
+    """The dataset of the shared features ``x`` under the unit's label
+    model; what ``synth.make_dataset`` makes from the same seed."""
+    y, opt = synth.generate_labels(x, unit.model, seed)
+    return synth.Dataset(x, _read_only(y), unit.model.label_space, int(seed),
+                         unit.marginal, unit.model, opt)
+
+
+def run_units(units, run):
+    """``run(unit, train, ev)`` for each unit in order, as a list.
+
+    A unit's training set is drawn from its seed and its evaluation set from
+    the seed + 1.  ``synth.sample_marginal`` and ``synth.generate_labels``
+    each seed their own stream, so features depend only on (marginal, n,
+    seed) and labels only on (features, label model, seed).  Consecutive
+    units with the same (marginal, n_train, n_eval, seed) therefore share
+    one read-only training and one evaluation feature matrix, and those that
+    also share a label model share the labels: every dataset is bit-identical
+    to the one ``synth.make_dataset`` draws for the unit alone."""
+    out, drawn, model = [], None, None
+    for unit in units:
+        key = (unit.marginal, unit.n_train, unit.n_eval, unit.seed)
+        if key != drawn:
+            # release the previous group's arrays before the next draw, so
+            # that one train/eval pair is alive at a time
+            x_train = x_eval = train = ev = model = None
+            drawn = key
+            x_train = _read_only(synth.sample_marginal(
+                unit.marginal, unit.n_train, unit.seed))
+            x_eval = _read_only(synth.sample_marginal(
+                unit.marginal, unit.n_eval, unit.seed + 1))
+        if unit.model != model:
+            model = unit.model
+            train = ev = None
+            train = _labelled(x_train, unit, unit.seed)
+            ev = _labelled(x_eval, unit, unit.seed + 1)
+        out.append(run(unit, train, ev))
+    return out
+
+
 def _premise_row(instance, learner, opt_hat, theorem, eps, gap):
     """A premise gap against its allowance ``eps``: slack ``eps - gap``."""
     return Row(instance, learner, opt_hat, None, None, theorem, eps,
@@ -96,8 +139,8 @@ def _run_table(units, gate=lambda chk: True, premise_eps=None):
     not converge (reported, not gated).  With ``premise_eps``, a check's
     row is followed by a ``<kind>_premise`` row gating its ``eps_hat``."""
     ok, rows, nonconv = True, [], []
-    for unit in units:
-        pred, [(chk, row)], _ = run_unit(unit)
+    for unit, (pred, [(chk, row)], _) in zip(units,
+                                             run_units(units, run_unit)):
         ok &= chk.passed and gate(chk)
         rows.append(row)
         # an inapplicable check measured no premise and has failed already

@@ -18,6 +18,7 @@ bytes.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -121,12 +122,18 @@ def _row_key(row):
     return (row.instance, row.learner, row.theorem)
 
 
-def _run_instance(unit):
+def _run_instance(unit, train, ev):
     """The rows of one experiment unit, each carrying its training time."""
-    _, checked, train_ms = acceptance.run_unit(unit)
+    _, checked, train_ms = acceptance.run_unit(unit, train, ev)
     for _, row in checked:
         row.runtime_ms = train_ms
     return [row for _, row in checked]
+
+
+def _run_seed(units):
+    """The rows of the units of one seed, which share their feature draws."""
+    return [row for rows in acceptance.run_units(units, _run_instance)
+            for row in rows]
 
 
 def cmd_experiment(args):
@@ -159,13 +166,16 @@ def cmd_experiment(args):
         if missing or not existing:
             needed.append(unit)
 
-    # the pool starts all its processes at once: no more than the units
-    workers = min(args.workers, len(needed))
+    # one task per seed, whose units share their draws; the pool starts all
+    # its processes at once: no more than the tasks
+    by_seed = [list(units) for _, units in itertools.groupby(
+        sorted(needed, key=lambda unit: unit.seed), lambda unit: unit.seed)]
+    workers = min(args.workers, len(by_seed))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            produced = list(pool.map(_run_instance, needed))
+            produced = list(pool.map(_run_seed, by_seed))
     else:
-        produced = [_run_instance(u) for u in needed]
+        produced = list(map(_run_seed, by_seed))
 
     rows = dict(existing)
     for batch in produced:

@@ -209,6 +209,15 @@ CORRUPTION = _object({"kind": _choice(synth.CORRUPTION_KINDS),
                       "mass": NUMBER, "level": NUMBER, "value": NUMBER},
                      synth.Corruption, nullable=True)
 
+
+def _marginal(kind, **spec):
+    """The marginal; only a Student-t marginal reads ``dof``."""
+    if "dof" in spec and kind != "student_t":
+        raise ConfigError(f"'dof' in marginal must be left out when 'kind' "
+                          f"is {kind!r}, not {spec['dof']!r}")
+    return synth.MarginalSpec(kind, **spec)
+
+
 CONFIG = {
     "schema_version": _need(_scalar(str(SCHEMA_VERSION),
                                     lambda v: v == SCHEMA_VERSION)),
@@ -216,7 +225,7 @@ CONFIG = {
         "marginal": _need(_object({
             "kind": _need(_choice(synth.MARGINAL_KINDS)), "dim": _need(CAP),
             "scale": POSITIVE, "dof": DOF, "augment_constant": FLAG},
-            synth.MarginalSpec)),
+            _marginal)),
         "label_model": _need(_object({
             "activation": _need(TAG),
             "planted_w": _scalar("a list of numbers", lambda v: type(v) is list

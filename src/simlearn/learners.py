@@ -295,26 +295,28 @@ def train_glmtron(dataset, activation_tag, B, iters=500, tol=1e-8):
     (an update that returns ``w`` bit for bit, so every later iterate would
     repeat it) whose error is above that minimum by more than ``tol``, it
     returns the running-minimum iterate, non-converged; the trace ends there.
+
+    Each trace entry records the iterate ``w``, from which any per-iterate
+    loss can be recomputed, and its Frank-Wolfe gap ``B*||s|| - s.w`` over
+    the ball, where ``s`` is the update (the negative loss gradient).
     """
     act = fenchel.activation_from_tag(activation_tag)
-    pair = fenchel.FenchelPair(act)
     x, y = dataset.features, dataset.labels
     n = dataset.n
     w = np.zeros(dataset.d)
     best_w, best_err = w.copy(), math.inf
     trace = []
     for t in range(iters):
-        scores = x @ w
-        mean = act(scores)
-        pred = np.clip(mean, 0.0, 1.0)
-        err = squared_error(pred, y)
-        trace.append({"iter": t, "err2": err,
-                      "matching_loss": empirical_matching_loss(pair, scores, y)})
+        mean = act(x @ w)
+        err = squared_error(np.clip(mean, 0.0, 1.0), y)
+        s = x.T @ (y - mean) / n
+        trace.append({"iter": t, "err2": err, "w": w,
+                      "gap": B * float(np.linalg.norm(s)) - float(s @ w)})
         if t > 0 and best_err - tol <= err <= best_err + tol:    # stalled
             return GlmPredictor(w, activation_tag, converged=True, trace=trace)
         if err < best_err:
             best_err, best_w = err, w.copy()
-        w, w_prev = project_ball(w + x.T @ (y - mean) / n, B), w
+        w, w_prev = project_ball(w + s, B), w
         _check_finite(w)
         if err > best_err + tol and np.array_equal(w, w_prev):
             break    # a fixed point that never stalls

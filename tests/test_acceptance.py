@@ -269,6 +269,54 @@ def test_transfer_criteria_train_once_per_unit(monkeypatch):
     assert counts == {5: 4, 6: 9, 9: 5}
 
 
+def _alone(unit):
+    """The unit's rows from its own draw, as ``synth.make_dataset`` makes it."""
+    _, checked, _ = acceptance.run_unit(
+        unit, synth.make_dataset(unit.marginal, unit.model, unit.n_train,
+                                 unit.seed),
+        synth.make_dataset(unit.marginal, unit.model, unit.n_eval,
+                           unit.seed + 1))
+    return [row.render() for _, row in checked]
+
+
+def test_transfer_tables_share_draws_and_keep_their_rows(monkeypatch):
+    # criterion 5's four units share one draw and criterion 6's nine share
+    # three; every row is the one the unit's own draw gives
+    tables, draws = [], []
+    run_units, sample = acceptance.run_units, synth.sample_marginal
+
+    def record(units, run):
+        results = run_units(units, run)
+        tables.append((units, [[row.render() for _, row in checked]
+                               for _, checked, _ in results]))
+        return results
+
+    monkeypatch.setattr(acceptance, "run_units", record)
+    monkeypatch.setattr(synth, "sample_marginal", lambda *args: (
+        draws.append(args) or sample(*args)))
+    counts = {}
+    for number in (5, 6):
+        draws.clear()
+        acceptance.CRITERIA[number](SEED)
+        counts[number] = len(draws)
+    assert counts == {5: 2, 6: 6}
+    for units, shared in tables:
+        assert shared == [_alone(unit) for unit in units]
+
+
+def test_shared_data_is_read_only():
+    unit = config.Unit(
+        "probe", synth.MarginalSpec("standard_gaussian", 3),
+        synth.LabelModel((0.5, 0.0, 0.0), "sigmoid"), 200, 300, 1,
+        {"name": "logistic", "algorithm": "logistic", "norm_bound": 1.0},
+        [("sim_sqrt", ())], 0.05)
+    (datasets,) = acceptance.run_units([unit], lambda u, *data: data)
+    for ds in datasets:
+        for array in (ds.features, ds.labels):
+            with pytest.raises(ValueError):
+                array[0, ...] = 0.5
+
+
 def _squared_without_sqrt_term(opt_hat, B, C, eps_hat):
     return C * opt_hat * math.exp(B ** 2) + 2.0 * eps_hat
 

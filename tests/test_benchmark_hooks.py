@@ -29,11 +29,12 @@ def test_tracer_wraps_every_hook_and_restores_it():
         patched = list(tracer._patched)
         # the check table looks its runners up at call time, so a check
         # run through it is seen by its wrapper
-        acceptance.run_unit(config.Unit(
+        acceptance.run_units([config.Unit(
             "probe", synth.MarginalSpec("standard_gaussian", 3),
             synth.LabelModel((0.5, 0.0, 0.0), "sigmoid"), 200, 200, 1,
             {"name": "logistic", "algorithm": "logistic", "norm_bound": 1.0},
-            [("sim_sqrt", ()), ("bilipschitz", ("identity",))], 0.05))
+            [("sim_sqrt", ()), ("bilipschitz", ("identity",))], 0.05)],
+            acceptance.run_unit)
     finally:
         tracer.uninstall()
     totals = tracer.totals()

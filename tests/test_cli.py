@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from simlearn import cli, config, synth, transfer
+from simlearn import acceptance, cli, config, synth, transfer
 from simlearn.learners import GlmPredictor, read_predictor
 
 
@@ -228,7 +228,7 @@ def test_unit_rows_carry_the_check_table_tag(check, marginal, label_space):
     cfg["data"]["label_model"]["label_space"] = label_space
     cfg["learners"][0]["iters"] = 20
     (unit,) = config.parse_config(cfg).units()
-    (row,) = cli._run_instance(unit)
+    ((row,),) = acceptance.run_units([unit], cli._run_instance)
     assert row.theorem == transfer.CHECKS[check.split(":")[0]][0]
     assert set(transfer.CHECKS) == {"sim_sqrt", "bilipschitz", "general",
                                     "logistic_squared", "logistic_absolute",
@@ -281,13 +281,42 @@ def test_an_empty_learner_list_exits_2(tmp_path, capsys, command):
 def test_experiment_workers_match_serial(tmp_path):
     cfg = sweep_config()
     cfg["instances"] = cfg["instances"][:2]
-    cfg["seeds"] = [1]
+    # one task per seed: with two seeds, --workers 2 runs through the pool
+    cfg["seeds"] = [1, 2]
     cfg_path = write_config(tmp_path, cfg)
     a, b = tmp_path / "serial.csv", tmp_path / "par.csv"
     cli.main(["experiment", "--config", cfg_path, "--out", str(a)])
     cli.main(["experiment", "--config", cfg_path, "--out", str(b),
               "--workers", "2"])
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_experiment_units_of_a_seed_share_one_draw(tmp_path, monkeypatch):
+    cfg = base_config(seeds=[1, 2], instances=[
+        instance("none"), instance("flip_region", mass=0.1)])
+    cfg["learners"].append({"name": "logistic", "algorithm": "logistic",
+                            "norm_bound": 2.0})
+    cfg["data"].update(n_train=1000, n_eval=1500)
+    draws, sample = [], synth.sample_marginal
+    monkeypatch.setattr(synth, "sample_marginal", lambda spec, n, seed: (
+        draws.append((n, seed)) or sample(spec, n, seed)))
+    out = tmp_path / "shared.csv"
+    assert cli.main(["experiment", "--config", write_config(tmp_path, cfg),
+                     "--out", str(out)]) == 0
+    # one training and one evaluation draw per seed, for its 2 x 2 units
+    assert sorted(draws) == [(1000, 1), (1000, 2), (1500, 2), (1500, 3)]
+    rows = {}
+    for unit in config.parse_config(cfg).units():
+        for row in cli._run_instance(
+                unit, synth.make_dataset(unit.marginal, unit.model,
+                                         unit.n_train, unit.seed),
+                synth.make_dataset(unit.marginal, unit.model, unit.n_eval,
+                                   unit.seed + 1)):
+            row.runtime_ms = 0
+            rows[cli._row_key(row)] = row
+    assert len(rows) == 8
+    assert out.read_text() == acceptance.rows_to_csv(
+        [rows[key] for key in sorted(rows)])
 
 
 def test_experiment_pool_is_no_larger_than_the_units(tmp_path, monkeypatch):
@@ -658,6 +687,10 @@ def test_planted_w_alone_is_the_label_models_direction():
     # a Student-t marginal with dof <= 2 has no bounded second moments
     (lambda c: c["data"]["marginal"].update(kind="student_t", dof=2),
      "'dof' in marginal must be an integer greater than 2, not 2"),
+    # only a Student-t marginal reads dof; elsewhere it used to be dropped
+    (lambda c: c["data"]["marginal"].update(dof=7),
+     "'dof' in marginal must be left out when 'kind' is "
+     "'standard_gaussian', not 7"),
     # planted_w fixes the direction, so a key that draws one is an error,
     # even at its default value
     (lambda c: c["data"]["label_model"].update(planted_w=[0.5] * 4),
@@ -676,6 +709,7 @@ def test_planted_w_alone_is_the_label_models_direction():
         "gaussian_scale_zero", "norm_negative", "ball_scale_negative",
         "marginal_kind", "corruption_kind", "corruption_kind_not_a_string",
         "label_space", "constant_weight_above_norm", "student_t_dof_two",
+        "gaussian_with_dof",
         "planted_w_with_norm", "planted_w_with_default_direction_seed",
         "planted_w_with_null_constant_weight"])
 def test_experiment_rejects_malformed_configs(tmp_path, capsys, mutate,
@@ -722,7 +756,8 @@ def test_resume_of_a_complete_csv_runs_no_unit(tmp_path, monkeypatch):
     calls = []
     run_instance = cli._run_instance
     monkeypatch.setattr(cli, "_run_instance",
-                        lambda unit: calls.append(unit) or run_instance(unit))
+                        lambda unit, *data: calls.append(unit)
+                        or run_instance(unit, *data))
     assert cli.main(["experiment", "--config", cfg_path, "--out", str(out),
                      "--resume"]) == 0
     assert calls == []

@@ -323,8 +323,25 @@ def test_glmtron_matching_loss_trace_non_increasing():
         20_000, 43,
         corruption=synth.Corruption("flip_region", mass=0.1))
     pred = learners.train_glmtron(ds, "sigmoid", 2.0, iters=100)
-    losses = [step["matching_loss"] for step in pred.trace]
+    # each iterate's loss, from the same scores the fit computed
+    pair = fenchel.pair_from_tag("sigmoid")
+    losses = [learners.empirical_matching_loss(pair, ds.features @ step["w"],
+                                               ds.labels)
+              for step in pred.trace]
     assert all(b <= a + 1e-10 for a, b in zip(losses, losses[1:]))
+
+
+def test_glmtron_records_its_frank_wolfe_gap_per_iterate():
+    # B*||s|| >= s.w on the ball, so a gap below 0 is rounding at most
+    ds, _ = planted_sigmoid(10_000, 31)
+    pred = learners.train_glmtron(ds, "sigmoid", 2.0, iters=500)
+    gaps = [step["gap"] for step in pred.trace]
+    assert len(gaps) > 2 and all(gap >= -1e-12 for gap in gaps)
+    assert gaps[-1] < gaps[0]
+    step = pred.trace[-1]
+    act = fenchel.activation_from_tag("sigmoid")
+    s = ds.features.T @ (ds.labels - act(ds.features @ step["w"])) / ds.n
+    assert step["gap"] == 2.0 * np.linalg.norm(s) - s @ step["w"]
 
 
 # Weights and trace lengths of these fits, recorded at 17 digits, pin every
