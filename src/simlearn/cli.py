@@ -40,6 +40,17 @@ def _fail(code, message):
     return code
 
 
+def _seed(args, default):
+    """``--seed``, or ``default`` when it is not given; NumPy's generators
+    take no negative seed."""
+    if args.seed is None:
+        return default
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be a non-negative integer, "
+                          f"not {args.seed}")
+    return args.seed
+
+
 # ---------------------------------------------------------------------------
 # gen-data
 # ---------------------------------------------------------------------------
@@ -47,7 +58,7 @@ def _fail(code, message):
 
 def cmd_gen_data(args):
     cfg = config_mod.load_config(args.config)
-    seed = args.seed if args.seed is not None else cfg.seeds[0]
+    seed = _seed(args, cfg.seeds[0])
     ds = synth.make_dataset(cfg.marginal, cfg.label_model, cfg.n_train, seed)
     synth.save_dataset(ds, args.out)
     print(f"wrote {ds.n} x {ds.d} dataset to {args.out} "
@@ -62,7 +73,7 @@ def cmd_gen_data(args):
 
 def cmd_train(args):
     cfg = config_mod.load_config(args.config)
-    seed = args.seed if args.seed is not None else cfg.seeds[0]
+    seed = _seed(args, cfg.seeds[0])
     out_dir = args.out
     os.makedirs(out_dir, exist_ok=True)
     train_ds = synth.make_dataset(cfg.marginal, cfg.label_model,
@@ -95,6 +106,8 @@ def cmd_train(args):
 def cmd_distortion_check(args):
     """Print the rows of acceptance criterion 1 for the requested pairs."""
     grid_n = args.grid_density
+    if grid_n < 1:
+        raise ConfigError(f"--grid-density must be at least 1, not {grid_n}")
     if grid_n < 4:
         print(f"warning: grid density {grid_n} is too low to be informative",
               file=sys.stderr)
@@ -195,7 +208,7 @@ def cmd_experiment(args):
 
 
 def cmd_verify(args):
-    seed = args.seed if args.seed is not None else acceptance.DEFAULT_SEED
+    seed = _seed(args, acceptance.DEFAULT_SEED)
     results = acceptance.run_all(seed)
     for res in results:
         print(res.summary())

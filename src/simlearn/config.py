@@ -162,9 +162,7 @@ DOF = _number("an integer greater than 2", lambda v: v > 2 and v == int(v),
               int)
 
 OMNI_OPTIONS = {
-    "eps_ma": POSITIVE, "eps_cal": POSITIVE,
-    "eps_weak": _number("null or a positive number", lambda v: v > 0.0,
-                        nullable=True),
+    "eps_ma": POSITIVE,
     "bucket_width": _number("1/n for an integer n >= 1", lambda v: 0.0 < v
                             <= 1.0 and abs((1.0 / v + 0.5) % 1.0 - 0.5)
                             <= 1e-9),

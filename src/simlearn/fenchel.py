@@ -46,8 +46,9 @@ class Activation:
 
     Attributes
     ----------
-    kind : str
-        Tag such as ``"sigmoid"`` or ``"piecewise_linear"``.
+    tag : str
+        The tag :func:`activation_from_tag` reads back, such as
+        ``"sigmoid"`` or ``"leaky_relu(0.1,0.5)"``.
     lipschitz_upper : float
         Global Lipschitz constant (beta).
     lipschitz_lower : float
@@ -62,14 +63,13 @@ class Activation:
     attaining a mean.
     """
 
-    def __init__(self, lipschitz_upper, lipschitz_lower, range_lo, range_hi,
-                 params=None, derived_from=None):
+    def __init__(self, tag, lipschitz_upper, lipschitz_lower, range_lo,
+                 range_hi):
+        self.tag = tag
         self.lipschitz_upper = float(lipschitz_upper)
         self.lipschitz_lower = float(lipschitz_lower)
         self.range_lo = float(range_lo)
         self.range_hi = float(range_hi)
-        self.params = dict(params or {})
-        self.derived_from = derived_from
 
     def _check_range(self, r):
         """``r`` as a float array; raises RangeError outside the range."""
@@ -86,18 +86,12 @@ class Activation:
         return np.asarray(r, dtype=float) * t - self.integral(t) if np.ndim(r) \
             else float(r) * t - self.integral(t)
 
-    @property
-    def tag(self):
-        if self.derived_from is not None:
-            base, slope = self.derived_from
-            return f"perturbed({base.tag},{slope:g})"
-        if not self.params:
-            return self.kind
-        inner = ",".join(f"{v:g}" for v in self.params.values())
-        return f"{self.kind}({inner})"
-
     def __repr__(self):
         return f"<Activation {self.tag}>"
+
+
+def _perturbed_tag(base, slope):
+    return f"perturbed({base.tag},{slope:g})"
 
 
 class PiecewiseLinearActivation(Activation):
@@ -108,10 +102,8 @@ class PiecewiseLinearActivation(Activation):
     be non-negative.  All integrals, links and conjugates are exact.
     """
 
-    kind = "piecewise_linear"
-
     def __init__(self, knots_t, knots_v, slope_left, slope_right,
-                 kind=None, params=None, derived_from=None):
+                 tag="piecewise_linear"):
         knots_t = np.asarray(knots_t, dtype=float)
         knots_v = np.asarray(knots_v, dtype=float)
         if knots_t.ndim != 1 or knots_t.shape != knots_v.shape or knots_t.size == 0:
@@ -134,10 +126,7 @@ class PiecewiseLinearActivation(Activation):
             ([self.slope_left], self._seg_slopes, [self.slope_right]))
         lo = -np.inf if self.slope_left > 0 else knots_v[0]
         hi = np.inf if self.slope_right > 0 else knots_v[-1]
-        if kind is not None:
-            self.kind = kind
-        super().__init__(np.max(slopes), np.min(slopes), lo, hi,
-                         params=params, derived_from=derived_from)
+        super().__init__(tag, np.max(slopes), np.min(slopes), lo, hi)
         # hinge form: a(t) = v0 + slope_left * (t - t0) + sum_j jump_j * relu(t - t_j)
         # with jump_j the slope increase at knot j; integrating term by term
         # gives an exact expression that vectorizes with a few cheap ops
@@ -200,7 +189,7 @@ class PiecewiseLinearActivation(Activation):
         return PiecewiseLinearActivation(
             self.knots_t, self.knots_v + slope * self.knots_t,
             self.slope_left + slope, self.slope_right + slope,
-            derived_from=(self, slope))
+            _perturbed_tag(self, slope))
 
 
 def _xlogy(x, y):
@@ -212,10 +201,8 @@ def _xlogy(x, y):
 class SigmoidActivation(Activation):
     """Logistic activation 1 / (1 + exp(-t)); link is the logit."""
 
-    kind = "sigmoid"
-
     def __init__(self):
-        super().__init__(0.25, 0.0, 0.0, 1.0)
+        super().__init__("sigmoid", 0.25, 0.0, 0.0, 1.0)
 
     def __call__(self, t):
         # exp(-t) overflows to inf for t < -709, where 1/(1+inf) is the 0
@@ -257,15 +244,12 @@ class PerturbedActivation(Activation):
     """Base activation plus ``slope * t``; its integral and derivative are
     the base's plus those of the linear term."""
 
-    kind = "perturbed"
-
     def __init__(self, base, slope):
         self._base = base
         self._slope = float(slope)
         super().__init__(
-            base.lipschitz_upper + slope, base.lipschitz_lower + slope,
-            -np.inf, np.inf, params={"slope": slope},
-            derived_from=(base, slope))
+            _perturbed_tag(base, slope), base.lipschitz_upper + slope,
+            base.lipschitz_lower + slope, -np.inf, np.inf)
 
     def __call__(self, t):
         return self._base(t) + self._slope * np.asarray(t, dtype=float)
@@ -286,18 +270,18 @@ class PerturbedActivation(Activation):
 
 def identity():
     """g'(t) = t."""
-    return PiecewiseLinearActivation([0.0], [0.0], 1.0, 1.0, kind="identity")
+    return PiecewiseLinearActivation([0.0], [0.0], 1.0, 1.0, "identity")
 
 
 def identity_clamped():
     """Ramp g'(t) = clip(t, 0, 1)."""
     return PiecewiseLinearActivation([0.0, 1.0], [0.0, 1.0], 0.0, 0.0,
-                                     kind="identity_clamped")
+                                     "identity_clamped")
 
 
 def relu():
     """g'(t) = max(t, 0)."""
-    return PiecewiseLinearActivation([0.0], [0.0], 0.0, 1.0, kind="relu")
+    return PiecewiseLinearActivation([0.0], [0.0], 0.0, 1.0, "relu")
 
 
 def leaky_relu(slope, level=0.5):
@@ -310,8 +294,7 @@ def leaky_relu(slope, level=0.5):
     if slope <= 0:
         raise InvalidInputError("leaky_relu slope must be positive")
     return PiecewiseLinearActivation([0.0], [float(level)], float(slope), 1.0,
-                                     kind="leaky_relu",
-                                     params={"slope": slope, "level": level})
+                                     f"leaky_relu({slope:g},{level:g})")
 
 
 def sigmoid():
@@ -322,7 +305,7 @@ def perturb_bilipschitz(activation, slope):
     """Return the activation ``t -> a(t) + slope * t``.
 
     The result is [max(alpha, slope), beta + slope] bi-Lipschitz, strictly
-    increasing with full real range, and remembers what it was derived from.
+    increasing with full real range, and tagged ``perturbed(<tag>,<slope>)``.
     """
     if not np.isfinite(slope) or slope <= 0:
         raise InvalidInputError("perturbation slope must be a positive real")
@@ -577,9 +560,10 @@ def check_bounded_link(pair, R, gamma, probes):
 # Built-in pair registry
 # ---------------------------------------------------------------------------
 
-# (R, gamma) defaults used by the omniprediction registration gate, by
-# activation kind, and (25, 0.5) for any other kind, perturbations included;
-# recorded conventions, not asserted ground truth.
+# (R, gamma) defaults used by the omniprediction registration gate, by the
+# name of the activation's tag (before any arguments), and (25, 0.5) for any
+# other name, perturbations included; recorded conventions, not asserted
+# ground truth.
 DEFAULT_BOUNDEDNESS = {
     "identity": (1.0, 0.0),
     "identity_clamped": (1.0, 0.0),
@@ -655,7 +639,7 @@ def default_registered_pairs():
 def registration_gate(pair):
     """Run the boundedness check with the pair's default (R, gamma) at the
     default probes."""
-    R, gamma = DEFAULT_BOUNDEDNESS.get(pair.activation.kind, (25.0, 0.5))
+    R, gamma = DEFAULT_BOUNDEDNESS.get(pair.tag.split("(")[0], (25.0, 0.5))
     return check_bounded_link(pair, R, gamma, list(DEFAULT_PROBES))
 
 

@@ -42,6 +42,7 @@ GAP_TOL = 1e-12           # Frank-Wolfe gap that certifies a fit
 NEWTON_STEP_CAP = 100
 HESSIAN_FLOOR = 1e-12     # least eigenvalue of the model's Hessian
 ARMIJO = 1e-4             # sufficient-decrease fraction of the line search
+LOSS_ROUNDING = 4 * 2.0 ** -52    # a few ulps, relative to max(1, |loss|)
 LINE_SEARCH_FLOOR = 2.0 ** -40
 
 
@@ -154,9 +155,9 @@ class OmniPredictor:
     """Clipped linear score followed by bucket calibration.
 
     The score is ``base + score_w.x`` clipped to [0, 1]; ``score_w`` is the
-    sum of the accepted boosting updates ``sigma * w_t``, whose steps and
-    norms the trace records.  ``values`` holds one calibrated value per
-    bucket.
+    sum of the accepted boosting updates ``sigma * w_t`` (each ``w_t`` of
+    norm B), whose steps the trace records.  ``values`` holds one
+    calibrated value per bucket.
     """
 
     KIND, HEADER = "omnipredictor", {"base": float, "bucket_width": float}
@@ -178,31 +179,31 @@ class OmniPredictor:
                                     self.bucket_width, self.values.size)]
 
 
-def train_omnipredictor(dataset, B, seed=0, *, eps_ma=0.02, eps_cal=0.02,
-                        eps_weak=None, bucket_width=DEFAULT_BUCKET_WIDTH,
+def train_omnipredictor(dataset, B, seed=0, *, eps_ma=0.02,
+                        bucket_width=DEFAULT_BUCKET_WIDTH,
                         round_cap=DEFAULT_ROUND_CAP,
                         bernoulli_reduction=False):
     """Multiaccuracy boosting rounds, each followed by bucket recalibration.
 
-    Each round runs the weak learner (threshold ``eps_weak``, by default
-    ``eps_ma / 4``) on the residual y - p(x), p(x) the mean label of x's
-    score bucket.  An accepted direction joins the score with the rung of
-    ``bucket_width * 2^k / (B sqrt(lambda))``, k = -6..4, whose recalibrated
-    training squared error is least (ties to the smaller), if strictly
-    lower; else the fit stops ``stalled``, non-converged.  (The theory step
-    ``eps_weak / (2 B^2 lambda)`` moves scores far less than a bucket, so
-    rebucketing rounds it away and the loop cycles.)  Rejection ends
-    training; that round's calibration error (zero up to the output clamp)
-    sets ``converged`` against ``eps_cal``.  ``round_cap`` is a guard.
+    Each round runs the weak learner (threshold ``eps_ma / 4``) on the
+    residual y - p(x), p(x) the mean label of x's score bucket.  An accepted
+    direction joins the score with the rung of ``bucket_width * 2^k /
+    (B sqrt(lambda))``, k = -6..4, whose recalibrated training squared error
+    is least (ties to the smaller), if strictly lower; else the fit stops
+    ``stalled``, non-converged.  (The theory step ``eps_ma / (8 B^2
+    lambda)`` moves scores far less than a bucket, so rebucketing rounds it
+    away and the loop cycles.)  The fit is converged exactly when the weak
+    learner rejects, which ends training; the bucket means keep the
+    training calibration error at or below the output clamp, so there is no
+    separate calibration test.  ``round_cap`` is a guard.
     ``bernoulli_reduction`` trains on Bernoulli(y) labels.  The rounds use a
     column-major copy of the features (faster BLAS for few columns), made
     here because it moves the last bits of ``score_w``.
     """
     x = np.asfortranarray(dataset.features)
     y = dataset.labels.astype(float)
-    lam = dataset.second_moment
-    eps3 = eps_weak if eps_weak is not None else eps_ma / 4.0
-    ladder = bucket_width / (B * math.sqrt(lam)) * 2.0 ** np.arange(-6, 5)
+    ladder = (bucket_width / (B * math.sqrt(dataset.second_moment))
+              * 2.0 ** np.arange(-6, 5))
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x0821]))
     if bernoulli_reduction and dataset.label_space == "interval":
         y = (rng.random(y.shape) < y).astype(float)
@@ -217,15 +218,11 @@ def train_omnipredictor(dataset, B, seed=0, *, eps_ma=0.02, eps_cal=0.02,
     err2, raw, idx, values, z = recalibrate(np.full(x.shape[0], 0.5))
     w, trace = np.zeros(dataset.d), []
     for round_no in range(round_cap):
-        result = weak_learn(x, z, B, eps3, second_moment=lam,
-                            enforce_sample_size=False)
+        result = weak_learn(x, z, B, eps_ma / 4.0, enforce_sample_size=False)
         trace.append({"round": round_no, "err2": err2,
                       "ma_violation": result.correlation_estimate})
         if not result.accepted:
-            cal_err = calibration_error(values[idx], y)
-            trace[-1]["calibration_error"] = cal_err
-            return OmniPredictor(w, values, bucket_width,
-                                 converged=cal_err <= eps_cal, trace=trace)
+            return OmniPredictor(w, values, bucket_width, trace=trace)
         u = x @ result.w
         sigma, best = None, (err2,)
         for rung in ladder.tolist():    # keeps only the best rung's arrays
@@ -236,7 +233,7 @@ def train_omnipredictor(dataset, B, seed=0, *, eps_ma=0.02, eps_cal=0.02,
             trace[-1]["stalled"] = True
             break
         err2, raw, idx, values, z = best
-        trace[-1].update(sigma=sigma, w_norm=float(np.linalg.norm(result.w)))
+        trace[-1]["sigma"] = sigma
         w = w + sigma * result.w
     return OmniPredictor(w, values, bucket_width, converged=False, trace=trace)
 
@@ -507,11 +504,16 @@ def train_matching_gd(dataset, pair, B):
     :func:`_ball_model_minimiser`); its Hessian ``X' diag(a'(Xw)) X / n``
     has its eigenvalues raised to ``HESSIAN_FLOOR`` where flat pieces of
     the activation leave them lower.  The step is halved until the Armijo
-    condition holds, so the loss trace never rises; below
-    ``LINE_SEARCH_FLOOR`` it raises :class:`DivergenceError`.  The fit is
-    flagged converged once the Frank-Wolfe gap ``grad.w + B ||grad||``,
-    which bounds the loss above the ball's minimum (Jaggi, ICML 2013), is
-    at most ``GAP_TOL``, and non-converged after ``NEWTON_STEP_CAP`` steps.
+    condition holds, or until the loss rises by at most ``LOSS_ROUNDING``
+    times max(1, |loss|) at a trial point where it still falls along the
+    step, ``mean((a(x.w_new) - y) (x.d)) <= 0``: the loss is convex along
+    the step, so that rise is rounding, which near the minimiser is all an
+    Armijo test sees.  The loss trace thus rises by rounding at most; below
+    ``LINE_SEARCH_FLOOR`` the search raises :class:`DivergenceError`.  The
+    fit is flagged converged once the Frank-Wolfe gap ``grad.w + B
+    ||grad||``, which bounds the loss above the ball's minimum (Jaggi, ICML
+    2013), is at most ``GAP_TOL``, and non-converged after
+    ``NEWTON_STEP_CAP`` steps.
     The trace records the loss, accepted step fraction and gap per step.
     """
     x, y = dataset.features, dataset.labels
@@ -538,6 +540,10 @@ def train_matching_gd(dataset, pair, B):
             scores_new = x @ w_new
             loss_new = empirical_matching_loss(pair, scores_new, y)
             if loss_new <= loss + ARMIJO * frac * slope:
+                break
+            if (loss_new - loss <= LOSS_ROUNDING * max(1.0, abs(loss))
+                    and float(np.mean((pair.g_prime(scores_new) - y)
+                                      * (x @ direction))) <= 0.0):
                 break
             frac *= 0.5
             if frac < LINE_SEARCH_FLOOR:

@@ -158,18 +158,6 @@ class BoundCheck:
     params: dict = field(default_factory=dict)
     extras: dict = field(default_factory=dict)
 
-    def to_json(self):
-        payload = {
-            "theorem": self.theorem_tag,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "slack": self.slack,
-            "pass": self.passed,
-            "params": dict(self.params),
-            "extras": dict(self.extras),
-        }
-        return json.dumps(payload)
-
 
 def _certified_opt(dataset):
     if dataset.certified_opt_upper_bound is None:
@@ -222,10 +210,6 @@ def check_general_activation_transfer(p, report, dataset, g_pair, phi_pair, B):
                    {"approximation_term": approx})
 
 
-def sim_bound_rhs(opt_hat, B, lam, eps, c_report):
-    return c_report * B * math.sqrt(lam) * math.sqrt(opt_hat) + eps
-
-
 def check_sim_bound(report, dataset, B, lam, eps):
     """err2 <= SIM_C * B * sqrt(lam) * sqrt(opt_hat) + eps.
 
@@ -233,7 +217,7 @@ def check_sim_bound(report, dataset, B, lam, eps):
     is the smallest constant making this instance pass.
     """
     opt_hat = _certified_opt(dataset)
-    rhs = sim_bound_rhs(opt_hat, B, lam, eps, SIM_C)
+    rhs = SIM_C * B * math.sqrt(lam) * math.sqrt(opt_hat) + eps
     denom = B * math.sqrt(lam) * math.sqrt(opt_hat) if opt_hat > 0 else 0.0
     if denom > 0:
         c_needed = max(0.0, (report.err2 - eps) / denom)

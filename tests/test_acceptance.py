@@ -8,8 +8,10 @@ requires a byte-identical CSV artifact.
 
 import dataclasses
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from simlearn import acceptance, config, learners, synth, transfer
 from simlearn.errors import InvalidInputError
 
 SEED = acceptance.DEFAULT_SEED
+SRC = Path(acceptance.__file__).resolve().parents[1]
 
 
 @pytest.fixture(scope="session")
@@ -71,6 +74,61 @@ def test_criterion_07_simultaneity(suite):
     res = suite[7]
     _assert_criterion(res)
     assert res.details["max_eps_report"] <= acceptance.SIMULTANEITY_EPS
+
+
+def test_criterion_07_fails_when_a_comparator_is_uncertified(monkeypatch):
+    # a comparator that misses its certificate proves no premise gap
+    fit = learners.train_matching_gd
+    uncertified = "perturbed(identity_clamped,0.05)"
+
+    def unconverged(dataset, pair, B):
+        pred = fit(dataset, pair, B)
+        pred.converged &= pair.tag != uncertified
+        return pred
+
+    monkeypatch.setattr(learners, "train_matching_gd", unconverged)
+    res = acceptance.criterion_7(SEED)
+    assert not res.passed
+    slacks = {row.learner: row.slack for row in res.rows}
+    assert slacks.pop(f"omni/{uncertified}") == -math.inf
+    assert all(0.0 <= slack < math.inf for slack in slacks.values())
+
+
+def _dynamic_openblas():
+    """Whether NumPy's BLAS is an OpenBLAS that picks its kernels at run
+    time, so that ``OPENBLAS_CORETYPE`` can force one."""
+    try:    # mode="dicts" is NumPy 1.26 and later
+        deps = np.show_config(mode="dicts").get("Build Dependencies", {})
+    except TypeError:
+        return False
+    blas = deps.get("blas", {})
+    return "openblas" in blas.get("name", "") \
+        and "DYNAMIC_ARCH" in blas.get("openblas configuration", "")
+
+
+def _cpu_has(flag):
+    try:
+        with open("/proc/cpuinfo") as fh:
+            return flag in fh.read().split()
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(not (_cpu_has("avx2") and _dynamic_openblas()),
+                    reason="needs a DYNAMIC_ARCH OpenBLAS and an AVX2 CPU")
+def test_criteria_07_and_09_pass_on_the_haswell_kernel():
+    # OpenBLAS's Haswell kernels round the matching losses differently from
+    # others; the ball minimisers of criterion 7 at seed 20250 and criterion
+    # 9 at seed 1 used to halve their steps to the Newton cap there
+    code = (f"import sys; sys.path.insert(0, {str(SRC)!r}); "
+            "from simlearn import acceptance; "
+            "print(acceptance.criterion_7(20250).passed, "
+            "acceptance.criterion_9(1).passed)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=600,
+                          env=dict(os.environ, OPENBLAS_CORETYPE="Haswell"))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True", "True"]
 
 
 def test_criterion_08_pconcept(suite):

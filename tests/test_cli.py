@@ -118,6 +118,12 @@ def test_distortion_check_low_density_warns(capsys):
     assert "too low" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("density", ["0", "-3"])
+def test_distortion_check_rejects_a_grid_of_no_points(capsys, density):
+    assert cli.main(["distortion-check", "--grid-density", density]) == 2
+    assert "--grid-density must be at least 1" in capsys.readouterr().err
+
+
 def test_distortion_check_fault_injection(monkeypatch, capsys):
     # a pair whose claimed upper Lipschitz constant is understated must make
     # the run fail and name the violated sandwich
@@ -357,6 +363,18 @@ def test_experiment_rejects_fewer_than_one_worker(tmp_path, capsys, workers):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["verify", "gen-data", "train"])
+def test_a_negative_seed_exits_2(tmp_path, capsys, command):
+    # NumPy's generators take no negative seed, from a config or a flag
+    out = tmp_path / "out"
+    files = [] if command == "verify" else [
+        "--config", write_config(tmp_path, base_config()), "--out", str(out)]
+    assert cli.main([command, "--seed", "-1", *files]) == 2
+    assert "--seed must be a non-negative integer, not -1" \
+        in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("mutate, needle", [
     (lambda c: c.update(learners=[
         {"algorithm": "glmtron", "activation": "sigmoid", "norm_bound": 2.0},
@@ -542,10 +560,12 @@ def planted(**keys):
     (lambda c: c.update(eps=-1.0), "'eps' in config"),
     (lambda c: c.update(learners=[omni_entry(eps_ma=-1.0)]),
      "'eps_ma' in learners[0]"),
+    # the omnipredictor's threshold is eps_ma / 4 and its flag the weak
+    # learner's rejection: no other value configures them
     (lambda c: c.update(learners=[omni_entry(eps_cal=-1.0)]),
-     "'eps_cal' in learners[0]"),
+     "unknown key 'eps_cal' in learners[0]"),
     (lambda c: c.update(learners=[omni_entry(eps_weak=0.0)]),
-     "'eps_weak' in learners[0]"),
+     "unknown key 'eps_weak' in learners[0]"),
     (lambda c: c.update(learners=[omni_entry(bucket_width=0.3)]),
      "'bucket_width' in learners[0]"),
     (lambda c: c["learners"][0].update(tol=-1.0), "'tol' in learners[0]"),
@@ -702,6 +722,13 @@ def test_planted_w_alone_is_the_label_models_direction():
     (lambda c: c["data"].update(label_model=planted(constant_weight=None)),
      "'constant_weight' in label_model must be left out when 'planted_w' "
      "is given, not None"),
+    # a required key, a direction that is neither given nor drawable, and a
+    # direction of the wrong dimension
+    (lambda c: c.pop("learners"), "missing key 'learners' in config"),
+    (lambda c: c["data"]["label_model"].pop("norm"),
+     "missing key 'norm' in label_model"),
+    (lambda c: c["data"].update(label_model=planted(planted_w=[0.5] * 3)),
+     "planted_w has dimension 3, expected 4"),
 ], ids=["misspelt_checks", "misspelt_n_train", "misspelt_scale",
         "misspelt_corruption", "misspelt_instance_corruption",
         "check_not_a_string", "pair_not_a_string",
@@ -711,7 +738,8 @@ def test_planted_w_alone_is_the_label_models_direction():
         "label_space", "constant_weight_above_norm", "student_t_dof_two",
         "gaussian_with_dof",
         "planted_w_with_norm", "planted_w_with_default_direction_seed",
-        "planted_w_with_null_constant_weight"])
+        "planted_w_with_null_constant_weight", "learners_missing",
+        "no_planted_w_and_no_norm", "planted_w_wrong_dimension"])
 def test_experiment_rejects_malformed_configs(tmp_path, capsys, mutate,
                                               needle):
     cfg = base_config()
@@ -720,6 +748,16 @@ def test_experiment_rejects_malformed_configs(tmp_path, capsys, mutate,
     assert cli.main(["experiment", "--config", write_config(tmp_path, cfg),
                      "--out", str(out)]) == 2
     assert needle in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_experiment_rejects_a_config_root_that_is_not_an_object(tmp_path,
+                                                                capsys):
+    out = tmp_path / "x.csv"
+    assert cli.main(["experiment", "--config",
+                     write_config(tmp_path, [base_config()]),
+                     "--out", str(out)]) == 2
+    assert "config root must be an object" in capsys.readouterr().err
     assert not out.exists()
 
 

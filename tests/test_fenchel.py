@@ -211,7 +211,7 @@ def test_perturb_relu_gives_two_slopes():
     quo = np.diff(pert(ts)) / np.diff(ts)
     assert quo.min() == pytest.approx(0.1, abs=1e-9)
     assert quo.max() == pytest.approx(1.1, abs=1e-9)
-    assert pert.derived_from[1] == 0.1
+    assert pert.tag == "perturbed(relu,0.1)"
 
 
 def test_perturb_identity_scales():
@@ -503,7 +503,7 @@ def test_kl_and_crossentropy_sandwiches():
 def test_understated_beta_breaks_sandwich():
     # claim the identity activation is 0.5-Lipschitz: the lower bound of the
     # sandwich doubles and must now fail
-    fake = F.PiecewiseLinearActivation([0.0], [0.0], 1.0, 1.0, kind="identity")
+    fake = F.PiecewiseLinearActivation([0.0], [0.0], 1.0, 1.0, "identity")
     fake.lipschitz_upper = 0.5
     rep = F.bilipschitz_sandwich_report(F.FenchelPair(fake), grid_n=20)
     assert rep["lower_slack"] < -1e-9

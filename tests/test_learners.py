@@ -83,8 +83,7 @@ def test_weak_learn_z_range_validated():
 def test_omnipredictor_constant_labels():
     x = synth.sample_marginal(GAUSS5, 5000, 7)
     ds = synth.Dataset(x, np.full(5000, 0.3), "interval", 7, marginal=GAUSS5)
-    omni = learners.train_omnipredictor(ds, 2.0, seed=1, eps_ma=0.02,
-                                        eps_cal=0.02)
+    omni = learners.train_omnipredictor(ds, 2.0, seed=1, eps_ma=0.02)
     assert omni.converged
     p = omni.predict(x)
     assert np.max(np.abs(p - 0.3)) <= learners.DEFAULT_BUCKET_WIDTH + 0.02
@@ -92,8 +91,7 @@ def test_omnipredictor_constant_labels():
 
 def test_omnipredictor_realizable_invariants():
     ds, _ = planted_sigmoid(50_000, 11)
-    omni = learners.train_omnipredictor(ds, 2.0, seed=2, eps_ma=0.02,
-                                        eps_cal=0.02)
+    omni = learners.train_omnipredictor(ds, 2.0, seed=2, eps_ma=0.02)
     p = omni.predict(ds.features)
     assert np.all((p > 0.0) & (p < 1.0))
     resid = ds.labels - p
@@ -106,8 +104,7 @@ def test_omnipredictor_heldout_generalization_smoke():
     # the two calibrated-multiaccuracy inequalities, with doubled epsilon,
     # on a fresh sample from the same distribution
     train, w = planted_sigmoid(50_000, 13)
-    omni = learners.train_omnipredictor(train, 2.0, seed=3, eps_ma=0.02,
-                                        eps_cal=0.02)
+    omni = learners.train_omnipredictor(train, 2.0, seed=3, eps_ma=0.02)
     spec = synth.MarginalSpec("standard_gaussian", 5)
     held = synth.make_dataset(spec, train.label_model, 50_000, 14)
     p = omni.predict(held.features)
@@ -146,7 +143,6 @@ def test_omnipredictor_steps_follow_config():
         accepted = [step for step in omni.trace if "sigma" in step]
         assert accepted
         assert all(step["sigma"] in ladder for step in accepted)
-        assert all(step["w_norm"] == pytest.approx(2.0) for step in accepted)
         errs = [step["err2"] for step in omni.trace]
         assert all(later < earlier for earlier, later in zip(errs, errs[1:]))
 
@@ -168,24 +164,30 @@ def test_omnipredictor_stalls_when_no_rung_lowers_the_error(monkeypatch):
     assert np.array_equal(omni.score_w, np.zeros(ds.d))
 
 
-def test_omnipredictor_records_calibration_error_once():
-    # predictions are bucket means of the training labels, so the training
-    # calibration error is zero up to the output clamp; it is computed once,
-    # on the round where the weak learner rejects
+def test_omnipredictor_converges_exactly_when_the_weak_learner_rejects():
+    # the weak learner's threshold is eps_ma / 4; predictions are bucket
+    # means of the training labels, so the training calibration error is
+    # zero up to the output clamp and needs no test of its own
     ds, _ = planted_sigmoid(20_000, 19)
-    omni = learners.train_omnipredictor(ds, 2.0, seed=5)
+    omni = learners.train_omnipredictor(ds, 2.0, seed=5, eps_ma=0.02)
     assert omni.converged
     *rounds, last = omni.trace
-    assert rounds and all("calibration_error" not in step for step in rounds)
-    assert last["calibration_error"] == learners.calibration_error(
-        omni.predict(ds.features), ds.labels)
-    assert last["calibration_error"] <= learners.DEFAULT_OUTPUT_CLAMP
+    assert rounds and all("sigma" in step for step in rounds)
+    assert "sigma" not in last and "stalled" not in last
+    assert last["ma_violation"] <= 3.0 * (0.02 / 4.0) / (4.0 * 2.0)
+    assert learners.calibration_error(omni.predict(ds.features), ds.labels) \
+        <= learners.DEFAULT_OUTPUT_CLAMP
+    # the same fit stopped by the cap before the rejecting round
+    capped = learners.train_omnipredictor(ds, 2.0, seed=5, eps_ma=0.02,
+                                          round_cap=len(rounds))
+    assert not capped.converged
+    assert capped.trace == rounds
 
 
 def test_omnipredictor_bernoulli_reduction_flag():
     ds, _ = planted_sigmoid(30_000, 23)
     omni = learners.train_omnipredictor(ds, 2.0, seed=6, eps_ma=0.04,
-                                        eps_cal=0.04, bernoulli_reduction=True)
+                                        bernoulli_reduction=True)
     p = omni.predict(ds.features)
     # trained on resampled binary labels, still close in squared error
     assert learners.squared_error(p, ds.labels) <= 0.02
@@ -626,7 +628,9 @@ def test_matching_gd_matches_slsqp_on_the_ball(tag, B):
 
 def test_matching_gd_backtracking_contract():
     # criterion 7's ball minimiser for the perturbed ramp: the knots make
-    # the quadratic model overshoot, so the line search halves most steps
+    # the quadratic model overshoot, so the line search halves most steps.
+    # Near the minimiser a halved step may raise the computed loss by its
+    # rounding, where the loss still falls along the step
     spec = synth.MarginalSpec("standard_gaussian", 5, augment_constant=True)
     w = synth.planted_direction(6, 2.0, 20321, constant_weight=0.2)
     ds = synth.make_dataset(spec, synth.LabelModel(tuple(w), "sigmoid"),
@@ -636,7 +640,8 @@ def test_matching_gd_backtracking_contract():
     assert pred.converged
     assert sum(step["step"] < 1.0 for step in pred.trace[1:]) >= 10
     losses = [step["loss"] for step in pred.trace]
-    assert all(b <= a for a, b in zip(losses, losses[1:]))
+    assert all(b <= a + learners.LOSS_ROUNDING * max(1.0, abs(a))
+               for a, b in zip(losses, losses[1:]))
     assert losses[-1] < losses[0]
 
 

@@ -363,20 +363,3 @@ def test_pconcept_planted_sigmoid_within_three_se():
     rep = transfer.pconcept_disagreement(planted_predictions(ds), ds,
                                          resamples=100_000, seed=10)
     assert rep.within()
-
-
-# ---------------------------------------------------------------------------
-# bound check serialization
-# ---------------------------------------------------------------------------
-
-
-def test_bound_check_json_fixed_keys():
-    ds = planted_dataset(n=5000)
-    pred = learners.train_glmtron(ds, "sigmoid", 2.0, iters=50)
-    chk = transfer.check_sim_bound(
-        transfer.evaluate(pred.predict(ds.features), ds), ds, 2.0, 1.0,
-        eps=0.05)
-    payload = json.loads(chk.to_json())
-    assert list(payload) == ["theorem", "lhs", "rhs", "slack", "pass",
-                             "params", "extras"]
-    assert chk.to_json() == chk.to_json()
