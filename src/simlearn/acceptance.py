@@ -255,7 +255,7 @@ def criterion_2(seed=DEFAULT_SEED):
     for tag in BUILTIN_TAGS + ("perturbed(identity_clamped,0.05)",
                                "perturbed(relu,0.05)"):
         pair = fenchel.pair_from_tag(tag)
-        gap = float(np.max(np.abs(pair.g_prime(pair.f_prime(r)) - r)))
+        gap = float(np.max(np.abs(pair(pair.f_prime(r)) - r)))
         ok &= gap <= tol
         rows.append(Row(f"grid{grid_n}", tag, None, None, None,
                         "link_duality", tol, tol - gap, None))

@@ -8,8 +8,10 @@ Subcommands:
   verify            run the acceptance suite; exit 0 iff everything passes
 
 Exit codes: 0 success, 2 malformed input (a library error that is a
-ValueError: a bad config, dataset or argument), 3 numeric failure (one that
-is a RuntimeError: training divergence or non-convergence).  CSV artifacts
+ValueError: a bad config, dataset or argument, an --out that cannot be
+written), 3 numeric failure (one that is a RuntimeError: a line search that
+drives its step to zero, non-finite iterates, a link bisection that cannot
+bracket its value).  `verify` exits 1 when a criterion fails.  CSV artifacts
 are byte-stable for a fixed config and seed; the runtime_ms column is
 written as 0 unless --timing is given, so timing noise never touches the
 bytes.
@@ -51,6 +53,16 @@ def _seed(args, default):
     return args.seed
 
 
+def _check_out_file(path):
+    """Raise a ConfigError unless ``--out`` names a file in an existing
+    directory; called before any work, so a bad ``--out`` never fails a
+    finished run."""
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path) or not os.path.isdir(parent):
+        raise ConfigError(f"--out {path} is not a file in an existing "
+                          f"directory")
+
+
 # ---------------------------------------------------------------------------
 # gen-data
 # ---------------------------------------------------------------------------
@@ -59,6 +71,7 @@ def _seed(args, default):
 def cmd_gen_data(args):
     cfg = config_mod.load_config(args.config)
     seed = _seed(args, cfg.seeds[0])
+    _check_out_file(args.out)
     ds = synth.make_dataset(cfg.marginal, cfg.label_model, cfg.n_train, seed)
     synth.save_dataset(ds, args.out)
     print(f"wrote {ds.n} x {ds.d} dataset to {args.out} "
@@ -75,6 +88,8 @@ def cmd_train(args):
     cfg = config_mod.load_config(args.config)
     seed = _seed(args, cfg.seeds[0])
     out_dir = args.out
+    if os.path.exists(out_dir) and not os.path.isdir(out_dir):
+        raise ConfigError(f"--out {out_dir} is a file, not a directory")
     os.makedirs(out_dir, exist_ok=True)
     train_ds = synth.make_dataset(cfg.marginal, cfg.label_model,
                                   cfg.n_train, seed)
@@ -153,6 +168,7 @@ def cmd_experiment(args):
     if args.workers < 1:
         raise ConfigError(f"--workers must be at least 1, not {args.workers}")
     cfg = config_mod.load_config(args.config)
+    _check_out_file(args.out)
     existing = {}
     if args.resume and os.path.exists(args.out):
         with open(args.out) as fh:
@@ -209,6 +225,8 @@ def cmd_experiment(args):
 
 def cmd_verify(args):
     seed = _seed(args, acceptance.DEFAULT_SEED)
+    if args.out:
+        _check_out_file(args.out)
     results = acceptance.run_all(seed)
     for res in results:
         print(res.summary())

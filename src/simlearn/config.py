@@ -101,7 +101,7 @@ def _choice(choices):
 def _tag(value):
     """An activation tag, checked by parsing it."""
     try:
-        fenchel.activation_from_tag(value)
+        fenchel.pair_from_tag(value)
     except InvalidInputError as exc:
         raise ConfigError(f"unknown activation tag {value!r}") from exc
     return value
@@ -185,9 +185,13 @@ ALGORITHMS = {
                         ds, fenchel.pair_from_tag(e["activation"]), B)),
 }
 
-# the keys of every learner entry; ALGORITHMS adds each algorithm's own
+# the keys of every learner entry; ALGORITHMS adds each algorithm's own.
+# `train` writes <name>.predictor.txt under its output directory, so a name
+# is no path
 LEARNER = {"algorithm": _need(_choice(ALGORITHMS)),
-           "name": TEXT, "norm_bound": _need(POSITIVE)}
+           "name": _scalar("a string without '/'",
+                           lambda v: type(v) is str and "/" not in v),
+           "norm_bound": _need(POSITIVE)}
 
 
 def _learner_entry(value, key, where):

@@ -2,12 +2,12 @@
 
 An activation ``a`` is a non-decreasing Lipschitz map from scores to means.
 Its running integral ``g(t) = int_0^t a`` is convex; the derivative of the
-convex conjugate of ``g`` is the link ``f'``, the (pseudo-)inverse of ``a``
-on its range.  This module provides:
+convex conjugate ``f`` of ``g`` is the link ``f'``, the (pseudo-)inverse of
+``a`` on its range.  One :class:`FenchelPair` object is one activation with
+all of these.  This module provides:
 
-* built-in activations (sigmoid, identity, ReLU variants, piecewise linear)
-  with closed-form integrals and derivatives, each owning its link and
-  conjugate,
+* built-in pairs (sigmoid, identity, ReLU variants, piecewise linear) with
+  closed-form integrals, derivatives, links and conjugates,
 * the matching loss ``l_g(y, t) = g(t) - y*t`` and the Bregman divergence
   ``B_f(y, p) = f(y) - f(p) - (y - p) f'(p)``,
 * additive bi-Lipschitz perturbation ``a(t) + slope*t``,
@@ -36,38 +36,50 @@ DEFAULT_CLAMP_MARGIN = 1e-12
 BRACKET_CAP_EXP = 60  # bisection brackets expand up to [-2^60, 2^60]
 
 
+def _float_if_scalar(x):
+    """``x`` as a float when it is 0-d, else ``x`` itself."""
+    return x if np.ndim(x) else float(x)
+
+
 # ---------------------------------------------------------------------------
-# Activations
+# Pairs
 # ---------------------------------------------------------------------------
 
 
-class Activation:
-    """A non-decreasing Lipschitz score-to-mean map.
+class FenchelPair:
+    """A non-decreasing Lipschitz activation ``a = g'`` with its integral
+    ``g``, link ``f'`` and conjugate ``f``.
 
     Attributes
     ----------
     tag : str
-        The tag :func:`activation_from_tag` reads back, such as
-        ``"sigmoid"`` or ``"leaky_relu(0.1,0.5)"``.
-    lipschitz_upper : float
-        Global Lipschitz constant (beta).
-    lipschitz_lower : float
+        The tag :func:`pair_from_tag` reads back, such as ``"sigmoid"`` or
+        ``"leaky_relu(0.1,0.5)"``.
+    alpha : float
         Largest alpha with ``a(t2) - a(t1) >= alpha (t2 - t1)``; 0 when the
         activation has flat pieces.
+    beta : float
+        Global Lipschitz constant of ``a``.
     range_lo, range_hi : float
         Extended-real bounds of the closure of the range.
 
-    Subclasses define ``__call__``, ``integral`` (the running integral from
-    0) and ``derivative`` (the slope, taking the right slope at a kink),
-    all in closed form, and ``inverse``, the link: the minimal score
-    attaining a mean.
+    The public maps are ``__call__`` (the mean ``a(t)``), ``g`` (the running
+    integral from 0), ``derivative`` (the slope of ``a``, the right slope at
+    a kink), ``f_prime`` (the link: the minimal score attaining a mean) and
+    ``f``.  They are defined here alone: each converts its argument to a
+    float array, ``f_prime`` and ``f`` check it against the range, and each
+    returns a float for a scalar.  A subclass defines the array kernels
+    ``_a``, ``_g``, ``_da`` and ``_f_prime``, and ``_f`` where the conjugate
+    has a closed form; kernels call kernels, never the public maps.  So a
+    wrapper put around ``FenchelPair.g`` or ``FenchelPair.f_prime`` (as the
+    benchmark's tracer does) sees every call from outside the pair and
+    nothing else.
     """
 
-    def __init__(self, tag, lipschitz_upper, lipschitz_lower, range_lo,
-                 range_hi):
+    def __init__(self, tag, alpha, beta, range_lo, range_hi):
         self.tag = tag
-        self.lipschitz_upper = float(lipschitz_upper)
-        self.lipschitz_lower = float(lipschitz_lower)
+        self.alpha = float(alpha)
+        self.beta = float(beta)
         self.range_lo = float(range_lo)
         self.range_hi = float(range_hi)
 
@@ -80,21 +92,77 @@ class Activation:
                 f"of activation {self.tag}")
         return r
 
-    def conjugate_value(self, r):
-        """Conjugate f(r) = r t - g(t) at the link value t = inverse(r)."""
-        t = self.inverse(r)
-        return np.asarray(r, dtype=float) * t - self.integral(t) if np.ndim(r) \
-            else float(r) * t - self.integral(t)
+    # -- basic maps ---------------------------------------------------------
+
+    def __call__(self, t):
+        return _float_if_scalar(self._a(np.asarray(t, dtype=float)))
+
+    def g(self, t):
+        return _float_if_scalar(self._g(np.asarray(t, dtype=float)))
+
+    def derivative(self, t):
+        return _float_if_scalar(self._da(np.asarray(t, dtype=float)))
+
+    def f_prime(self, r):
+        """Link value: minimal score t with g'(t) = r."""
+        return _float_if_scalar(self._f_prime(self._check_range(r)))
+
+    def f(self, r):
+        return _float_if_scalar(self._f(self._check_range(r)))
+
+    def _f(self, r):
+        # f(r) = r t - g(t) at the link value t = f'(r)
+        t = self._f_prime(r)
+        return r * t - self._g(t)
+
+    # -- losses -------------------------------------------------------------
+
+    def matching_loss(self, y, t):
+        """Integral of (g' - y) from 0 to t, i.e. g(t) - y*t."""
+        y_arr = np.asarray(y, dtype=float)
+        t_arr = np.asarray(t, dtype=float)
+        if not np.all(np.isfinite(t_arr)):
+            raise InvalidInputError("score must be finite")
+        if not np.all(np.isfinite(y_arr)) or np.any(y_arr < 0) or np.any(y_arr > 1):
+            raise InvalidInputError("label must lie in [0, 1]")
+        return _float_if_scalar(self.g(t_arr) - y_arr * t_arr)
+
+    def _interior(self, p, clamp):
+        """Clamp p into the open part of the range where the link is finite."""
+        p_arr = np.asarray(p, dtype=float)
+        lo, hi = self.range_lo, self.range_hi
+        lo_open = np.isfinite(lo) and np.isinf(self.f_prime(lo))
+        hi_open = np.isfinite(hi) and np.isinf(self.f_prime(hi))
+        at_lo = lo_open & (p_arr <= lo)
+        at_hi = hi_open & (p_arr >= hi)
+        if np.any(at_lo) or np.any(at_hi):
+            if clamp is None:
+                raise BoundaryError(
+                    f"link of {self.tag} diverges at the range boundary; "
+                    "pass a clamp margin for clamped evaluation")
+            p_arr = np.clip(p_arr, lo + clamp, hi - clamp)
+        return p_arr
+
+    def clamped_link(self, p, clamp=DEFAULT_CLAMP_MARGIN):
+        """Link values with p clamped away from diverging range boundaries."""
+        return self.f_prime(self._interior(p, clamp))
+
+    def bregman(self, y, p, clamp=None):
+        """f(y) - f(p) - (y - p) f'(p); the excess matching loss of p vs y."""
+        y_arr = self._check_range(y)
+        p_arr = self._interior(p, clamp)
+        return _float_if_scalar(self.f(y_arr) - self.f(p_arr)
+                                - (y_arr - p_arr) * self.f_prime(p_arr))
 
     def __repr__(self):
-        return f"<Activation {self.tag}>"
+        return f"<FenchelPair {self.tag}>"
 
 
 def _perturbed_tag(base, slope):
     return f"perturbed({base.tag},{slope:g})"
 
 
-class PiecewiseLinearActivation(Activation):
+class PiecewiseLinearActivation(FenchelPair):
     """Continuous piecewise-linear activation given by knot points.
 
     ``knots_t`` must be strictly increasing, ``knots_v`` non-decreasing;
@@ -126,38 +194,34 @@ class PiecewiseLinearActivation(Activation):
             ([self.slope_left], self._seg_slopes, [self.slope_right]))
         lo = -np.inf if self.slope_left > 0 else knots_v[0]
         hi = np.inf if self.slope_right > 0 else knots_v[-1]
-        super().__init__(tag, np.max(slopes), np.min(slopes), lo, hi)
+        super().__init__(tag, np.min(slopes), np.max(slopes), lo, hi)
         # hinge form: a(t) = v0 + slope_left * (t - t0) + sum_j jump_j * relu(t - t_j)
         # with jump_j the slope increase at knot j; integrating term by term
         # gives an exact expression that vectorizes with a few cheap ops
         self._slopes = slopes    # left extension, segments, right extension
         self._jumps = np.diff(slopes)
 
-    def __call__(self, t):
-        t = np.asarray(t, dtype=float)
+    def _a(self, t):
         out = self.knots_v[0] + self.slope_left * (t - self.knots_t[0])
         for tj, dj in zip(self.knots_t, self._jumps):
             if dj != 0.0:
                 out = out + dj * np.maximum(t - tj, 0.0)
-        return out if out.ndim else float(out)
+        return out
 
-    def integral(self, t):
-        t = np.asarray(t, dtype=float)
+    def _g(self, t):
         t0, v0 = self.knots_t[0], self.knots_v[0]
         out = v0 * t + 0.5 * self.slope_left * ((t - t0) ** 2 - t0 ** 2)
         for tj, dj in zip(self.knots_t, self._jumps):
             if dj != 0.0:
                 base = max(-tj, 0.0) ** 2
                 out = out + (0.5 * dj) * (np.maximum(t - tj, 0.0) ** 2 - base)
-        return out if out.ndim else float(out)
+        return out
 
-    def derivative(self, t):
+    def _da(self, t):
         # the number of knots at or below t indexes the slope to the right
-        out = self._slopes[np.searchsorted(self.knots_t, t, side="right")]
-        return out if out.ndim else float(out)
+        return self._slopes[np.searchsorted(self.knots_t, t, side="right")]
 
-    def inverse(self, r):
-        r = self._check_range(r)
+    def _f_prime(self, r):
         ts, vs = self.knots_t, self.knots_v
         out = np.empty_like(r)
         lo_flat = r <= vs[0]
@@ -182,7 +246,7 @@ class PiecewiseLinearActivation(Activation):
             exact = vs[j] == r[mid]  # knot hit: take the knot (minimal for flats)
             t = np.where(exact & (s == 0), ts[j], t)
             out[mid] = t
-        return out if out.ndim else float(out)
+        return out
 
     def add_linear(self, slope):
         """Return the activation plus ``slope * t`` (still piecewise linear)."""
@@ -198,70 +262,62 @@ def _xlogy(x, y):
         return np.where(x == 0, 0.0, x * np.log(y))
 
 
-class SigmoidActivation(Activation):
+class SigmoidActivation(FenchelPair):
     """Logistic activation 1 / (1 + exp(-t)); link is the logit."""
 
     def __init__(self):
-        super().__init__("sigmoid", 0.25, 0.0, 0.0, 1.0)
+        super().__init__("sigmoid", 0.0, 0.25, 0.0, 1.0)
 
-    def __call__(self, t):
+    def _a(self, t):
         # exp(-t) overflows to inf for t < -709, where 1/(1+inf) is the 0
         # the sigmoid rounds to
         with np.errstate(over="ignore"):
-            out = 1.0 / (1.0 + np.exp(-np.asarray(t, dtype=float)))
-        return out if out.ndim else float(out)
+            return 1.0 / (1.0 + np.exp(-t))
 
-    def integral(self, t):
+    def _g(self, t):
         # softplus(t) - softplus(0); softplus(t) = max(t, 0) + log1p(exp(-|t|))
         # as np.logaddexp(0, t) computes it, but with NumPy's vectorised
         # exp and log1p instead of one scalar libm call per element
-        t = np.asarray(t, dtype=float)
-        out = np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t))) - math.log(2.0)
-        return out if out.ndim else float(out)
+        return np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t))) - math.log(2.0)
 
-    def derivative(self, t):
-        a = self(t)
+    def _da(self, t):
+        a = self._a(t)
         return a * (1.0 - a)
 
-    def inverse(self, r):
-        r = self._check_range(r)
+    def _f_prime(self, r):
         # log(r/(1-r)) loses precision near 1/2, where the difference of
         # log1p's keeps it; r = 0 and r = 1 give -inf and inf
         s = 2.0 * (r - 0.5)
         with np.errstate(divide="ignore"):
-            out = np.where((r < 0.3) | (r > 0.65), np.log(r / (1.0 - r)),
-                           np.log1p(s) - np.log1p(-s))
-        return out if out.ndim else float(out)
+            return np.where((r < 0.3) | (r > 0.65), np.log(r / (1.0 - r)),
+                            np.log1p(s) - np.log1p(-s))
 
-    def conjugate_value(self, r):
+    def _f(self, r):
         # negative binary entropy plus log 2; continuous at 0 and 1
-        r = np.asarray(r, dtype=float)
-        out = _xlogy(r, r) + _xlogy(1.0 - r, 1.0 - r) + math.log(2.0)
-        return out if out.ndim else float(out)
+        return _xlogy(r, r) + _xlogy(1.0 - r, 1.0 - r) + math.log(2.0)
 
 
-class PerturbedActivation(Activation):
+class PerturbedActivation(FenchelPair):
     """Base activation plus ``slope * t``; its integral and derivative are
-    the base's plus those of the linear term."""
+    the base's plus those of the linear term, and its link is found by
+    bisection."""
 
     def __init__(self, base, slope):
         self._base = base
         self._slope = float(slope)
-        super().__init__(
-            _perturbed_tag(base, slope), base.lipschitz_upper + slope,
-            base.lipschitz_lower + slope, -np.inf, np.inf)
+        super().__init__(_perturbed_tag(base, slope), base.alpha + slope,
+                         base.beta + slope, -np.inf, np.inf)
 
-    def __call__(self, t):
-        return self._base(t) + self._slope * np.asarray(t, dtype=float)
+    def _a(self, t):
+        return self._base._a(t) + self._slope * t
 
-    def integral(self, t):
-        return (self._base.integral(t)
-                + 0.5 * self._slope * np.asarray(t, dtype=float) ** 2)
+    def _g(self, t):
+        return self._base._g(t) + 0.5 * self._slope * t ** 2
 
-    def derivative(self, t):
-        return self._base.derivative(t) + self._slope
+    def _da(self, t):
+        return self._base._da(t) + self._slope
 
-    def inverse(self, r):
+    def _f_prime(self, r):
         return invert_by_bisection(self, r)
 
 
@@ -301,7 +357,7 @@ def sigmoid():
     return SigmoidActivation()
 
 
-def perturb_bilipschitz(activation, slope):
+def perturb_bilipschitz(pair, slope):
     """Return the activation ``t -> a(t) + slope * t``.
 
     The result is [max(alpha, slope), beta + slope] bi-Lipschitz, strictly
@@ -309,22 +365,17 @@ def perturb_bilipschitz(activation, slope):
     """
     if not np.isfinite(slope) or slope <= 0:
         raise InvalidInputError("perturbation slope must be a positive real")
-    if isinstance(activation, PiecewiseLinearActivation):
-        return activation.add_linear(float(slope))
-    return PerturbedActivation(activation, float(slope))
-
-
-# ---------------------------------------------------------------------------
-# Pairs
-# ---------------------------------------------------------------------------
+    if isinstance(pair, PiecewiseLinearActivation):
+        return pair.add_linear(float(slope))
+    return PerturbedActivation(pair, float(slope))
 
 
 def invert_by_bisection(fn, p):
     """Minimal t with fn(t) >= p, via predicate bisection on expanding brackets.
 
     ``fn`` must be continuous and strictly increasing; its Lipschitz
-    constant ``fn.lipschitz_upper`` turns the value tolerance
-    ``DEFAULT_INVERSION_TOL`` into a score tolerance.
+    constant ``fn.beta`` turns the value tolerance ``DEFAULT_INVERSION_TOL``
+    into a score tolerance.
     """
     p_arr = np.atleast_1d(np.asarray(p, dtype=float))
     lo = np.full(p_arr.shape, -1.0)
@@ -340,7 +391,7 @@ def invert_by_bisection(fn, p):
         raise NoConvergenceError(
             "bracket expansion exceeded 2^%d without straddling the value"
             % BRACKET_CAP_EXP)
-    t_atol = DEFAULT_INVERSION_TOL / max(fn.lipschitz_upper, 1.0)
+    t_atol = DEFAULT_INVERSION_TOL / max(fn.beta, 1.0)
     n_iter = int(math.ceil(math.log2(max(2.0 ** (BRACKET_CAP_EXP + 2)
                                          / t_atol, 2.0))))
     # a bracket stops at its own tolerance, so each value is the one a call
@@ -354,83 +405,6 @@ def invert_by_bisection(fn, p):
         hi = np.where(live & ok, mid, hi)
         lo = np.where(live & ~ok, mid, lo)
     return hi if np.ndim(p) else float(hi[0])
-
-
-class FenchelPair:
-    """An activation with the integral, link and conjugate it owns."""
-
-    def __init__(self, activation):
-        self.activation = activation
-
-    # -- basic maps ---------------------------------------------------------
-
-    @property
-    def alpha(self):
-        return self.activation.lipschitz_lower
-
-    @property
-    def beta(self):
-        return self.activation.lipschitz_upper
-
-    @property
-    def tag(self):
-        return self.activation.tag
-
-    def g_prime(self, t):
-        return self.activation(t)
-
-    def g(self, t):
-        return self.activation.integral(t)
-
-    def f_prime(self, r):
-        """Link value: minimal score t with g'(t) = r."""
-        return self.activation.inverse(r)
-
-    def f(self, r):
-        return self.activation.conjugate_value(r)
-
-    # -- losses -------------------------------------------------------------
-
-    def matching_loss(self, y, t):
-        """Integral of (g' - y) from 0 to t, i.e. g(t) - y*t."""
-        y_arr = np.asarray(y, dtype=float)
-        t_arr = np.asarray(t, dtype=float)
-        if not np.all(np.isfinite(t_arr)):
-            raise InvalidInputError("score must be finite")
-        if not np.all(np.isfinite(y_arr)) or np.any(y_arr < 0) or np.any(y_arr > 1):
-            raise InvalidInputError("label must lie in [0, 1]")
-        out = self.g(t_arr) - y_arr * t_arr
-        return out if (np.ndim(y) or np.ndim(t)) else float(out)
-
-    def _interior(self, p, clamp):
-        """Clamp p into the open part of the range where the link is finite."""
-        p_arr = np.asarray(p, dtype=float)
-        lo, hi = self.activation.range_lo, self.activation.range_hi
-        lo_open = np.isfinite(lo) and np.isinf(self.f_prime(lo))
-        hi_open = np.isfinite(hi) and np.isinf(self.f_prime(hi))
-        at_lo = lo_open & (p_arr <= lo)
-        at_hi = hi_open & (p_arr >= hi)
-        if np.any(at_lo) or np.any(at_hi):
-            if clamp is None:
-                raise BoundaryError(
-                    f"link of {self.tag} diverges at the range boundary; "
-                    "pass a clamp margin for clamped evaluation")
-            p_arr = np.clip(p_arr, lo + clamp, hi - clamp)
-        return p_arr
-
-    def clamped_link(self, p, clamp=DEFAULT_CLAMP_MARGIN):
-        """Link values with p clamped away from diverging range boundaries."""
-        return self.f_prime(self._interior(p, clamp))
-
-    def bregman(self, y, p, clamp=None):
-        """f(y) - f(p) - (y - p) f'(p); the excess matching loss of p vs y."""
-        y_arr = self.activation._check_range(y)
-        p_arr = self._interior(p, clamp)
-        out = self.f(y_arr) - self.f(p_arr) - (y_arr - p_arr) * self.f_prime(p_arr)
-        return out if (np.ndim(y) or np.ndim(p)) else float(out)
-
-    def __repr__(self):
-        return f"<FenchelPair {self.tag}>"
 
 
 # ---------------------------------------------------------------------------
@@ -475,8 +449,8 @@ class BoundednessFailure:
 
 def _link_on_unit(pair, r):
     """Link values at the points of r; NaN (no witness) outside the range."""
-    act, out = pair.activation, np.full_like(r, np.nan)
-    inside = (r >= act.range_lo) & (r <= act.range_hi)
+    out = np.full_like(r, np.nan)
+    inside = (r >= pair.range_lo) & (r <= pair.range_hi)
     out[inside] = pair.f_prime(r[inside])
     return out
 
@@ -583,9 +557,9 @@ _BUILTIN_FACTORIES = {
 }
 
 
-def activation_from_tag(tag):
+def pair_from_tag(tag):
     """Parse tags like ``sigmoid``, ``leaky_relu(0.1)`` or
-    ``perturbed(identity_clamped,0.05)`` into activation objects."""
+    ``perturbed(identity_clamped,0.05)`` into pairs."""
     tag = tag.strip()
     name, args = tag, []
     if "(" in tag:
@@ -598,7 +572,7 @@ def activation_from_tag(tag):
     if name == "perturbed":
         if len(args) != 2:
             raise InvalidInputError("perturbed(<tag>,<slope>) takes two arguments")
-        return perturb_bilipschitz(activation_from_tag(args[0]), float(args[1]))
+        return perturb_bilipschitz(pair_from_tag(args[0]), float(args[1]))
     if name not in _BUILTIN_FACTORIES:
         raise InvalidInputError(f"unknown activation tag {name!r}")
     return _BUILTIN_FACTORIES[name](*[float(a) for a in args])
@@ -619,10 +593,6 @@ def _split_args(inner):
     if cur:
         parts.append("".join(cur))
     return parts
-
-
-def pair_from_tag(tag):
-    return FenchelPair(activation_from_tag(tag))
 
 
 def default_registered_pairs():
@@ -682,7 +652,7 @@ def bilipschitz_sandwich_report(pair, grid_n=100):
 
 def kl_sandwich_report(grid_n=100):
     """Worst slacks of KL(y||p) in [ (y-p)^2 / 2, 2 (y-p)^2 / min(p, 1-p) ]."""
-    pair = FenchelPair(sigmoid())
+    pair = sigmoid()
     ys = interior_grid(grid_n)
     ps = interior_grid(grid_n)
     Y, P = np.meshgrid(ys, ps, indexing="ij")

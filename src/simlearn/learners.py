@@ -265,7 +265,7 @@ class GlmPredictor:
 
     @property
     def activation(self):
-        return fenchel.activation_from_tag(self.activation_tag)
+        return fenchel.pair_from_tag(self.activation_tag)
 
     def score(self, features):
         return np.asarray(features, dtype=float) @ self.w
@@ -297,7 +297,7 @@ def train_glmtron(dataset, activation_tag, B, iters=500, tol=1e-8):
     loss can be recomputed, and its Frank-Wolfe gap ``B*||s|| - s.w`` over
     the ball, where ``s`` is the update (the negative loss gradient).
     """
-    act = fenchel.activation_from_tag(activation_tag)
+    act = fenchel.pair_from_tag(activation_tag)
     x, y = dataset.features, dataset.labels
     n = dataset.n
     w = np.zeros(dataset.d)
@@ -523,13 +523,13 @@ def train_matching_gd(dataset, pair, B):
     loss = empirical_matching_loss(pair, scores, y)
     trace = [{"iter": 0, "loss": loss}]
     while True:
-        grad = x.T @ (pair.g_prime(scores) - y) / n
+        grad = x.T @ (pair(scores) - y) / n
         gap = float(grad @ w) + B * float(np.linalg.norm(grad))
         trace[-1]["gap"] = gap
         if gap <= GAP_TOL or len(trace) > NEWTON_STEP_CAP:
             return GlmPredictor(w, pair.tag, converged=gap <= GAP_TOL,
                                 trace=trace)
-        curv = pair.activation.derivative(scores)
+        curv = pair.derivative(scores)
         lam, vecs = np.linalg.eigh(x.T @ (curv[:, None] * x) / n)
         lam = np.maximum(lam, HESSIAN_FLOOR)
         direction = _ball_model_minimiser(lam, vecs, w, grad, B) - w
@@ -542,7 +542,7 @@ def train_matching_gd(dataset, pair, B):
             if loss_new <= loss + ARMIJO * frac * slope:
                 break
             if (loss_new - loss <= LOSS_ROUNDING * max(1.0, abs(loss))
-                    and float(np.mean((pair.g_prime(scores_new) - y)
+                    and float(np.mean((pair(scores_new) - y)
                                       * (x @ direction))) <= 0.0):
                 break
             frac *= 0.5

@@ -175,7 +175,7 @@ class LabelModel:
 
     @property
     def activation(self):
-        return fenchel.activation_from_tag(self.activation_tag)
+        return fenchel.pair_from_tag(self.activation_tag)
 
     def conditional_mean(self, features):
         mean = self.activation(features @ self.w)

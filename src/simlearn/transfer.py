@@ -199,7 +199,7 @@ def check_general_activation_transfer(p, report, dataset, g_pair, phi_pair, B):
     opt_hat = _certified_opt(dataset)
     w_star = dataset.label_model.w
     s = dataset.features @ w_star
-    approx = float(np.mean((g_pair.g_prime(s) - phi_pair.g_prime(s)) ** 2))
+    approx = float(np.mean((g_pair(s) - phi_pair(s)) ** 2))
     eps_hat = measure_premise(p, dataset, phi_pair, B).eps_hat
     ratio = 2.0 * phi_pair.beta / phi_pair.alpha
     rhs = ratio * opt_hat + ratio * approx + 2.0 * phi_pair.beta * eps_hat
@@ -279,7 +279,7 @@ def check_logistic_squared(p, report, dataset, B):
     extras = {"c_needed": c_needed, "degenerate_opt": degenerate}
     if dataset.label_model is not None:
         s = dataset.features @ dataset.label_model.w
-        mean = pair.g_prime(s)
+        mean = pair(s)
         r = B * math.sqrt(math.log(1.0 / opt_eff))
         tail_lhs = float(np.mean(np.exp(np.abs(s)) * (dataset.labels - mean) ** 2))
         tail_rhs = 8.0 * math.exp(r) * opt_eff \

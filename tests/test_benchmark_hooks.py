@@ -8,7 +8,7 @@ import importlib.util
 import json
 from pathlib import Path
 
-from simlearn import acceptance, cli, config, synth
+from simlearn import acceptance, cli, config, fenchel, synth
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -43,8 +43,24 @@ def test_tracer_wraps_every_hook_and_restores_it():
     # the premise hook reads the PremiseEstimate of a matching-loss check
     assert totals["transfer.measure_premise"][0] == 1
     assert totals["learners.train_matching_gd"][0] >= 1
+    # the pair's maps are wrapped on the base class, which every pair shares
+    assert totals["fenchel.g"][0] >= 1
+    assert totals["fenchel.f_prime"][0] >= 1
     assert all(vars(owner)[name] is original
                for owner, name, original in patched)
+
+
+def test_no_pair_class_defines_a_wrapped_map():
+    # the tracer wraps FenchelPair.g and FenchelPair.f_prime; a subclass
+    # that defined either would bypass those wrappers without any error
+    classes, stack = [], [fenchel.FenchelPair]
+    while stack:
+        cls = stack.pop()
+        classes.append(cls)
+        stack.extend(cls.__subclasses__())
+    assert len(classes) > 1
+    assert [cls for cls in classes[1:]
+            if {"g", "f_prime"} & set(vars(cls))] == []
 
 
 def test_sweep_units_are_the_config_units(tmp_path):

@@ -729,6 +729,9 @@ def test_planted_w_alone_is_the_label_models_direction():
      "missing key 'norm' in label_model"),
     (lambda c: c["data"].update(label_model=planted(planted_w=[0.5] * 3)),
      "planted_w has dimension 3, expected 4"),
+    # train writes <name>.predictor.txt, so a name with "/" escaped --out
+    (lambda c: c["learners"][0].update(name="../escaped"),
+     "'name' in learners[0] must be a string without '/', not '../escaped'"),
 ], ids=["misspelt_checks", "misspelt_n_train", "misspelt_scale",
         "misspelt_corruption", "misspelt_instance_corruption",
         "check_not_a_string", "pair_not_a_string",
@@ -739,7 +742,8 @@ def test_planted_w_alone_is_the_label_models_direction():
         "gaussian_with_dof",
         "planted_w_with_norm", "planted_w_with_default_direction_seed",
         "planted_w_with_null_constant_weight", "learners_missing",
-        "no_planted_w_and_no_norm", "planted_w_wrong_dimension"])
+        "no_planted_w_and_no_norm", "planted_w_wrong_dimension",
+        "learner_name_a_path"])
 def test_experiment_rejects_malformed_configs(tmp_path, capsys, mutate,
                                               needle):
     cfg = base_config()
@@ -771,6 +775,34 @@ def test_means_outside_the_unit_interval_without_clipping_exit_2(
     assert cli.main([command, "--config", write_config(tmp_path, cfg),
                      "--out", str(out)]) == 2
     assert "enable clipping" in capsys.readouterr().err
+
+
+def _never(*args, **kwargs):
+    raise AssertionError("ran before --out was checked")
+
+
+@pytest.mark.parametrize("command", ["gen-data", "experiment", "verify"])
+def test_an_out_in_a_missing_directory_exits_2_before_any_run(
+        tmp_path, capsys, monkeypatch, command):
+    for module, name in ((acceptance, "run_all"), (acceptance, "run_units"),
+                         (synth, "make_dataset")):
+        monkeypatch.setattr(module, name, _never)
+    out = tmp_path / "missing" / "out.csv"
+    files = [] if command == "verify" else [
+        "--config", write_config(tmp_path, base_config())]
+    assert cli.main([command, *files, "--out", str(out)]) == 2
+    assert f"error: --out {out} is not a file in an existing directory" \
+        in capsys.readouterr().err
+
+
+def test_a_train_out_that_is_a_file_exits_2(tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("")
+    assert cli.main(["train", "--config", write_config(tmp_path, base_config()),
+                     "--out", str(out)]) == 2
+    assert f"error: --out {out} is a file, not a directory" \
+        in capsys.readouterr().err
+    assert out.read_text() == ""
 
 
 def test_readme_example_config_parses():

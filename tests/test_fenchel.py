@@ -57,12 +57,12 @@ def test_sigmoid_integral_matches_logaddexp():
         rng.uniform(-200.0, 200.0, 100_000),
         np.geomspace(1e-300, 700.0, 20_001) * rng.choice([-1.0, 1.0], 20_001),
     ])
-    got = SIG.activation.integral(t)
+    got = SIG.g(t)
     ref = np.logaddexp(0.0, t) - math.log(2.0)
     scale = np.spacing(np.maximum(np.abs(ref), math.log(2.0)))
     assert np.all(np.abs(got - ref) <= 4.0 * scale)
     for t0 in (0.0, -0.0, 1e-300, 800.0, -800.0, 0.3):
-        scalar = SIG.activation.integral(t0)
+        scalar = SIG.g(t0)
         assert type(scalar) is float
         ref0 = float(np.logaddexp(0.0, t0)) - math.log(2.0)
         assert abs(scalar - ref0) <= 4.0 * math.ulp(max(abs(ref0), math.log(2.0)))
@@ -73,7 +73,7 @@ def test_matching_loss_subgradient_is_residual():
     for pair in (SIG, IDE, LEAKY):
         for y, t in [(0.3, 0.9), (0.8, -1.2)]:
             num = (pair.matching_loss(y, t + h) - pair.matching_loss(y, t - h)) / (2 * h)
-            assert num == pytest.approx(pair.g_prime(t) - y, abs=1e-5)
+            assert num == pytest.approx(pair(t) - y, abs=1e-5)
 
 
 def test_matching_loss_input_validation():
@@ -144,7 +144,7 @@ def test_bregman_equals_excess_matching_loss():
 def test_bregman_excess_identity_for_numeric_pair():
     # bisection-based link: same identity within the tolerance amplified by
     # the inverse slope of the perturbed sigmoid
-    pair = F.FenchelPair(F.perturb_bilipschitz(F.sigmoid(), 0.05))
+    pair = F.perturb_bilipschitz(F.sigmoid(), 0.05)
     ys = F.interior_grid(15)
     Y, P = np.meshgrid(ys, ys, indexing="ij")
     excess = pair.matching_loss(Y, pair.f_prime(P)) \
@@ -167,8 +167,8 @@ def test_invert_link_leaky_closed_vs_bisection():
     # shifted two-slope activation: value 0.2 sits on the 0.1-slope branch
     t = LEAKY.f_prime(0.2)
     assert t == pytest.approx((0.2 - 0.5) / 0.1, abs=1e-9)
-    numeric = F.invert_by_bisection(LEAKY.activation, 0.2)
-    assert abs(LEAKY.g_prime(numeric) - 0.2) <= F.DEFAULT_INVERSION_TOL
+    numeric = F.invert_by_bisection(LEAKY, 0.2)
+    assert abs(LEAKY(numeric) - 0.2) <= F.DEFAULT_INVERSION_TOL
 
 
 def test_invert_link_range_errors():
@@ -183,8 +183,8 @@ def test_invert_link_flat_segments_take_minimal_preimage():
     assert RELU.f_prime(0.0) == pytest.approx(0.0, abs=1e-9)
     assert RAMP.f_prime(0.0) == pytest.approx(0.0, abs=1e-9)
     # interior flat: staircase with a genuinely flat middle segment
-    stair = F.FenchelPair(F.PiecewiseLinearActivation(
-        [0.0, 1.0, 2.0, 3.0], [0.0, 0.4, 0.4, 1.0], 0.0, 0.0))
+    stair = F.PiecewiseLinearActivation(
+        [0.0, 1.0, 2.0, 3.0], [0.0, 0.4, 0.4, 1.0], 0.0, 0.0)
     assert stair.f_prime(0.4) == pytest.approx(1.0, abs=1e-9)
 
 
@@ -192,11 +192,11 @@ def test_duality_grids_all_builtins():
     r = F.interior_grid(500)
     for pair in ALL_BUILTINS:
         t = pair.f_prime(r)
-        assert np.max(np.abs(pair.g_prime(t) - r)) <= 1e-8
+        assert np.max(np.abs(pair(t) - r)) <= 1e-8
     # alpha > 0 pairs also invert the other way
     for pair in (IDE, LEAKY):
         t = np.linspace(-3, 3, 101)
-        assert np.max(np.abs(pair.f_prime(pair.g_prime(t)) - t)) \
+        assert np.max(np.abs(pair.f_prime(pair(t)) - t)) \
             <= F.DEFAULT_INVERSION_TOL / pair.alpha + 1e-9
 
 
@@ -226,8 +226,8 @@ def test_perturb_sigmoid_bilipschitz_on_grid():
     quo = np.diff(pert(ts)) / np.diff(ts)
     assert np.all(quo >= 0.01 - 1e-9)
     assert np.all(quo <= 0.26 + 1e-9)
-    assert pert.lipschitz_lower == pytest.approx(0.01)
-    assert pert.lipschitz_upper == pytest.approx(0.26)
+    assert pert.alpha == pytest.approx(0.01)
+    assert pert.beta == pytest.approx(0.26)
 
 
 def test_perturb_validation():
@@ -258,7 +258,7 @@ DERIVATIVE_TAGS = ["identity", "identity_clamped", "relu", "leaky_relu(0.1)",
 
 @pytest.mark.parametrize("tag", DERIVATIVE_TAGS)
 def test_derivative_matches_central_differences(tag):
-    act = F.activation_from_tag(tag)
+    act = F.pair_from_tag(tag)
     # a 0.05 grid shifted off the knots at 0 and 1 by more than h
     t = np.linspace(-6.0, 6.0, 241) + 0.013
     h = 1e-6
@@ -273,7 +273,7 @@ def test_derivative_takes_the_right_slope_at_knots():
     assert F.leaky_relu(0.1).derivative(0.0) == 1.0
     np.testing.assert_array_equal(
         F.identity_clamped().derivative(np.array([0.0, 1.0])), [1.0, 0.0])
-    ramp = F.activation_from_tag("perturbed(identity_clamped,0.05)")
+    ramp = F.pair_from_tag("perturbed(identity_clamped,0.05)")
     np.testing.assert_array_equal(ramp.derivative(np.array([0.0, 1.0])),
                                   [1.05, 0.05])
 
@@ -316,19 +316,28 @@ def assert_within_ulps(got, want, ulps):
 def test_sigmoid_and_logit_within_two_ulps_of_scipy():
     act = F.sigmoid()
     assert_within_ulps(act(T_GRID), expit(T_GRID), 2)
-    assert_within_ulps(act.inverse(R_GRID), logit(R_GRID), 2)
-    assert act.inverse(0.0) == -math.inf and act.inverse(1.0) == math.inf
+    assert_within_ulps(act.f_prime(R_GRID), logit(R_GRID), 2)
+    assert act.f_prime(0.0) == -math.inf and act.f_prime(1.0) == math.inf
     for t in T_SPECIAL:
         assert_within_ulps(act(t), expit(t), 2)
     for r in R_SPECIAL:
-        assert_within_ulps(act.inverse(r), logit(r), 2)
+        assert_within_ulps(act.f_prime(r), logit(r), 2)
 
 
-def test_sigmoid_forms_return_a_float_for_a_scalar():
-    act = F.sigmoid()
-    for value in (act(0.25), act(np.float64(-3.0)), act.inverse(0.25),
-                  act.inverse(np.float64(0.9)), act.conjugate_value(0.25)):
-        assert type(value) is float
+@pytest.mark.parametrize("tag", ["identity", "identity_clamped", "relu",
+                                 "leaky_relu(0.1)", "sigmoid",
+                                 "perturbed(sigmoid,0.05)"])
+def test_public_maps_return_a_float_for_a_scalar(tag):
+    # a Python or NumPy scalar gives a float, and an array gives the values
+    # its elements give one at a time
+    pair = F.pair_from_tag(tag)
+    scores = np.array([-3.0, -0.3, 0.0, 0.4, 1.7])
+    means = np.array([0.05, 0.25, 0.5, 0.9])
+    for fn, xs in ((pair, scores), (pair.g, scores), (pair.derivative, scores),
+                   (pair.f_prime, means), (pair.f, means)):
+        for x in xs:
+            assert type(fn(float(x))) is float and type(fn(x)) is float
+        np.testing.assert_array_equal(fn(xs), [fn(float(x)) for x in xs])
 
 
 def test_sigmoid_forms_raise_no_warning():
@@ -336,13 +345,13 @@ def test_sigmoid_forms_raise_no_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         act(T_GRID)
-        act.inverse(R_GRID)
-        act.conjugate_value(R_GRID)
+        act.f_prime(R_GRID)
+        act.f(R_GRID)
         for t in T_SPECIAL:
             act(t)
         for r in R_SPECIAL:
-            act.inverse(r)
-            act.conjugate_value(r)
+            act.f_prime(r)
+            act.f(r)
         F.crossentropy_absolute_report(grid_n=100)
 
 
@@ -396,7 +405,7 @@ def test_bounded_link_fails_on_lower_tail():
 def test_bounded_link_range_missing_the_unit_interval_is_a_failure():
     # values in [-1, -0.5]: no point of [0, 1] has a link value, so there is
     # no witness, and the search reports that instead of raising
-    pair = F.FenchelPair(F.PiecewiseLinearActivation([0, 1], [-1, -0.5], 0, 0))
+    pair = F.PiecewiseLinearActivation([0, 1], [-1, -0.5], 0, 0)
     res = F.check_bounded_link(pair, 1.0, 0.0, [0.1])
     assert not res.ok
     assert res.violated == "head"
@@ -504,8 +513,8 @@ def test_understated_beta_breaks_sandwich():
     # claim the identity activation is 0.5-Lipschitz: the lower bound of the
     # sandwich doubles and must now fail
     fake = F.PiecewiseLinearActivation([0.0], [0.0], 1.0, 1.0, "identity")
-    fake.lipschitz_upper = 0.5
-    rep = F.bilipschitz_sandwich_report(F.FenchelPair(fake), grid_n=20)
+    fake.beta = 0.5
+    rep = F.bilipschitz_sandwich_report(fake, grid_n=20)
     assert rep["lower_slack"] < -1e-9
 
 
@@ -518,23 +527,23 @@ def test_tag_round_trips():
     for tag in ("identity", "identity_clamped", "relu", "sigmoid",
                 "leaky_relu(0.1,0.5)", "perturbed(identity_clamped,0.05)",
                 "perturbed(relu,0.05)"):
-        act = F.activation_from_tag(tag)
-        again = F.activation_from_tag(act.tag)
+        act = F.pair_from_tag(tag)
+        again = F.pair_from_tag(act.tag)
         ts = np.linspace(-3, 3, 50)
         assert np.allclose(act(ts), again(ts))
 
 
 def test_unknown_tag_raises():
     with pytest.raises(InvalidInputError, match="swish"):
-        F.activation_from_tag("swish")
+        F.pair_from_tag("swish")
     with pytest.raises(InvalidInputError):
-        F.activation_from_tag("leaky_relu(0.1")
+        F.pair_from_tag("leaky_relu(0.1")
 
 
 def test_monotone_and_lipschitz_metadata_on_grid():
     ts = np.linspace(-8.0, 8.0, 801)
     for pair in ALL_BUILTINS:
-        vals = pair.g_prime(ts)
+        vals = pair(ts)
         diffs = np.diff(vals)
         assert np.all(diffs >= -1e-12)
         quo = diffs / np.diff(ts)

@@ -271,7 +271,7 @@ def test_glmtron_constant_labels_stay_at_zero():
 
 def glmtron_to_the_cap(ds, tag, B, iters=500, tol=1e-8):
     """GLMtron without the fixed-point stop: ``(w, converged)``."""
-    act = fenchel.activation_from_tag(tag)
+    act = fenchel.pair_from_tag(tag)
     x, y = ds.features, ds.labels
     w = np.zeros(ds.d)
     best_w, best_err = w.copy(), math.inf
@@ -309,7 +309,7 @@ def test_glmtron_update_is_negative_matching_loss_gradient():
     rng = np.random.default_rng(42)
     w = rng.normal(size=5) * 0.3
     x, y = ds.features, ds.labels
-    update = x.T @ (y - pair.g_prime(x @ w)) / ds.n
+    update = x.T @ (y - pair(x @ w)) / ds.n
     h = 1e-6
     for k in range(5):
         e = np.zeros(5)
@@ -341,7 +341,7 @@ def test_glmtron_records_its_frank_wolfe_gap_per_iterate():
     assert len(gaps) > 2 and all(gap >= -1e-12 for gap in gaps)
     assert gaps[-1] < gaps[0]
     step = pred.trace[-1]
-    act = fenchel.activation_from_tag("sigmoid")
+    act = fenchel.pair_from_tag("sigmoid")
     s = ds.features.T @ (ds.labels - act(ds.features @ step["w"])) / ds.n
     assert step["gap"] == 2.0 * np.linalg.norm(s) - s @ step["w"]
 
@@ -614,7 +614,7 @@ def test_matching_gd_matches_slsqp_on_the_ball(tag, B):
     ref = minimize(
         lambda w: learners.empirical_matching_loss(pair, x @ w, y),
         np.zeros(ds.d), method="SLSQP",
-        jac=lambda w: x.T @ (pair.g_prime(x @ w) - y) / ds.n,
+        jac=lambda w: x.T @ (pair(x @ w) - y) / ds.n,
         constraints=[{"type": "ineq", "fun": lambda w: B * B - w @ w,
                       "jac": lambda w: -2.0 * w}],
         options={"ftol": 1e-15, "maxiter": 1000})
@@ -658,12 +658,12 @@ def test_matching_gd_divergence_error():
     class WrongGradientPair:
         # the loss is |s| and the claimed slope points the other way
         tag = "broken"
-        activation = fenchel.identity_clamped()
+        derivative = fenchel.identity_clamped().derivative
 
         def g(self, s):
             return np.abs(s)
 
-        def g_prime(self, s):
+        def __call__(self, s):
             return -np.sign(s) - 1.0
 
     x = np.ones((100, 1))

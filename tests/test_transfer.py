@@ -178,8 +178,7 @@ def test_general_activation_approximation_term():
     pred = learners.train_isotron(ds, B, iters=15)
     p = pred.predict(ds.features)
     for slope in (0.05, 1e-6):
-        phi_pair = fenchel.FenchelPair(
-            fenchel.perturb_bilipschitz(g_pair.activation, slope))
+        phi_pair = fenchel.perturb_bilipschitz(g_pair, slope)
         chk = transfer.check_general_activation_transfer(
             p, transfer.evaluate(p, ds), ds, g_pair, phi_pair, B)
         approx = chk.extras["approximation_term"]
@@ -198,8 +197,7 @@ def test_general_activation_adversarial_slope():
     lam, B = 1.0, 1.5
     slope = math.sqrt(opt_hat) / (B * math.sqrt(lam))
     g_pair = fenchel.pair_from_tag("identity_clamped")
-    phi_pair = fenchel.FenchelPair(
-        fenchel.perturb_bilipschitz(g_pair.activation, slope))
+    phi_pair = fenchel.perturb_bilipschitz(g_pair, slope)
     pred = learners.train_isotron(ds, B, iters=15)
     p = pred.predict(ds.features)
     chk = transfer.check_general_activation_transfer(
