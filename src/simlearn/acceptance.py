@@ -590,30 +590,25 @@ def criterion_9(seed=DEFAULT_SEED):
 # ---------------------------------------------------------------------------
 
 
-def criterion_10(seed=DEFAULT_SEED, prior_results=None):
+def criterion_10(seed, prior_results):
     """Re-run a cheap full-stack probe and compare CSV bytes.
 
     The full double-run comparison (including a fresh process) lives in the
     test suite; here criteria 1, 2 and 8 are recomputed in-process and their
-    rows must reproduce bit-identically, and the CSV of all previously
-    computed rows must survive a render -> parse -> render round trip.
+    rows must reproduce bit-identically the ones in ``prior_results``, and
+    the CSV of all of ``prior_results`` must survive a render -> parse ->
+    render round trip.
     """
     t0 = time.time()
-    probe_nums = (1, 2, 8)
-    fresh = [CRITERIA[k](seed) for k in probe_nums]
-    ok = True
-    if prior_results is not None:
-        prior = {r.number: r for r in prior_results}
-        for res in fresh:
-            before = rows_to_csv(prior[res.number].rows)
-            after = rows_to_csv(res.rows)
-            ok &= before == after
-        text = results_csv(prior_results)
-        try:
-            parsed = [parse_row(line) for line in text.split("\n")[1:-1]]
-            ok &= rows_to_csv(parsed) == text
-        except ConfigError:
-            ok = False
+    prior = {r.number: r for r in prior_results}
+    ok = all(rows_to_csv(prior[k].rows) == rows_to_csv(CRITERIA[k](seed).rows)
+             for k in (1, 2, 8))
+    text = results_csv(prior_results)
+    try:
+        parsed = [parse_row(line) for line in text.split("\n")[1:-1]]
+        ok &= rows_to_csv(parsed) == text
+    except ConfigError:
+        ok = False
     rows = [Row("probe_1_2_8", "verify", None, None, None,
                 "artifact_determinism", 1.0, 1.0 if ok else -1.0, None)]
     return CriterionResult(10, "artifact determinism", bool(ok),

@@ -126,8 +126,8 @@ def cmd_distortion_check(args):
     if grid_n < 4:
         print(f"warning: grid density {grid_n} is too low to be informative",
               file=sys.stderr)
-    tags = [t.strip() for t in args.pairs.split(",")] if args.pairs \
-        else ["identity", "leaky_relu(0.1)"]
+    tags = [t.strip() for t in fenchel.split_top_level(args.pairs)] \
+        if args.pairs else ["identity", "leaky_relu(0.1)"]
     res = acceptance.criterion_1(grid_n=grid_n, tags=tags)
     violations = res.details["violations"]
     print(f"{'suite':34s} {'pair':22s} {'worst slack':>14s}")

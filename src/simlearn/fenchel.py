@@ -19,6 +19,7 @@ all of these.  This module provides:
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field
 
@@ -163,11 +164,16 @@ def _perturbed_tag(base, slope):
 
 
 class PiecewiseLinearActivation(FenchelPair):
-    """Continuous piecewise-linear activation given by knot points.
+    """Continuous piecewise-linear activation given by finite knot points:
+    ``knots_t`` strictly increasing, ``knots_v`` non-decreasing, and
+    non-negative slopes ``slope_left``/``slope_right`` beyond them.
 
-    ``knots_t`` must be strictly increasing, ``knots_v`` non-decreasing;
-    ``slope_left``/``slope_right`` extend beyond the first/last knot and must
-    be non-negative.  All integrals, links and conjugates are exact.
+    It is held as a table of segments (the left extension, the span after
+    each knot but the last, the right extension), each with its anchor (its
+    left knot; the first knot for the left extension), the value of ``a``
+    and the integral of ``a`` from 0 there, and its slope.  Each map looks up
+    the segment of each argument and evaluates one polynomial in the
+    distance from the anchor, as exact far beyond a knot as near it.
     """
 
     def __init__(self, knots_t, knots_v, slope_left, slope_right,
@@ -176,6 +182,8 @@ class PiecewiseLinearActivation(FenchelPair):
         knots_v = np.asarray(knots_v, dtype=float)
         if knots_t.ndim != 1 or knots_t.shape != knots_v.shape or knots_t.size == 0:
             raise InvalidInputError("knots must be matching non-empty 1-d arrays")
+        if not np.all(np.isfinite([*knots_t, *knots_v, slope_left, slope_right])):
+            raise InvalidInputError("knots and extension slopes must be finite")
         if np.any(np.diff(knots_t) <= 0):
             raise InvalidInputError("knot scores must be strictly increasing")
         if np.any(np.diff(knots_v) < 0):
@@ -186,67 +194,52 @@ class PiecewiseLinearActivation(FenchelPair):
         self.knots_v = knots_v
         self.slope_left = float(slope_left)
         self.slope_right = float(slope_right)
-        if knots_t.size > 1:
-            self._seg_slopes = np.diff(knots_v) / np.diff(knots_t)
-        else:
-            self._seg_slopes = np.empty(0)
-        slopes = np.concatenate(
-            ([self.slope_left], self._seg_slopes, [self.slope_right]))
+        self._seg_t = np.concatenate((knots_t[:1], knots_t))
+        self._seg_v = np.concatenate((knots_v[:1], knots_v))
+        self._seg_s = np.concatenate(([self.slope_left],
+                                      np.diff(knots_v) / np.diff(knots_t),
+                                      [self.slope_right]))
+        # integral of a from 0 to each knot: trapezoids summed outward from 0
+        m = int(np.sum(knots_t <= 0.0))
+        pts_t = np.insert(knots_t, m, 0.0)
+        pts_v = np.insert(knots_v, m, self._a(np.float64(0.0)))
+        traps = np.diff(pts_t) * (pts_v[:-1] + pts_v[1:]) / 2.0
+        at_knots = np.concatenate((-np.cumsum(traps[:m][::-1])[::-1],
+                                   np.cumsum(traps[m:])))
+        self._seg_g = np.concatenate((at_knots[:1], at_knots))
         lo = -np.inf if self.slope_left > 0 else knots_v[0]
         hi = np.inf if self.slope_right > 0 else knots_v[-1]
-        super().__init__(tag, np.min(slopes), np.max(slopes), lo, hi)
-        # hinge form: a(t) = v0 + slope_left * (t - t0) + sum_j jump_j * relu(t - t_j)
-        # with jump_j the slope increase at knot j; integrating term by term
-        # gives an exact expression that vectorizes with a few cheap ops
-        self._slopes = slopes    # left extension, segments, right extension
-        self._jumps = np.diff(slopes)
+        super().__init__(tag, np.min(self._seg_s), np.max(self._seg_s), lo, hi)
+
+    @staticmethod
+    def _segment(x, edges, above):
+        """Segment of each ``x``: how many ``edges`` it is ``above``
+        (``np.greater_equal`` or ``np.greater``), one pass per edge."""
+        j = np.zeros(x.shape, dtype=np.intp)
+        for e in edges:
+            j += above(x, e)
+        return j
 
     def _a(self, t):
-        out = self.knots_v[0] + self.slope_left * (t - self.knots_t[0])
-        for tj, dj in zip(self.knots_t, self._jumps):
-            if dj != 0.0:
-                out = out + dj * np.maximum(t - tj, 0.0)
-        return out
+        j = self._segment(t, self.knots_t, np.greater_equal)
+        return self._seg_v[j] + self._seg_s[j] * (t - self._seg_t[j])
 
     def _g(self, t):
-        t0, v0 = self.knots_t[0], self.knots_v[0]
-        out = v0 * t + 0.5 * self.slope_left * ((t - t0) ** 2 - t0 ** 2)
-        for tj, dj in zip(self.knots_t, self._jumps):
-            if dj != 0.0:
-                base = max(-tj, 0.0) ** 2
-                out = out + (0.5 * dj) * (np.maximum(t - tj, 0.0) ** 2 - base)
-        return out
+        j = self._segment(t, self.knots_t, np.greater_equal)
+        dt = t - self._seg_t[j]
+        return self._seg_g[j] + self._seg_v[j] * dt + self._seg_s[j] * dt * dt / 2.0
 
     def _da(self, t):
-        # the number of knots at or below t indexes the slope to the right
-        return self._slopes[np.searchsorted(self.knots_t, t, side="right")]
+        # at a knot, the slope to its right
+        return self._seg_s[self._segment(t, self.knots_t, np.greater_equal)]
 
     def _f_prime(self, r):
-        ts, vs = self.knots_t, self.knots_v
-        out = np.empty_like(r)
-        lo_flat = r <= vs[0]
-        hi_side = r > vs[-1]
-        mid = ~lo_flat & ~hi_side
-        # left extension; at the bottom of a flat tail return its right edge
-        if np.any(lo_flat):
-            if self.slope_left > 0:
-                out[lo_flat] = ts[0] + (r[lo_flat] - vs[0]) / self.slope_left
-            else:
-                out[lo_flat] = ts[0]
-        if np.any(hi_side):
-            out[hi_side] = ts[-1] + (r[hi_side] - vs[-1]) / self.slope_right
-        if np.any(mid):
-            # minimal preimage: first knot index with value >= r
-            j = np.searchsorted(vs, r[mid], side="left")
-            i = j - 1
-            s = self._seg_slopes[i]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                frac = np.where(s > 0, (r[mid] - vs[i]) / np.where(s > 0, s, 1.0), 0.0)
-            t = ts[i] + frac
-            exact = vs[j] == r[mid]  # knot hit: take the knot (minimal for flats)
-            t = np.where(exact & (s == 0), ts[j], t)
-            out[mid] = t
-        return out
+        # the segment of the minimal preimage counts the knot values below r;
+        # only a flat left extension is found with slope 0, at r = its value,
+        # where dividing by inf returns its right edge
+        j = self._segment(r, self.knots_v, np.greater)
+        s = self._seg_s[j]
+        return self._seg_t[j] + (r - self._seg_v[j]) / np.where(s > 0, s, np.inf)
 
     def add_linear(self, slope):
         """Return the activation plus ``slope * t`` (still piecewise linear)."""
@@ -559,28 +552,35 @@ _BUILTIN_FACTORIES = {
 
 def pair_from_tag(tag):
     """Parse tags like ``sigmoid``, ``leaky_relu(0.1)`` or
-    ``perturbed(identity_clamped,0.05)`` into pairs."""
+    ``perturbed(identity_clamped,0.05)`` into pairs; InvalidInputError
+    names a malformed tag, an unknown name or a wrong argument."""
     tag = tag.strip()
     name, args = tag, []
     if "(" in tag:
         if not tag.endswith(")"):
             raise InvalidInputError(f"malformed activation tag {tag!r}")
         name, inner = tag.split("(", 1)
-        inner = inner[:-1]
-        args = [a.strip() for a in _split_args(inner)] if inner else []
+        args = [a.strip() for a in split_top_level(inner[:-1])]
     name = name.strip()
-    if name == "perturbed":
-        if len(args) != 2:
-            raise InvalidInputError("perturbed(<tag>,<slope>) takes two arguments")
-        return perturb_bilipschitz(pair_from_tag(args[0]), float(args[1]))
-    if name not in _BUILTIN_FACTORIES:
+    perturbed = name == "perturbed"
+    factory = perturb_bilipschitz if perturbed else _BUILTIN_FACTORIES.get(name)
+    if factory is None:
         raise InvalidInputError(f"unknown activation tag {name!r}")
-    return _BUILTIN_FACTORIES[name](*[float(a) for a in args])
+    try:
+        inspect.signature(factory).bind(*args)
+        numbers = [float(a) for a in (args[1:] if perturbed else args)]
+    except (TypeError, ValueError):
+        raise InvalidInputError(f"activation tag {tag!r} does not match "
+                                f"{name}{inspect.signature(factory)}") from None
+    if perturbed:
+        return perturb_bilipschitz(pair_from_tag(args[0]), *numbers)
+    return factory(*numbers)
 
 
-def _split_args(inner):
+def split_top_level(text):
+    """Split ``text`` on the commas outside parentheses."""
     parts, depth, cur = [], 0, []
-    for ch in inner:
+    for ch in text:
         if ch == "(":
             depth += 1
         elif ch == ")":
@@ -590,7 +590,7 @@ def _split_args(inner):
             cur = []
         else:
             cur.append(ch)
-    if cur:
+    if text:
         parts.append("".join(cur))
     return parts
 

@@ -11,6 +11,7 @@ import math
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -121,18 +122,48 @@ def test_criteria_07_and_09_pass_on_an_older_kernel(kernel, flag):
     # OpenBLAS's older kernels round the matching losses differently from
     # others; under Haswell's, the ball minimisers of criterion 7 at seed
     # 20250 and criterion 9 at seed 1 used to halve their steps to the
-    # Newton cap
+    # Newton cap. Criterion 7's ramp comparator must halve none
     if not (_cpu_has(flag) and _dynamic_openblas()):
         pytest.skip(f"needs a DYNAMIC_ARCH OpenBLAS and a CPU with {flag}")
-    code = (f"import sys; sys.path.insert(0, {str(SRC)!r}); "
-            "from simlearn import acceptance; "
-            "print(acceptance.criterion_7(20250).passed, "
-            "acceptance.criterion_9(1).passed)")
+    code = textwrap.dedent(f"""
+        import sys
+        sys.path.insert(0, {str(SRC)!r})
+        from simlearn import acceptance, learners
+        fits, fit = {{}}, learners.train_matching_gd
+
+        def recording(dataset, pair, B):
+            fits[pair.tag] = fit(dataset, pair, B)
+            return fits[pair.tag]
+
+        learners.train_matching_gd = recording
+        passed_7 = acceptance.criterion_7(20250).passed
+        ramp = fits["perturbed(identity_clamped,0.05)"]
+        print(passed_7, acceptance.criterion_9(1).passed,
+              all(step["step"] == 1.0 for step in ramp.trace[1:]))
+        """)
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=600,
                           env=dict(os.environ, OPENBLAS_CORETYPE=kernel))
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["True", "True"]
+    assert proc.stdout.split() == ["True", "True", "True"]
+
+
+def test_criterion_07_ramp_comparator_takes_full_newton_steps(monkeypatch):
+    # near its minimiser a full Newton step lowers the ramp's loss by less
+    # than its rounding; an integral g that rounds upward there failed the
+    # Armijo test and halved 11 of its 16 steps
+    fits = {}
+    fit = learners.train_matching_gd
+
+    def recording(dataset, pair, B):
+        fits[pair.tag] = fit(dataset, pair, B)
+        return fits[pair.tag]
+
+    monkeypatch.setattr(learners, "train_matching_gd", recording)
+    assert acceptance.criterion_7(SEED).passed
+    ramp = fits["perturbed(identity_clamped,0.05)"]
+    assert ramp.converged and len(ramp.trace) - 1 <= 6
+    assert all(step["step"] == 1.0 for step in ramp.trace[1:])
 
 
 def test_criterion_08_pconcept(suite):
@@ -446,6 +477,12 @@ def test_criterion_10_fails_on_a_broken_row_renderer(monkeypatch):
     monkeypatch.setattr(acceptance.Row, "render",
                         lambda row: render(row).rsplit(",", 1)[0])
     assert not acceptance.criterion_10(SEED, prior_results=prior).passed
+
+
+def test_criterion_10_needs_prior_results():
+    # without earlier rows there is nothing to compare, so no pass
+    with pytest.raises(TypeError):
+        acceptance.criterion_10(SEED)
 
 
 def test_criterion_10_determinism(suite, tmp_path):

@@ -124,6 +124,22 @@ def test_distortion_check_rejects_a_grid_of_no_points(capsys, density):
     assert "--grid-density must be at least 1" in capsys.readouterr().err
 
 
+def test_distortion_check_reads_tags_with_commas(capsys):
+    tags = ["identity", "leaky_relu(0.1,0.5)", "perturbed(relu,0.05)"]
+    assert cli.main(["distortion-check", "--pairs", ",".join(tags)]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()
+            if line.startswith("bilipschitz_sandwich")]
+    assert [row[1] for row in rows] == tags
+    assert not any("VIOLATED" in row for row in rows)
+
+
+@pytest.mark.parametrize("tag", ["identity(2)", "leaky_relu(abc)",
+                                 "leaky_relu(nan)", "leaky_relu(inf)"])
+def test_distortion_check_rejects_a_malformed_tag(capsys, tag):
+    assert cli.main(["distortion-check", "--pairs", tag]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_distortion_check_fault_injection(monkeypatch, capsys):
     # a pair whose claimed upper Lipschitz constant is understated must make
     # the run fail and name the violated sandwich

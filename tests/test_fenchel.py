@@ -1,9 +1,11 @@
 import math
+import re
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.special import expit, logit
 
 from simlearn import fenchel as F
@@ -198,6 +200,86 @@ def test_duality_grids_all_builtins():
         t = np.linspace(-3, 3, 101)
         assert np.max(np.abs(pair.f_prime(pair(t)) - t)) \
             <= F.DEFAULT_INVERSION_TOL / pair.alpha + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# piecewise-linear activations: exact against rational arithmetic
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def piecewise_linear(draw):
+    """(knots_t, knots_v, slope_left, slope_right): 1-8 knots in [-10, 10],
+    each slope 0 or in [0, 4]."""
+    k = draw(st.integers(1, 8))
+    knots = sorted(draw(st.sets(st.floats(-10.0, 10.0), min_size=k,
+                                max_size=k)))
+    slopes = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 4.0)),
+                           min_size=k + 1, max_size=k + 1))
+    values = [draw(st.floats(-5.0, 5.0))]
+    for s, t0, t1 in zip(slopes[1:-1], knots, knots[1:]):
+        values.append(values[-1] + s * (t1 - t0))
+    return knots, values, slopes[0], slopes[-1]
+
+
+def _exact_integral(knots, values, slope_left, slope_right, t):
+    """int_0^t a in rationals, for the activation through the float knots."""
+    ks = [Fraction(k) for k in knots]
+    vs = [Fraction(v) for v in values]
+
+    def a(x):
+        if x <= ks[0]:
+            return vs[0] + Fraction(slope_left) * (x - ks[0])
+        if x >= ks[-1]:
+            return vs[-1] + Fraction(slope_right) * (x - ks[-1])
+        i = max(j for j in range(len(ks)) if ks[j] <= x)
+        return vs[i] + (vs[i + 1] - vs[i]) / (ks[i + 1] - ks[i]) * (x - ks[i])
+
+    t = Fraction(t)
+    lo, hi = min(t, Fraction(0)), max(t, Fraction(0))
+    pts = sorted({lo, hi} | {k for k in ks if lo < k < hi})
+    area = sum((q - p) * (a(p) + a(q)) / 2 for p, q in zip(pts, pts[1:]))
+    return area if t >= 0 else -area
+
+
+@settings(max_examples=150, deadline=None)
+@given(pl=piecewise_linear(),
+       extra=st.lists(st.one_of(st.floats(-20.0, 20.0),
+                                st.floats(1e3, 2e3), st.floats(-2e3, -1e3),
+                                st.floats(1e8, 2e8), st.floats(-2e8, -1e8)),
+                      max_size=4))
+@example(pl=([0.0, 1.0], [0.0, 1.0], 0.0, 0.0), extra=[])
+@example(pl=([0.0, 1.0], [0.0, 1.05], 0.05, 0.05), extra=[])
+def test_piecewise_linear_maps_are_exact(pl, extra):
+    knots, values, slope_left, slope_right = pl
+    pair = F.PiecewiseLinearActivation(knots, values, slope_left, slope_right)
+    # a is the knot value at each knot and the extension's value beyond
+    assert [pair(k) for k in knots] == values
+    for t in (knots[0] - 1e3, knots[0] - 0.5):
+        assert pair(t) == values[0] + slope_left * (t - knots[0])
+    for t in (knots[-1] + 0.5, knots[-1] + 1e8):
+        assert pair(t) == values[-1] + slope_right * (t - knots[-1])
+    # g is the rational integral up to a few ulps of the largest |a| times
+    # the span of 0, t and the knots, a bound on the integral of |a| there;
+    # far beyond the knots that is about |g| itself
+    for t in knots + extra + [0.0, 1e-9, 1e3 + 0.1, -1e3 - 0.1,
+                              1e8 + 0.3, -1e8 - 0.3]:
+        pts = knots + [0.0, t]
+        scale = (max(pts) - min(pts)) * max(abs(pair(p)) for p in pts)
+        err = abs(Fraction(pair.g(t))
+                  - _exact_integral(knots, values, slope_left, slope_right, t))
+        assert err <= 4 * math.ulp(max(1.0, scale)), t
+    # the link inverts a inside each strictly increasing segment
+    ends = list(zip([-math.inf] + knots, knots + [math.inf],
+                    [-math.inf] + values, values + [math.inf]))
+    for t0, t1, v0, v1 in ends:
+        t = knots[0] - 1.0 if t0 == -math.inf else (
+            knots[-1] + 1.0 if t1 == math.inf else (t0 + t1) / 2)
+        r = pair(t)
+        if t0 < t < t1 and v0 < r < v1:
+            s = pair.derivative(t)
+            tol = 4 * math.ulp(max(1.0, abs(t))) + 4 * math.ulp(abs(r)) / s
+            assert abs(pair.f_prime(r) - t) <= tol, (t, s)
 
 
 # ---------------------------------------------------------------------------
@@ -538,6 +620,16 @@ def test_unknown_tag_raises():
         F.pair_from_tag("swish")
     with pytest.raises(InvalidInputError):
         F.pair_from_tag("leaky_relu(0.1")
+    for tag in ("identity(2)", "leaky_relu()", "leaky_relu(0.1,0.5,1)",
+                "leaky_relu(0.1,)", "perturbed(relu)", "perturbed(relu,0.05,)",
+                "leaky_relu(abc)", "perturbed(relu,x)"):
+        with pytest.raises(InvalidInputError, match=re.escape(repr(tag))):
+            F.pair_from_tag(tag)
+    for tag in ("leaky_relu(nan)", "leaky_relu(inf)", "leaky_relu(0.1,nan)"):
+        with pytest.raises(InvalidInputError, match="finite"):
+            F.pair_from_tag(tag)
+    with pytest.raises(InvalidInputError, match="finite"):
+        F.PiecewiseLinearActivation([0.0, math.inf], [0.0, 1.0], 0.0, 0.0)
 
 
 def test_monotone_and_lipschitz_metadata_on_grid():

@@ -627,18 +627,21 @@ def test_matching_gd_matches_slsqp_on_the_ball(tag, B):
 
 
 def test_matching_gd_backtracking_contract():
-    # criterion 7's ball minimiser for the perturbed ramp: the knots make
-    # the quadratic model overshoot, so the line search halves most steps.
-    # Near the minimiser a halved step may raise the computed loss by its
-    # rounding, where the loss still falls along the step
+    # a ramp with knots at 1 and 2: after the first step most scores lie
+    # outside the knots, where the slope is 0.05, so the quadratic model of
+    # the second step is too flat and its full step raises the loss from
+    # -0.57 to -0.13, far above rounding; the line search halves it. Near
+    # the minimiser a step may raise the computed loss by its rounding,
+    # where the loss still falls along the step
     spec = synth.MarginalSpec("standard_gaussian", 5, augment_constant=True)
     w = synth.planted_direction(6, 2.0, 20321, constant_weight=0.2)
     ds = synth.make_dataset(spec, synth.LabelModel(tuple(w), "sigmoid"),
                             20_000, 20323)
-    pair = fenchel.pair_from_tag("perturbed(identity_clamped,0.05)")
+    pair = fenchel.PiecewiseLinearActivation([1.0, 2.0], [0.0, 1.0], 0.0,
+                                             0.0).add_linear(0.05)
     pred = learners.train_matching_gd(ds, pair, 2.0)
     assert pred.converged
-    assert sum(step["step"] < 1.0 for step in pred.trace[1:]) >= 10
+    assert pred.trace[2]["step"] == 0.5
     losses = [step["loss"] for step in pred.trace]
     assert all(b <= a + learners.LOSS_ROUNDING * max(1.0, abs(a))
                for a, b in zip(losses, losses[1:]))
