@@ -10,6 +10,7 @@ as 0 so the artifact bytes do not depend on the clock.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -207,16 +208,44 @@ def results_csv(results):
     return rows_to_csv(rows)
 
 
+# criteria 1-9 by number, filled by @_criterion; criterion 10 takes the
+# results of these and is not one of them
+CRITERIA = {}
+
+
+def _criterion(number, name, budget_s):
+    """Register a criterion body as ``CRITERIA[number]``.
+
+    The body returns ``(passed, details, rows)``; the registered function
+    times it and returns the :class:`CriterionResult`."""
+    def register(body):
+        @functools.wraps(body)
+        def criterion(seed=DEFAULT_SEED, **options):
+            t0 = time.time()
+            passed, details, rows = body(seed, **options)
+            return CriterionResult(number, name, bool(passed),
+                                   time.time() - t0, budget_s, details, rows)
+        CRITERIA[number] = criterion
+        return criterion
+    return register
+
+
+def _learner(algorithm, B, **options):
+    """The learner entry of ``algorithm``, named after it, for
+    :func:`config.train_learner`."""
+    return {"name": algorithm, "algorithm": algorithm, "norm_bound": B,
+            **options}
+
+
 # ---------------------------------------------------------------------------
 # Criterion 1: distortion sandwiches on closed-form pairs
 # ---------------------------------------------------------------------------
 
 
-def criterion_1(seed=DEFAULT_SEED, grid_n=100,
-                tags=("identity", "leaky_relu(0.1)")):
+@_criterion(1, "distortion sandwiches", 5.0)
+def criterion_1(seed, grid_n=100, tags=("identity", "leaky_relu(0.1)")):
     """Bi-Lipschitz sandwiches of the pairs in ``tags``, then the KL and
     cross-entropy sandwiches; ``details["violations"]`` lists failed rows."""
-    t0 = time.time()
     rows = []
     for tag in tags:
         rep = fenchel.bilipschitz_sandwich_report(fenchel.pair_from_tag(tag),
@@ -233,10 +262,8 @@ def criterion_1(seed=DEFAULT_SEED, grid_n=100,
     # rhs is the identity gap of a bi-Lipschitz row, 0 for the others
     violations = [(r.theorem, r.learner) for r in rows
                   if not (r.slack >= -1e-9 and r.rhs <= 1e-9)]
-    return CriterionResult(1, "distortion sandwiches", not violations,
-                           time.time() - t0, 5.0,
-                           {"worst_slack": min(r.slack for r in rows),
-                            "violations": violations}, rows)
+    return not violations, {"worst_slack": min(r.slack for r in rows),
+                            "violations": violations}, rows
 
 
 # ---------------------------------------------------------------------------
@@ -247,8 +274,8 @@ BUILTIN_TAGS = ("identity", "identity_clamped", "relu", "leaky_relu(0.1)",
                 "sigmoid")
 
 
-def criterion_2(seed=DEFAULT_SEED):
-    t0 = time.time()
+@_criterion(2, "link duality", 5.0)
+def criterion_2(seed):
     grid_n, tol = 1000, 1e-8
     rows, ok = [], True
     r = fenchel.interior_grid(grid_n)
@@ -259,8 +286,7 @@ def criterion_2(seed=DEFAULT_SEED):
         ok &= gap <= tol
         rows.append(Row(f"grid{grid_n}", tag, None, None, None,
                         "link_duality", tol, tol - gap, None))
-    return CriterionResult(2, "link duality", bool(ok), time.time() - t0, 5.0,
-                           {"max_gap": tol - min(r.slack for r in rows)}, rows)
+    return ok, {"max_gap": tol - min(r.slack for r in rows)}, rows
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +302,8 @@ def criterion_2(seed=DEFAULT_SEED):
 PLANTED_CORRELATION = math.erf(1.0 / math.sqrt(2.0))
 
 
-def criterion_3(seed=DEFAULT_SEED):
+@_criterion(3, "weak learner trials", 60.0)
+def criterion_3(seed):
     """Completeness and soundness over 30 trials, each with a planted arm and
     a null arm.  An accepted ``w`` is sound when its exact population
     correlation E[z (w.x)] is at least eps/4: ``w_1 * PLANTED_CORRELATION``
@@ -288,7 +315,6 @@ def criterion_3(seed=DEFAULT_SEED):
     from its own seed, so it is as independent of the planted trial's x as
     of a fresh draw: (x, z) keeps its law, and so does each arm's failure
     count.  ``weak_learn`` does not write to x."""
-    t0 = time.time()
     trials, n, d, eps = 30, 100_000, 10, 0.5
     spec = synth.MarginalSpec("standard_gaussian", d)
 
@@ -312,11 +338,9 @@ def criterion_3(seed=DEFAULT_SEED):
                 "weak_completeness", 5.0, 5.0 - comp_fail, None),
             Row(f"null_n{n}_d{d}", "weak_learner", None, None, None,
                 "weak_soundness", 0.0, -float(sound_fail), None)]
-    return CriterionResult(3, "weak learner trials", bool(ok),
-                           time.time() - t0, 60.0,
-                           {"completeness_failures": comp_fail,
-                            "null_accepts": null_accepts,
-                            "soundness_failures": sound_fail}, rows)
+    return ok, {"completeness_failures": comp_fail,
+                "null_accepts": null_accepts,
+                "soundness_failures": sound_fail}, rows
 
 
 # ---------------------------------------------------------------------------
@@ -324,13 +348,14 @@ def criterion_3(seed=DEFAULT_SEED):
 # ---------------------------------------------------------------------------
 
 
-def criterion_4(seed=DEFAULT_SEED):
-    t0 = time.time()
+@_criterion(4, "realizable recovery", 120.0)
+def criterion_4(seed):
     spec = synth.MarginalSpec("standard_gaussian", 5)
     w = synth.planted_direction(5, 2.0, seed + 31)
     ds = synth.make_dataset(spec, synth.LabelModel(tuple(w), "sigmoid"),
                             10_000, seed + 32)
-    glm = learners.train_glmtron(ds, "sigmoid", 2.0, iters=500)
+    glm = config.train_learner(_learner("glmtron", 2.0, activation="sigmoid",
+                                        iters=500), ds, seed)
     err_glm = learners.squared_error(glm.predict(ds.features), ds.labels)
 
     spec_r = synth.MarginalSpec("standard_gaussian", 3)
@@ -338,7 +363,7 @@ def criterion_4(seed=DEFAULT_SEED):
     dsr = synth.make_dataset(spec_r, synth.LabelModel(tuple(wr),
                                                       "identity_clamped"),
                              4_000, seed + 34)
-    iso = learners.train_isotron(dsr, 1.0, iters=100)
+    iso = config.train_learner(_learner("isotron", 1.0, iters=100), dsr, seed)
     err_iso = learners.squared_error(iso.predict(dsr.features), dsr.labels)
     ok = err_glm <= 1e-3 and err_iso <= 1e-2
     rows = [Row("realizable_sigmoid_d5", "glmtron", 0.0, err_glm, None,
@@ -347,10 +372,8 @@ def criterion_4(seed=DEFAULT_SEED):
                 "realizable_recovery", 1e-2, 1e-2 - err_iso, None)]
     nonconv = [row.instance for row, pred in zip(rows, (glm, iso))
                if not pred.converged]
-    return CriterionResult(4, "realizable recovery", bool(ok),
-                           time.time() - t0, 120.0,
-                           {"glmtron_err2": err_glm, "isotron_err2": err_iso,
-                            "nonconverged": nonconv}, rows)
+    return ok, {"glmtron_err2": err_glm, "isotron_err2": err_iso,
+                "nonconverged": nonconv}, rows
 
 
 # ---------------------------------------------------------------------------
@@ -363,8 +386,8 @@ def criterion_4(seed=DEFAULT_SEED):
 PREMISE_EPS_5 = 2e-5
 
 
-def criterion_5(seed=DEFAULT_SEED):
-    t0 = time.time()
+@_criterion(5, "bi-Lipschitz transfer", 300.0)
+def criterion_5(seed):
     spec = synth.MarginalSpec("standard_gaussian", 4, scale=0.35,
                               augment_constant=True)
     opts = [("opt0", synth.Corruption("none")),
@@ -374,18 +397,15 @@ def criterion_5(seed=DEFAULT_SEED):
     for act_tag, cw in [("identity", 0.5), ("leaky_relu(0.1)", 0.0)]:
         w = synth.planted_direction(5, math.sqrt(0.35 ** 2 + cw ** 2),
                                     seed + 41, constant_weight=cw)
-        entry = {"name": "matching_gd", "algorithm": "matching_gd",
-                 "activation": act_tag,
-                 "norm_bound": float(np.linalg.norm(w)) + 0.1}
+        entry = _learner("matching_gd", float(np.linalg.norm(w)) + 0.1,
+                         activation=act_tag)
         units += [config.Unit(
             f"{act_tag}_{opt_name}", spec,
             synth.LabelModel(tuple(w), act_tag, corruption=corr), 20_000,
             100_000, seed + 42, entry, [("bilipschitz", (act_tag,))], None)
             for opt_name, corr in opts]
     ok, rows, nonconv = _run_table(units, premise_eps=PREMISE_EPS_5)
-    return CriterionResult(5, "bi-Lipschitz transfer", bool(ok),
-                           time.time() - t0, 300.0, {"nonconverged": nonconv},
-                           rows)
+    return ok, {"nonconverged": nonconv}, rows
 
 
 # ---------------------------------------------------------------------------
@@ -397,8 +417,8 @@ def criterion_5(seed=DEFAULT_SEED):
 SIM_SUITE_EPS = 5e-4
 
 
-def criterion_6(seed=DEFAULT_SEED):
-    t0 = time.time()
+@_criterion(6, "sqrt-opt omnipredictor suite", 900.0)
+def criterion_6(seed):
     B = 2.0
     marginals = [("gaussian", synth.MarginalSpec("standard_gaussian", 5,
                                                  augment_constant=True)),
@@ -413,20 +433,16 @@ def criterion_6(seed=DEFAULT_SEED):
             ("opt.09", synth.Corruption("constant_override", mass=0.11,
                                         value=0.0))]
     w = synth.planted_direction(6, B, seed + 61, constant_weight=0.2)
-    entry = {"name": "omnipredictor", "algorithm": "omnipredictor",
-             "norm_bound": B}
     ok, rows, nonconv = _run_table([config.Unit(
         f"{mname}_{oname}", spec,
         synth.LabelModel(tuple(w), "sigmoid", corruption=corr), 20_000,
-        50_000, seed + 62, entry, [("sim_sqrt", ())], SIM_SUITE_EPS)
+        50_000, seed + 62, _learner("omnipredictor", B), [("sim_sqrt", ())],
+        SIM_SUITE_EPS)
         for mname, spec in marginals for oname, corr in opts])
     # c_needed; an inapplicable check has none and has failed already
     c_report = max(row.c_report or 0.0 for row in rows)
     ok &= c_report <= transfer.SIM_C
-    return CriterionResult(6, "sqrt-opt omnipredictor suite", bool(ok),
-                           time.time() - t0, 900.0,
-                           {"c_report": c_report, "nonconverged": nonconv},
-                           rows)
+    return ok, {"c_report": c_report, "nonconverged": nonconv}, rows
 
 
 # ---------------------------------------------------------------------------
@@ -436,15 +452,15 @@ def criterion_6(seed=DEFAULT_SEED):
 SIMULTANEITY_EPS = 0.05
 
 
-def criterion_7(seed=DEFAULT_SEED):
-    t0 = time.time()
+@_criterion(7, "omnipredictor simultaneity", 300.0)
+def criterion_7(seed):
     B = 2.0
     spec = synth.MarginalSpec("standard_gaussian", 5, augment_constant=True)
     w = synth.planted_direction(6, B, seed + 71, constant_weight=0.2)
     model = synth.LabelModel(tuple(w), "sigmoid")
     train = synth.make_dataset(spec, model, 30_000, seed + 72)
     ev = synth.make_dataset(spec, model, 20_000, seed + 73)
-    omni = learners.train_omnipredictor(train, B, seed + 74)
+    omni = config.train_learner(_learner("omnipredictor", B), train, seed + 74)
     p = omni.predict(ev.features)
     rows, ok = [], True
     for pair in fenchel.default_registered_pairs():
@@ -455,12 +471,9 @@ def criterion_7(seed=DEFAULT_SEED):
         rows.append(_premise_row("realizable_sigmoid", f"omni/{pair.tag}", 0.0,
                                  "omni_simultaneity", SIMULTANEITY_EPS, gap))
         ok &= fenchel.registration_gate(pair).ok and rows[-1].slack >= 0.0
-    return CriterionResult(7, "omnipredictor simultaneity", bool(ok),
-                           time.time() - t0, 300.0,
-                           {"max_eps_report": max(r.c_report for r in rows),
-                            "nonconverged": [] if omni.converged
-                            else ["realizable_sigmoid"]},
-                           rows)
+    return ok, {"max_eps_report": max(r.c_report for r in rows),
+                "nonconverged": [] if omni.converged
+                else ["realizable_sigmoid"]}, rows
 
 
 # ---------------------------------------------------------------------------
@@ -468,15 +481,15 @@ def criterion_7(seed=DEFAULT_SEED):
 # ---------------------------------------------------------------------------
 
 
-def criterion_8(seed=DEFAULT_SEED):
-    t0 = time.time()
+@_criterion(8, "p-concept identity", 30.0)
+def criterion_8(seed):
     rows, ok = [], True
     spec = synth.MarginalSpec("laplace_product", 4, scale=2 ** -0.5)
     w = synth.planted_direction(4, 10.0, seed + 81)
     model = synth.LabelModel(tuple(w), "sigmoid", label_space="binary")
     train = synth.make_dataset(spec, model, 20_000, seed + 82)
     ev = synth.make_dataset(spec, model, 100_000, seed + 83)
-    pred = learners.train_logistic(train, 10.0)
+    pred = config.train_learner(_learner("logistic", 10.0), train, seed)
 
     gauss = synth.MarginalSpec("standard_gaussian", 3)
     coin = synth.Dataset(
@@ -494,10 +507,8 @@ def criterion_8(seed=DEFAULT_SEED):
         ok &= rep.within()
         rows.append(Row(name, "pconcept", None, None, rep.err1,
                         "pconcept_identity", rep.bound, rep.slack, None))
-    return CriterionResult(8, "p-concept identity", bool(ok),
-                           time.time() - t0, 30.0,
-                           {"nonconverged": [] if pred.converged
-                            else ["planted_sigmoid"]}, rows)
+    return ok, {"nonconverged": [] if pred.converged
+                else ["planted_sigmoid"]}, rows
 
 
 # ---------------------------------------------------------------------------
@@ -528,12 +539,9 @@ def _rhs_matches_decimal(chk):
 PREMISE_EPS_9 = 8e-4
 
 
-def criterion_9(seed=DEFAULT_SEED):
-    t0 = time.time()
+@_criterion(9, "logistic bound formulas", 300.0)
+def criterion_9(seed):
     n_train, n_eval = 20_000, 100_000
-
-    def logistic(B):
-        return {"name": "logistic", "algorithm": "logistic", "norm_bound": B}
 
     # squared-error side: subgaussian marginal, interval labels
     spec = synth.MarginalSpec("standard_gaussian", 4, scale=2 ** -0.5)
@@ -542,7 +550,7 @@ def criterion_9(seed=DEFAULT_SEED):
         [config.Unit(f"gauss_{nm}", spec, synth.LabelModel(
             tuple(w), "sigmoid", corruption=synth.Corruption(
                 "constant_override", mass=mass, value=0.0)),
-            n_train, n_eval, seed + 92, logistic(1.0),
+            n_train, n_eval, seed + 92, _learner("logistic", 1.0),
             [("logistic_squared", ())], None)
          for mass, nm in [(0.016, "opt.01"), (0.16, "opt.1")]],
         lambda chk: (chk.extras.get("tail_pass", True)
@@ -570,7 +578,7 @@ def criterion_9(seed=DEFAULT_SEED):
         [config.Unit(f"laplace_{nm}", spec2, synth.LabelModel(
             tuple(synth.planted_direction(4, B, seed + 96)), "sigmoid",
             label_space="binary", corruption=corr),
-            n_train, n_eval, seed + 97, logistic(B),
+            n_train, n_eval, seed + 97, _learner("logistic", B),
             [("logistic_absolute", ())], None)
          for B, corr, nm in abs_cases], _rhs_matches_decimal, PREMISE_EPS_9)
     # c_needed of the transfer rows; an inapplicable check has none and has
@@ -578,11 +586,8 @@ def criterion_9(seed=DEFAULT_SEED):
     c_abs = max((row.c_report for row in abs_rows
                  if row.theorem == "logistic_absolute_transfer"), default=0.0)
     ok &= abs_ok and c_abs <= 20.0  # regression guard, not a derived constant
-    return CriterionResult(9, "logistic bound formulas", bool(ok),
-                           time.time() - t0, 300.0,
-                           {"c_report_absolute": c_abs,
-                            "nonconverged": nonconv + abs_nonconv},
-                           rows + abs_rows)
+    return ok, {"c_report_absolute": c_abs,
+                "nonconverged": nonconv + abs_nonconv}, rows + abs_rows
 
 
 # ---------------------------------------------------------------------------
@@ -613,13 +618,6 @@ def criterion_10(seed, prior_results):
                 "artifact_determinism", 1.0, 1.0 if ok else -1.0, None)]
     return CriterionResult(10, "artifact determinism", bool(ok),
                            time.time() - t0, 60.0, {}, rows)
-
-
-CRITERIA = {
-    1: criterion_1, 2: criterion_2, 3: criterion_3, 4: criterion_4,
-    5: criterion_5, 6: criterion_6, 7: criterion_7, 8: criterion_8,
-    9: criterion_9,
-}
 
 
 def run_all(seed=DEFAULT_SEED):

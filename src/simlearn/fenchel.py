@@ -421,10 +421,7 @@ class BoundednessCert:
     gamma: float
     epsilon_grid: list
     witnesses: list = field(default_factory=list)
-
-    @property
-    def ok(self):
-        return True
+    ok = True
 
 
 @dataclass
@@ -434,10 +431,7 @@ class BoundednessFailure:
     epsilon: float
     violated: str
     detail: str
-
-    @property
-    def ok(self):
-        return False
+    ok = False
 
 
 def _link_on_unit(pair, r):

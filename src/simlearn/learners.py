@@ -436,33 +436,36 @@ def train_isotron(dataset, B, iters=50):
 
     Each round sorts scores (stable, ties keep input order), fits the
     activation by :func:`lipschitz_isotonic_fit`, then takes a projected
-    GLMtron-style step against the fitted activation.  Runs all ``iters``
-    rounds and returns the best-squared-error round; it is flagged
-    converged when the last weight step moved ``w`` by at most
-    ``ISOTRON_STEP_TOL`` in norm, so the iterates had come to rest.
+    GLMtron-style step against the fitted activation.  The activation is
+    evaluated at the points it was fitted on, where it takes the fitted
+    values (tied scores share one), so knots are made once, for the returned
+    round.  Runs all ``iters`` rounds and returns the best-squared-error
+    round; it is flagged converged when the last weight step moved ``w`` by
+    at most ``ISOTRON_STEP_TOL`` in norm, so the iterates had come to rest.
     """
     x, y = dataset.features, dataset.labels
     n = dataset.n
     w = np.zeros(dataset.d)
     best = None
     trace = []
+    pred = np.empty(n)
     for t in range(iters):
         scores = x @ w
         order = np.argsort(scores, kind="stable")
-        u_fit = lipschitz_isotonic_fit(scores[order], y[order])
-        knots_t, knots_u = _dedupe_knots(scores[order], u_fit)
-        pred = np.clip(np.interp(scores, knots_t, knots_u), 0.0, 1.0)
+        t_sorted = scores[order]
+        u_fit = lipschitz_isotonic_fit(t_sorted, y[order])
+        pred[order] = np.clip(u_fit, 0.0, 1.0)
         err = squared_error(pred, y)
         trace.append({"iter": t, "err2": err})
         if best is None or err < best[0]:
-            best = (err, w.copy(), knots_t.copy(), knots_u.copy())
+            best = (err, w, t_sorted, u_fit)
         w_next = project_ball(w + x.T @ (y - pred) / n, B)
         _check_finite(w_next)
         step = float(np.linalg.norm(w_next - w))
         w = w_next
-    _, w_best, kt, ku = best
-    return SimPredictor(w_best, kt, ku, converged=step <= ISOTRON_STEP_TOL,
-                        trace=trace)
+    _, w_best, t_sorted, u_fit = best
+    return SimPredictor(w_best, *_dedupe_knots(t_sorted, u_fit),
+                        converged=step <= ISOTRON_STEP_TOL, trace=trace)
 
 
 # ---------------------------------------------------------------------------

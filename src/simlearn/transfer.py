@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -61,14 +61,7 @@ class ErrorReport:
             raise InvalidInputError("err1^2 <= err2 must hold (Jensen)")
 
     def to_json(self):
-        payload = {
-            "err2": self.err2,
-            "err1": self.err1,
-            "matching_losses": dict(self.matching_losses),
-            "n_eval": self.n_eval,
-            "seed": self.seed,
-        }
-        return json.dumps(payload)
+        return json.dumps(asdict(self))
 
 
 def _predictions(p, dataset):
@@ -117,9 +110,10 @@ def linear_matching_losses(dataset, pair, W):
 class PremiseEstimate:
     predictor_loss: float
     comparator_loss: float
-    best_source: str  # "ball_minimiser"; tracer-only, ROADMAP item 1 drops it
     eps_hat: float          # max(0, predictor_loss - comparator_loss)
     raw_slack: float        # predictor_loss - comparator_loss, signed
+    # read by the benchmark's tracer only; ROADMAP item 1 drops it
+    best_source = "ball_minimiser"
 
 
 def measure_premise(p, dataset, pair, B):
@@ -139,8 +133,8 @@ def measure_premise(p, dataset, pair, B):
         raise NoConvergenceError(
             f"the {pair.tag} ball minimiser missed its certificate")
     best = float(linear_matching_losses(dataset, pair, ball_min.w)[0])
-    return PremiseEstimate(pred_loss, best, "ball_minimiser",
-                           max(0.0, pred_loss - best), pred_loss - best)
+    return PremiseEstimate(pred_loss, best, max(0.0, pred_loss - best),
+                           pred_loss - best)
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,25 @@ def _assert_criterion(res):
         f"runtime {res.runtime_s:.1f}s over budget {res.budget_s}s")
 
 
+# number -> (name, budget_s) of each criterion
+REGISTERED = {1: ("distortion sandwiches", 5.0), 2: ("link duality", 5.0),
+              3: ("weak learner trials", 60.0),
+              4: ("realizable recovery", 120.0),
+              5: ("bi-Lipschitz transfer", 300.0),
+              6: ("sqrt-opt omnipredictor suite", 900.0),
+              7: ("omnipredictor simultaneity", 300.0),
+              8: ("p-concept identity", 30.0),
+              9: ("logistic bound formulas", 300.0),
+              10: ("artifact determinism", 60.0)}
+
+
+def test_every_criterion_is_registered_under_its_number(suite):
+    assert sorted(acceptance.CRITERIA) == list(range(1, 10))
+    assert {k: (res.number, res.name, res.budget_s)
+            for k, res in suite.items()} \
+        == {k: (k, *named) for k, named in REGISTERED.items()}
+
+
 def test_criterion_01_distortion_sandwiches(suite):
     _assert_criterion(suite[1])
 
@@ -349,17 +368,18 @@ def test_criterion_05_names_nonconverged_learners(suite, monkeypatch):
 
 
 def test_transfer_criteria_train_once_per_unit(monkeypatch):
-    # criteria 5, 6 and 9 train through the unit runner, once per unit
+    # criteria 4-9 train every learner through config.train_learner: 5, 6
+    # and 9 once per unit, 4 its GLMtron and its Isotron, 7 and 8 one each
     calls = []
     train = config.train_learner
     monkeypatch.setattr(config, "train_learner",
                         lambda *args: calls.append(args[0]) or train(*args))
     counts = {}
-    for number in (5, 6, 9):
+    for number in (4, 5, 6, 7, 8, 9):
         calls.clear()
         acceptance.CRITERIA[number](SEED)
         counts[number] = len(calls)
-    assert counts == {5: 4, 6: 9, 9: 5}
+    assert counts == {4: 2, 5: 4, 6: 9, 7: 1, 8: 1, 9: 5}
 
 
 def _alone(unit):
@@ -453,19 +473,18 @@ def _shuffled_labels(train):
 # (fault, criterion) pairs that fail at the default seed.  A pair enters
 # once it fails and never leaves.
 FAULTS = {"constant": _constant_learner, "shuffled": _shuffled_labels}
-FAULT_PAIRS = [("constant", 5), ("constant", 6), ("constant", 7),
-               ("constant", 9), ("shuffled", 5), ("shuffled", 6),
+FAULT_PAIRS = [("constant", 4), ("constant", 5), ("constant", 6),
+               ("constant", 7), ("constant", 9), ("shuffled", 4),
+               ("shuffled", 5), ("shuffled", 6), ("shuffled", 7),
                ("shuffled", 9)]
 
 
 @pytest.mark.parametrize("fault, number", FAULT_PAIRS,
                          ids=[f"{f}-{n}" for f, n in FAULT_PAIRS])
 def test_a_faulty_learner_fails_the_criterion(monkeypatch, fault, number):
-    # criterion 7 trains its omnipredictor directly, the others through
-    # the unit runner
-    owner, name = ((learners, "train_omnipredictor") if number == 7
-                   else (config, "train_learner"))
-    monkeypatch.setattr(owner, name, FAULTS[fault](getattr(owner, name)))
+    # every learner under test trains through config.train_learner
+    monkeypatch.setattr(config, "train_learner",
+                        FAULTS[fault](config.train_learner))
     assert not acceptance.CRITERIA[number](SEED).passed
 
 

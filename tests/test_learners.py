@@ -542,6 +542,31 @@ def test_isotron_ties_are_stable():
     assert pred.knots_t.size == np.unique(pred.knots_t).size
 
 
+def _planted_ramp():
+    spec = synth.MarginalSpec("standard_gaussian", 3)
+    w = synth.planted_direction(3, 1.0, 53)
+    ds = synth.make_dataset(
+        spec, synth.LabelModel(tuple(w), "identity_clamped"), 4000, 54)
+    return ds, 1.0, 100
+
+
+def _tied_scores():
+    x = np.array([[1.0], [1.0], [1.0], [2.0]])
+    y = np.array([0.2, 0.4, 0.6, 1.0])
+    return synth.Dataset(x, y, "interval", 0), 2.0, 5
+
+
+@pytest.mark.parametrize("data", [_planted_ramp, _tied_scores],
+                         ids=["planted_ramp", "tied_scores"])
+def test_isotron_trace_holds_the_returned_predictor_error(data):
+    # a round's error is taken at its fitted values; the returned predictor,
+    # evaluated through its knots, gives the best round's error bit for bit
+    ds, B, iters = data()
+    pred = learners.train_isotron(ds, B, iters=iters)
+    assert min(entry["err2"] for entry in pred.trace) \
+        == learners.squared_error(pred.predict(ds.features), ds.labels)
+
+
 def test_sim_predictor_serialization_roundtrip():
     ds, _ = planted_sigmoid(1000, 61)
     pred = learners.train_isotron(ds, 2.0, iters=5)
