@@ -25,6 +25,10 @@ DEFAULT_SEED = 20250
 CSV_HEADER = "instance,learner,opt_hat,err2,err1,theorem,rhs,slack,c_report,runtime_ms"
 
 
+def csv_text(text):
+    return text.replace(",", ";")    # a comma would end the CSV field
+
+
 @dataclass
 class Row:
     instance: str
@@ -42,13 +46,11 @@ class Row:
         def num(v):
             return "" if v is None else repr(float(v))
 
-        def txt(v):
-            return v.replace(",", ";")
-
         return ",".join([
-            txt(self.instance), txt(self.learner), num(self.opt_hat),
-            num(self.err2), num(self.err1), txt(self.theorem), num(self.rhs),
-            num(self.slack), num(self.c_report), str(self.runtime_ms),
+            csv_text(self.instance), csv_text(self.learner), num(self.opt_hat),
+            num(self.err2), num(self.err1), csv_text(self.theorem),
+            num(self.rhs), num(self.slack), num(self.c_report),
+            str(self.runtime_ms),
         ])
 
 

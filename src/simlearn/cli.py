@@ -147,7 +147,8 @@ def cmd_distortion_check(args):
 
 
 def _row_key(row):
-    return (row.instance, row.learner, row.theorem)
+    return tuple(map(acceptance.csv_text,
+                     (row.instance, row.learner, row.theorem)))
 
 
 def _run_instance(unit, train, ev):
@@ -186,7 +187,8 @@ def cmd_experiment(args):
 
     needed = []
     for unit in cfg.units():
-        key_prefix = (unit.instance, unit.entry["name"])
+        key_prefix = tuple(map(acceptance.csv_text,
+                               (unit.instance, unit.entry["name"])))
         # a check's row carries its theorem tag, or <kind>_inapplicable
         missing = any(all((*key_prefix, theorem) not in existing
                           for theorem in (transfer.CHECKS[kind][0],

@@ -149,7 +149,10 @@ def _list(item, nonempty=False):
 
 
 FLAG = _scalar("true or false", lambda v: type(v) is bool)
-TEXT = _scalar("a string", lambda v: type(v) is str)
+# a CSV row holds a unit's instance and learner names in one line
+LINE_BREAKS = {"\n", "\r"}
+NAME = _scalar("a string without a line break",
+               lambda v: type(v) is str and not set(v) & LINE_BREAKS)
 TAG = _scalar("an activation tag", lambda v: type(v) is str, _tag)
 NUMBER = _number("a number")
 NON_NEGATIVE = _number("a non-negative number", lambda v: v >= 0.0)
@@ -187,10 +190,11 @@ ALGORITHMS = {
 
 # the keys of every learner entry; ALGORITHMS adds each algorithm's own.
 # `train` writes <name>.predictor.txt under its output directory, so a name
-# is no path
+# is no path either
 LEARNER = {"algorithm": _need(_choice(ALGORITHMS)),
-           "name": _scalar("a string without '/'",
-                           lambda v: type(v) is str and "/" not in v),
+           "name": _scalar("a string without '/' or a line break",
+                           lambda v: type(v) is str
+                           and not set(v) & {"/", *LINE_BREAKS}),
            "norm_bound": _need(POSITIVE)}
 
 
@@ -244,7 +248,7 @@ CONFIG = {
                             _check)),
     "eps": NON_NEGATIVE,
     "seeds": _list(COUNT, nonempty=True),
-    "instances": _list(_object({"name": _need(TEXT), "corruption": CORRUPTION},
+    "instances": _list(_object({"name": _need(NAME), "corruption": CORRUPTION},
                                lambda name, corruption=synth.Corruption():
                                (name, corruption))),
 }
@@ -291,7 +295,7 @@ def parse_config(obj):
                                        **data["label_model"])
     cfg = ExperimentConfig(**data, **top)
     # rows are keyed by the check's theorem tag, and by instance, seed and
-    # learner name as a CSV row writes them (acceptance.Row.render turns ","
+    # learner name as a CSV row writes them (acceptance.csv_text turns ","
     # into ";"): a repeat would overwrite the rows of an earlier unit
     for error, values in (
             ("only one {!r} check may be listed", [k for k, _ in cfg.checks]),

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import inspect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -159,8 +159,9 @@ class FenchelPair:
         return f"<FenchelPair {self.tag}>"
 
 
+# a tag writes its numbers as repr does, so it reads back as the same pair
 def _perturbed_tag(base, slope):
-    return f"perturbed({base.tag},{slope:g})"
+    return f"perturbed({base.tag},{float(slope)!r})"
 
 
 class PiecewiseLinearActivation(FenchelPair):
@@ -342,8 +343,9 @@ def leaky_relu(slope, level=0.5):
     """
     if slope <= 0:
         raise InvalidInputError("leaky_relu slope must be positive")
-    return PiecewiseLinearActivation([0.0], [float(level)], float(slope), 1.0,
-                                     f"leaky_relu({slope:g},{level:g})")
+    slope, level = float(slope), float(level)
+    return PiecewiseLinearActivation([0.0], [level], slope, 1.0,
+                                     f"leaky_relu({slope!r},{level!r})")
 
 
 def sigmoid():
@@ -416,22 +418,20 @@ class BoundednessWitness:
 
 
 @dataclass
-class BoundednessCert:
+class BoundednessResult:
+    """The outcome of :func:`check_bounded_link`: ``ok`` with a witness per
+    probe, or not ``ok`` with the witnesses found before the failing probe
+    ``epsilon``, the ``violated`` inequality and a ``detail`` message."""
     R: float
     gamma: float
-    epsilon_grid: list
-    witnesses: list = field(default_factory=list)
-    ok = True
+    witnesses: list
+    epsilon: float = None
+    violated: str = None
+    detail: str = ""
 
-
-@dataclass
-class BoundednessFailure:
-    R: float
-    gamma: float
-    epsilon: float
-    violated: str
-    detail: str
-    ok = False
+    @property
+    def ok(self):
+        return self.violated is None
 
 
 def _link_on_unit(pair, r):
@@ -466,9 +466,10 @@ def check_bounded_link(pair, R, gamma, probes):
     blow-up (such as the logit) admit witnesses strictly inside the
     interval.  The search runs over 100 log-spaced candidates per side and
     sup-checks the tails on a log-spaced refinement, so it is an
-    approximate, deterministic check: a returned certificate records
-    measured quantities, a failure names the first inequality that could
-    not be satisfied.  The lower side is the upper side of ``r -> -u(-r)``.
+    approximate, deterministic check: the :class:`BoundednessResult`
+    records the measured witnesses, or names the first inequality that
+    could not be satisfied.  The lower side is the upper side of
+    ``r -> -u(-r)``.
     """
     probes = [float(e) for e in probes]
     if any(e <= 0 for e in probes):
@@ -500,21 +501,18 @@ def check_bounded_link(pair, R, gamma, probes):
         for cands, heads, sups, tail, no_head, tail_detail in sides:
             head_ok = np.isfinite(heads) & (heads <= head_cap)
             hit = head_ok & (sups <= eps)
-            if not hit.any():
-                if not head_ok.any():
-                    return BoundednessFailure(
-                        R, gamma, eps, "head",
-                        f"{no_head} <= R*(1/eps)^gamma = {head_cap:g}")
-                return BoundednessFailure(R, gamma, eps, tail,
-                                          tail_detail.format(eps))
+            if not hit.any():    # no head within the cap, or no tail
+                failed = ((tail, tail_detail.format(eps)) if head_ok.any()
+                          else ("head", f"{no_head} <= R*(1/eps)^gamma = "
+                                        f"{head_cap:g}"))
+                return BoundednessResult(R, gamma, witnesses, eps, *failed)
             i = int(np.argmax(hit))
             found.append((float(cands[i]), float(heads[i]), float(sups[i])))
         (r1, head_hi, th), (r0, head_lo, tl) = found
         witnesses.append(BoundednessWitness(
             epsilon=eps, r0=r0, r1=r1,
             head=max(head_lo, head_hi), tail_lo=tl, tail_hi=th))
-    return BoundednessCert(R=R, gamma=gamma, epsilon_grid=probes,
-                           witnesses=witnesses)
+    return BoundednessResult(R, gamma, witnesses)
 
 
 # ---------------------------------------------------------------------------
@@ -617,6 +615,13 @@ def interior_grid(n):
     return np.arange(1, n + 1, dtype=float) / (n + 1)
 
 
+def _worst_slacks(tag, value, lower, upper):
+    """The suite row of ``lower <= value <= upper``: the pair's tag and the
+    least slack on each side."""
+    return {"pair": tag, "lower_slack": float(np.min(value - lower)),
+            "upper_slack": float(np.min(upper - value))}
+
+
 def bilipschitz_sandwich_report(pair, grid_n=100):
     """Worst slacks of the Bregman-vs-squared sandwich on an interior grid.
 
@@ -626,52 +631,34 @@ def bilipschitz_sandwich_report(pair, grid_n=100):
     """
     if pair.alpha <= 0:
         raise InvalidInputError("pair is not bi-Lipschitz (alpha == 0)")
-    ys = interior_grid(grid_n)
-    ps = interior_grid(grid_n)
-    Y, P = np.meshgrid(ys, ps, indexing="ij")
+    grid = interior_grid(grid_n)
+    Y, P = np.meshgrid(grid, grid, indexing="ij")
     B = pair.bregman(Y, P)
     sq = (Y - P) ** 2
-    lower = sq / (2.0 * pair.beta)
-    upper = sq / (2.0 * pair.alpha)
     fp = pair.f_prime(P)
     fy = pair.f_prime(Y)
     excess = pair.matching_loss(Y, fp) - pair.matching_loss(Y, fy)
-    return {
-        "pair": pair.tag,
-        "lower_slack": float(np.min(B - lower)),
-        "upper_slack": float(np.min(upper - B)),
-        "identity_gap": float(np.max(np.abs(excess - B))),
-    }
+    return {**_worst_slacks(pair.tag, B, sq / (2.0 * pair.beta),
+                            sq / (2.0 * pair.alpha)),
+            "identity_gap": float(np.max(np.abs(excess - B)))}
 
 
 def kl_sandwich_report(grid_n=100):
     """Worst slacks of KL(y||p) in [ (y-p)^2 / 2, 2 (y-p)^2 / min(p, 1-p) ]."""
     pair = sigmoid()
-    ys = interior_grid(grid_n)
-    ps = interior_grid(grid_n)
-    Y, P = np.meshgrid(ys, ps, indexing="ij")
+    grid = interior_grid(grid_n)
+    Y, P = np.meshgrid(grid, grid, indexing="ij")
     B = pair.bregman(Y, P)
     sq = (Y - P) ** 2
-    lower = 0.5 * sq
-    upper = 2.0 * sq / np.minimum(P, 1.0 - P)
-    return {
-        "pair": pair.tag,
-        "lower_slack": float(np.min(B - lower)),
-        "upper_slack": float(np.min(upper - B)),
-    }
+    return _worst_slacks(pair.tag, B, 0.5 * sq,
+                         2.0 * sq / np.minimum(P, 1.0 - P))
 
 
 def crossentropy_absolute_report(grid_n=100):
     """Worst slacks of |y-p| <= CE(y,p) <= 2 |y-p| log(1/(p(1-p))), y binary."""
+    y = np.array([[0.0], [1.0]])
     ps = interior_grid(grid_n)
-    slacks_lo, slacks_hi = [], []
-    for y in (0.0, 1.0):
-        ce = -(_xlogy(y, ps) + _xlogy(1.0 - y, 1.0 - ps))
-        ad = np.abs(y - ps)
-        slacks_lo.append(np.min(ce - ad))
-        slacks_hi.append(np.min(2.0 * ad * np.log(1.0 / (ps * (1.0 - ps))) - ce))
-    return {
-        "pair": "sigmoid",
-        "lower_slack": float(np.min(slacks_lo)),
-        "upper_slack": float(np.min(slacks_hi)),
-    }
+    ce = -(_xlogy(y, ps) + _xlogy(1.0 - y, 1.0 - ps))
+    ad = np.abs(y - ps)
+    return _worst_slacks("sigmoid", ce, ad,
+                         2.0 * ad * np.log(1.0 / (ps * (1.0 - ps))))

@@ -310,14 +310,14 @@ def train_glmtron(dataset, activation_tag, B, iters=500, tol=1e-8):
         trace.append({"iter": t, "err2": err, "w": w,
                       "gap": B * float(np.linalg.norm(s)) - float(s @ w)})
         if t > 0 and best_err - tol <= err <= best_err + tol:    # stalled
-            return GlmPredictor(w, activation_tag, converged=True, trace=trace)
+            return GlmPredictor(w, act.tag, converged=True, trace=trace)
         if err < best_err:
             best_err, best_w = err, w.copy()
         w, w_prev = project_ball(w + s, B), w
         _check_finite(w)
         if err > best_err + tol and np.array_equal(w, w_prev):
             break    # a fixed point that never stalls
-    return GlmPredictor(best_w, activation_tag, converged=False, trace=trace)
+    return GlmPredictor(best_w, act.tag, converged=False, trace=trace)
 
 
 # ---------------------------------------------------------------------------

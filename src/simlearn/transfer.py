@@ -100,7 +100,8 @@ def evaluate(p, dataset, pairs=()):
 
 
 def linear_matching_losses(dataset, pair, W):
-    """Empirical matching loss of each linear score row of W."""
+    """Empirical matching loss of each linear score row of W.  Nothing in
+    simlearn calls it; it stays because the benchmark's tracer wraps it."""
     W = np.atleast_2d(np.asarray(W, dtype=float))
     scores = dataset.features @ W.T
     return np.mean(pair.g(scores) - dataset.labels[:, None] * scores, axis=0)
@@ -121,8 +122,9 @@ def measure_premise(p, dataset, pair, B):
 
     The comparator minimises ``pair``'s empirical matching loss over
     ``||w|| <= B`` on ``dataset`` (:func:`learners.train_matching_gd`); its
-    Frank-Wolfe certificate makes ``raw_slack`` the exact empirical premise
-    gap to within ``learners.GAP_TOL`` = 1e-12, and ``eps_hat`` is its
+    Frank-Wolfe certificate puts its trace's last loss within
+    ``learners.GAP_TOL`` = 1e-12 of the ball's minimum, so ``raw_slack`` is
+    the exact empirical premise gap to within that, and ``eps_hat`` is its
     positive part.  The signed slack is kept, since a predictor outside the
     linear class can beat the ball.  Raises NoConvergenceError when the
     comparator misses its certificate.
@@ -132,7 +134,7 @@ def measure_premise(p, dataset, pair, B):
     if not ball_min.converged:
         raise NoConvergenceError(
             f"the {pair.tag} ball minimiser missed its certificate")
-    best = float(linear_matching_losses(dataset, pair, ball_min.w)[0])
+    best = ball_min.trace[-1]["loss"]
     return PremiseEstimate(pred_loss, best, max(0.0, pred_loss - best),
                            pred_loss - best)
 
@@ -204,13 +206,15 @@ def check_general_activation_transfer(p, report, dataset, g_pair, phi_pair, B):
                    {"approximation_term": approx})
 
 
-def check_sim_bound(report, dataset, B, lam, eps):
+def check_sim_bound(report, dataset, B, eps):
     """err2 <= SIM_C * B * sqrt(lam) * sqrt(opt_hat) + eps.
 
-    ``SIM_C`` is a logged regression constant; ``c_needed`` in the extras
-    is the smallest constant making this instance pass.
+    ``lam`` is ``dataset.second_moment``, ``SIM_C`` a logged regression
+    constant; ``c_needed`` in the extras is the smallest constant making
+    this instance pass.
     """
     opt_hat = _certified_opt(dataset)
+    lam = dataset.second_moment
     rhs = SIM_C * B * math.sqrt(lam) * math.sqrt(opt_hat) + eps
     denom = B * math.sqrt(lam) * math.sqrt(opt_hat) if opt_hat > 0 else 0.0
     if denom > 0:
@@ -268,8 +272,8 @@ def check_logistic_squared(p, report, dataset, B):
     opt_eff = max(opt_hat, OPT_FLOOR)
     eps_hat = measure_premise(p, dataset, pair, B).eps_hat
     rhs = logistic_squared_rhs(opt_eff, B, LOGISTIC_C, eps_hat)
-    growth = opt_eff * math.exp(B ** 2 + math.sqrt(B ** 2 * math.log(1.0 / opt_eff)))
-    c_needed = max(0.0, (report.err2 - 2.0 * eps_hat) / growth)
+    c_needed = max(0.0, (report.err2 - 2.0 * eps_hat)
+                   / logistic_squared_rhs(opt_eff, B, 1.0, 0.0))
     extras = {"c_needed": c_needed, "degenerate_opt": degenerate}
     if dataset.label_model is not None:
         s = dataset.features @ dataset.label_model.w
@@ -306,7 +310,7 @@ def check_logistic_absolute(p, report, dataset, B):
     opt_eff = max(opt1, OPT_FLOOR)
     eps_hat = measure_premise(p, dataset, pair, B).eps_hat
     rhs = logistic_absolute_rhs(opt_eff, B, LOGISTIC_C, eps_hat)
-    denom = B * opt_eff * math.log(1.0 / opt_eff)
+    denom = logistic_absolute_rhs(opt_eff, B, 1.0, 0.0)
     c_needed = max(0.0, (report.err1 - eps_hat) / denom) if denom > 0 else math.inf
     extras = {"c_needed": c_needed, "degenerate_opt": degenerate}
     params = {"B": B, "C": LOGISTIC_C, "opt1_hat": opt1, "eps_hat": eps_hat}
@@ -390,7 +394,7 @@ def _pconcept_check(p, dataset, seed=0):
 CHECKS = {
     "sim_sqrt": ("sim_sqrt_transfer", 0,
                  lambda p, rep, ds, B, eps, seed:
-                 check_sim_bound(rep, ds, B, ds.second_moment, eps)),
+                 check_sim_bound(rep, ds, B, eps)),
     "bilipschitz": ("bilipschitz_transfer", 1,
                     lambda p, rep, ds, B, eps, seed, tag:
                     check_bilipschitz_transfer(

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from simlearn import acceptance, cli, config, synth, transfer
-from simlearn.learners import GlmPredictor, read_predictor
+from simlearn.learners import GlmPredictor, read_predictor, write_predictor
 
 
 def base_config(**overrides):
@@ -89,6 +89,34 @@ def test_train_deterministic_bytes(tmp_path):
         == (out2 / "glmtron.predictor.txt").read_bytes()
     assert (out1 / "glmtron.report.json").read_bytes() \
         == (out2 / "glmtron.report.json").read_bytes()
+
+
+def test_train_writes_the_canonical_tag_of_a_glmtron_activation(tmp_path):
+    # the config's spelling has a space, which the predictor header cannot hold
+    cfg = base_config()
+    cfg["learners"][0]["activation"] = "leaky_relu(0.1, 0.5)"
+    out = tmp_path / "run"
+    assert cli.main(["train", "--config", write_config(tmp_path, cfg),
+                     "--out", str(out)]) == 0
+    text = (out / "glmtron.predictor.txt").read_text()
+    pred = read_predictor(text, GlmPredictor)
+    assert pred.activation_tag == "leaky_relu(0.1,0.5)"
+    assert write_predictor(pred) == text
+
+
+def test_a_glmtron_predictor_file_keeps_long_activation_arguments(tmp_path):
+    # a tag rounded to six digits would read back as another activation
+    tag = "leaky_relu(0.123456789, 0.987654321)"
+    cfg = base_config()
+    cfg["learners"][0]["activation"] = tag
+    out = tmp_path / "run"
+    assert cli.main(["train", "--config", write_config(tmp_path, cfg),
+                     "--out", str(out)]) == 0
+    pred = read_predictor((out / "glmtron.predictor.txt").read_text(),
+                          GlmPredictor)
+    assert pred.activation_tag == "leaky_relu(0.123456789,0.987654321)"
+    x = np.random.default_rng(0).normal(size=(200, 4))
+    assert np.array_equal(pred.predict(x), GlmPredictor(pred.w, tag).predict(x))
 
 
 def test_train_unknown_learner_activation(tmp_path, capsys):
@@ -218,6 +246,43 @@ def test_experiment_deterministic_and_resume(tmp_path):
     cli.main(["experiment", "--config", cfg_path, "--out", str(out3),
               "--resume"])
     assert out3.read_bytes() == out1.read_bytes()
+
+
+def test_experiment_resume_matches_names_with_commas(tmp_path, monkeypatch):
+    # a row writes "," as ";"; resume must still find the unit's rows
+    cfg = base_config(seeds=[1, 2],
+                      instances=[{"name": "a,b", "corruption": None}])
+    cfg["learners"][0]["name"] = "glm,tron"
+    cfg_path = write_config(tmp_path, cfg)
+    full = tmp_path / "full.csv"
+    assert cli.main(["experiment", "--config", cfg_path,
+                     "--out", str(full)]) == 0
+    lines = full.read_text().splitlines(keepends=True)
+    assert [line.split(",")[:2] for line in lines[1:]] == \
+        [["a;b_s1", "glm;tron"], ["a;b_s2", "glm;tron"]]
+    run_seed, ran = cli._run_seed, []
+    monkeypatch.setattr(cli, "_run_seed",
+                        lambda units: ran.append(len(units)) or run_seed(units))
+    out = tmp_path / "out.csv"
+    out.write_text("".join(lines[:2]))
+    assert cli.main(["experiment", "--config", cfg_path, "--out", str(out),
+                     "--resume"]) == 0
+    assert ran == [1]
+    assert out.read_bytes() == full.read_bytes()
+    assert cli.main(["experiment", "--config", cfg_path, "--out", str(out),
+                     "--resume"]) == 0
+    assert ran == [1]
+    assert out.read_bytes() == full.read_bytes()
+
+
+def test_experiment_resume_of_a_foreign_csv_leaves_it_alone(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, sweep_config())
+    out = tmp_path / "other.csv"
+    out.write_text("a,b,c\n1,2,3\n")
+    assert cli.main(["experiment", "--config", cfg_path, "--out", str(out),
+                     "--resume"]) == 2
+    assert "foreign header" in capsys.readouterr().err
+    assert out.read_text() == "a,b,c\n1,2,3\n"
 
 
 def test_experiment_resume_malformed_row(tmp_path, capsys):
@@ -747,7 +812,21 @@ def test_planted_w_alone_is_the_label_models_direction():
      "planted_w has dimension 3, expected 4"),
     # train writes <name>.predictor.txt, so a name with "/" escaped --out
     (lambda c: c["learners"][0].update(name="../escaped"),
-     "'name' in learners[0] must be a string without '/', not '../escaped'"),
+     "'name' in learners[0] must be a string without '/' or a line break, "
+     "not '../escaped'"),
+    # a CSV row holds a unit's names; a line break would split it in two
+    (lambda c: c["learners"][0].update(name="glm\ntron"),
+     "'name' in learners[0] must be a string without '/' or a line break, "
+     "not 'glm\\ntron'"),
+    (lambda c: c["learners"][0].update(name="glm\rtron"),
+     "'name' in learners[0] must be a string without '/' or a line break, "
+     "not 'glm\\rtron'"),
+    (lambda c: c.update(instances=[{"name": "base\n", "corruption": None}]),
+     "'name' in instances[0] must be a string without a line break, "
+     "not 'base\\n'"),
+    (lambda c: c.update(instances=[{"name": "\rbase", "corruption": None}]),
+     "'name' in instances[0] must be a string without a line break, "
+     "not '\\rbase'"),
 ], ids=["misspelt_checks", "misspelt_n_train", "misspelt_scale",
         "misspelt_corruption", "misspelt_instance_corruption",
         "check_not_a_string", "pair_not_a_string",
@@ -759,7 +838,9 @@ def test_planted_w_alone_is_the_label_models_direction():
         "planted_w_with_norm", "planted_w_with_default_direction_seed",
         "planted_w_with_null_constant_weight", "learners_missing",
         "no_planted_w_and_no_norm", "planted_w_wrong_dimension",
-        "learner_name_a_path"])
+        "learner_name_a_path", "learner_name_a_line_feed",
+        "learner_name_a_carriage_return", "instance_name_a_line_feed",
+        "instance_name_a_carriage_return"])
 def test_experiment_rejects_malformed_configs(tmp_path, capsys, mutate,
                                               needle):
     cfg = base_config()
@@ -819,6 +900,27 @@ def test_a_train_out_that_is_a_file_exits_2(tmp_path, capsys):
     assert f"error: --out {out} is a file, not a directory" \
         in capsys.readouterr().err
     assert out.read_text() == ""
+
+
+def test_verify_exits_1_on_a_failed_or_over_budget_criterion(
+        tmp_path, capsys, monkeypatch):
+    def result(number, passed, runtime_s):
+        row = acceptance.Row("grid", f"c{number}", None, None, None, "t",
+                             0.0, 1.0, None)
+        return acceptance.CriterionResult(number, f"criterion {number}",
+                                          passed, runtime_s, 5.0, rows=[row])
+    results = [result(1, True, 1.0), result(2, False, 1.0),
+               result(3, True, 9.0)]
+    monkeypatch.setattr(acceptance, "run_all", lambda seed: results)
+    out = tmp_path / "verify.csv"
+    assert cli.main(["verify", "--out", str(out)]) == 1
+    printed = capsys.readouterr().out
+    assert "[FAIL]  2 criterion 2 (1.0s / budget 5s) (criterion failed)" \
+        in printed
+    assert "[FAIL]  3 criterion 3 (9.0s / budget 5s) (over budget 5s)" \
+        in printed
+    assert "verify: FAILURES PRESENT (1/3)" in printed
+    assert out.read_text() == acceptance.results_csv(results)
 
 
 def test_readme_example_config_parses():

@@ -467,6 +467,18 @@ def test_bounded_link_rejects_fast_blowup():
     assert res.violated == "upper_tail"
 
 
+def test_bounded_link_result_names_the_failing_probe():
+    # eps = 0.5 is met at gamma = 0; the logit's tail then fails at 0.01
+    res = F.check_bounded_link(SIG, 1.0, 0.0, [0.5, 0.01])
+    assert not res.ok
+    assert (res.epsilon, res.violated) == (0.01, "upper_tail")
+    assert "eps=0.01" in res.detail
+    assert [w.epsilon for w in res.witnesses] == [0.5]
+    cert = F.check_bounded_link(SIG, 1.0, 0.0, [0.5])
+    assert cert.ok and (cert.epsilon, cert.violated) == (None, None)
+    assert cert.witnesses == res.witnesses
+
+
 def test_bounded_link_fails_on_head():
     # level 0 makes the link u(r) = r on [0, 1]; every candidate r1 is at
     # least 0.5, above the head cap R * (1/eps)^0 = 0.1
@@ -613,6 +625,17 @@ def test_tag_round_trips():
         again = F.pair_from_tag(act.tag)
         ts = np.linspace(-3, 3, 50)
         assert np.allclose(act(ts), again(ts))
+
+
+@pytest.mark.parametrize("tag", ["leaky_relu(0.123456789,0.987654321)",
+                                 "perturbed(relu,0.123456789)",
+                                 "perturbed(leaky_relu(1e-7,0.1),1234567.5)"])
+def test_a_tag_with_long_arguments_names_its_pair_exactly(tag):
+    act = F.pair_from_tag(tag)
+    again = F.pair_from_tag(act.tag)
+    assert again.tag == act.tag
+    ts = np.linspace(-3, 3, 50)
+    assert np.array_equal(act(ts), again(ts))
 
 
 def test_unknown_tag_raises():

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -226,6 +227,40 @@ def test_malformed_header_rejected(tmp_path):
     path = tmp_path / "data.txt"
     path.write_text("#wrong v9 n=1 d=1 labels=interval seed=0\n0.0 0.5\n")
     with pytest.raises(ConfigError, match="header"):
+        synth.load_dataset(path)
+
+
+def _saved_lines(tmp_path):
+    """A saved small dataset's path and the lines of its file."""
+    path = tmp_path / "data.txt"
+    synth.save_dataset(small_dataset(), path)
+    return path, path.read_text().splitlines()
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda lines: lines.__setitem__(2, "0.1 x 0.3 0.5"),
+     "non-numeric value on row 1"),
+    (lambda lines: lines.__setitem__(0, lines[0].replace("labels=interval",
+                                                         "labels=ternary")),
+     "unknown label space 'ternary'"),
+    (lambda lines: lines.__setitem__(0, lines[0].replace("n=10", "n=ten")),
+     "malformed dataset header"),
+], ids=["non_numeric", "label_space", "header_value"])
+def test_malformed_dataset_file_rejected(tmp_path, edit, message):
+    path, lines = _saved_lines(tmp_path)
+    edit(lines)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ConfigError, match=message):
+        synth.load_dataset(path)
+
+
+def test_sidecar_marginal_of_no_dimension_rejected(tmp_path):
+    path, _ = _saved_lines(tmp_path)
+    meta_path = tmp_path / "data.txt.meta.json"
+    meta = json.loads(meta_path.read_text())
+    meta["marginal"]["dim"] = 0
+    meta_path.write_text(json.dumps(meta))
+    with pytest.raises(ConfigError, match="dim must be >= 1"):
         synth.load_dataset(path)
 
 

@@ -103,6 +103,18 @@ def test_premise_ball_minimiser_is_at_least_as_strict_as_the_planted_weights():
     assert prem.eps_hat > 0.0
 
 
+def test_premise_comparator_loss_is_the_ball_minimisers_loss():
+    ds = planted_dataset(n=5000, corruption=synth.Corruption(
+        "flip_region", mass=0.1))
+    pair = fenchel.pair_from_tag("sigmoid")
+    prem = transfer.measure_premise(constant(ds, 0.5), ds, pair, 2.0)
+    ball_min = learners.train_matching_gd(ds, pair, 2.0)
+    assert prem.comparator_loss == pytest.approx(float(
+        transfer.linear_matching_losses(ds, pair, ball_min.w)[0]),
+        rel=1e-13, abs=0.0)
+    assert prem.raw_slack == prem.predictor_loss - prem.comparator_loss
+
+
 def test_premise_needs_a_certified_comparator(monkeypatch):
     ds = planted_dataset(n=2000, corruption=synth.Corruption(
         "flip_region", mass=0.1))
@@ -215,12 +227,22 @@ def test_sim_bound_realizable_degenerates():
     ds = planted_dataset(n=20_000)
     pred = learners.train_glmtron(ds, "sigmoid", 2.0, iters=200)
     chk = transfer.check_sim_bound(
-        transfer.evaluate(pred.predict(ds.features), ds), ds, 2.0, 1.0,
-        eps=0.05)
+        transfer.evaluate(pred.predict(ds.features), ds), ds, 2.0, eps=0.05)
     assert chk.params["opt_hat"] == 0.0
     assert chk.rhs == pytest.approx(0.05)
     assert chk.extras["c_needed"] == 0.0
     assert chk.passed
+
+
+def test_sim_bound_reads_lambda_from_the_marginal():
+    # a Gaussian of scale 2 has second moment 4 along every unit direction
+    spec = synth.MarginalSpec("standard_gaussian", 3, scale=2.0)
+    model = synth.LabelModel(tuple(synth.planted_direction(3, 1.0, 4)),
+                             "sigmoid")
+    ds = synth.make_dataset(spec, model, 2000, 8)
+    chk = transfer.check_sim_bound(
+        transfer.evaluate(planted_predictions(ds), ds), ds, 1.0, eps=0.05)
+    assert chk.params["lambda"] == ds.second_moment == 4.0
 
 
 def test_sim_bound_scaling_probe():
@@ -237,8 +259,7 @@ def test_sim_bound_scaling_probe():
         ev = synth.make_dataset(spec, model, 30_000, 29)
         omni = learners.train_omnipredictor(train, B, seed=6)
         chk = transfer.check_sim_bound(
-            transfer.evaluate(omni.predict(ev.features), ev), ev, B, 1.0,
-            eps=0.05)
+            transfer.evaluate(omni.predict(ev.features), ev), ev, B, eps=0.05)
         needed.append(chk.extras["c_needed"])
         assert chk.passed
     assert max(needed) <= transfer.SIM_C
