@@ -519,27 +519,19 @@ def check_bounded_link(pair, R, gamma, probes):
 # Built-in pair registry
 # ---------------------------------------------------------------------------
 
-# (R, gamma) defaults used by the omniprediction registration gate, by the
-# name of the activation's tag (before any arguments), and (25, 0.5) for any
-# other name, perturbations included; recorded conventions, not asserted
-# ground truth.
-DEFAULT_BOUNDEDNESS = {
-    "identity": (1.0, 0.0),
-    "identity_clamped": (1.0, 0.0),
-    "relu": (1.0, 0.0),
-    "leaky_relu": (6.0, 0.0),
-    "sigmoid": (4.0, 0.5),
+# Each built-in activation by the name of its tag: its factory, and the
+# (R, gamma) at which the omniprediction registration gate checks its link
+# ((25, 0.5) for any other name, perturbations included); recorded
+# conventions, not asserted ground truth.
+BUILTIN_PAIRS = {
+    "identity": (identity, 1.0, 0.0),
+    "identity_clamped": (identity_clamped, 1.0, 0.0),
+    "relu": (relu, 1.0, 0.0),
+    "leaky_relu": (leaky_relu, 6.0, 0.0),
+    "sigmoid": (sigmoid, 4.0, 0.5),
 }
 
 DEFAULT_PROBES = (0.1, 0.01)
-
-_BUILTIN_FACTORIES = {
-    "identity": identity,
-    "identity_clamped": identity_clamped,
-    "relu": relu,
-    "leaky_relu": leaky_relu,
-    "sigmoid": sigmoid,
-}
 
 
 def pair_from_tag(tag):
@@ -555,9 +547,9 @@ def pair_from_tag(tag):
         args = [a.strip() for a in split_top_level(inner[:-1])]
     name = name.strip()
     perturbed = name == "perturbed"
-    factory = perturb_bilipschitz if perturbed else _BUILTIN_FACTORIES.get(name)
-    if factory is None:
+    if not perturbed and name not in BUILTIN_PAIRS:
         raise InvalidInputError(f"unknown activation tag {name!r}")
+    factory = perturb_bilipschitz if perturbed else BUILTIN_PAIRS[name][0]
     try:
         inspect.signature(factory).bind(*args)
         numbers = [float(a) for a in (args[1:] if perturbed else args)]
@@ -601,7 +593,7 @@ def default_registered_pairs():
 def registration_gate(pair):
     """Run the boundedness check with the pair's default (R, gamma) at the
     default probes."""
-    R, gamma = DEFAULT_BOUNDEDNESS.get(pair.tag.split("(")[0], (25.0, 0.5))
+    _, R, gamma = BUILTIN_PAIRS.get(pair.tag.split("(")[0], (None, 25.0, 0.5))
     return check_bounded_link(pair, R, gamma, list(DEFAULT_PROBES))
 
 

@@ -585,25 +585,35 @@ def read_predictor(text, cls):
     """Parse :func:`write_predictor` text into a predictor of class ``cls``.
 
     ConfigError for anything else: empty text, another version or kind, a
-    malformed header or number, a missing header key or array.
+    malformed header or number, a header key or array that is missing,
+    repeated or unknown, an empty array, ``converged`` other than 0 or 1,
+    or knot arrays of two lengths.
     """
     lines = text.strip().split("\n")
     head = lines[0].split()
-    expected = [PREDICTOR_MAGIC, PREDICTOR_VERSION, f"kind={cls.KIND}"]
+    kind = cls.KIND
+    expected = [PREDICTOR_MAGIC, PREDICTOR_VERSION, f"kind={kind}"]
     if head[:3] != expected:
         raise ConfigError(f"not a {' '.join(expected)} file")
+    pairs = [pair.split("=", 1) for pair in head[3:]]
+    rows = [line.split() or [""] for line in lines[1:]]
+    for got, wanted in (([p[0] for p in pairs], [*cls.HEADER, "converged"]),
+                        ([row[0] for row in rows], [*cls.ARRAYS])):
+        if sorted(got) != sorted(wanted):
+            raise ConfigError(f"{kind} predictor file has {got}, not {wanted}")
     try:
-        header = dict(pair.split("=", 1) for pair in head[3:])
-        arrays = {}
-        for line in lines[1:]:
-            name, *values = line.split()
-            arrays[name] = np.array([float(v) for v in values])
-        return cls(**{key: parse(header[key])
-                      for key, parse in cls.HEADER.items()},
-                   **{name: arrays[name] for name in cls.ARRAYS},
-                   converged=bool(int(header["converged"])))
-    except KeyError as exc:
-        raise ConfigError(f"{cls.KIND} predictor file lacks {exc}") from exc
+        header = dict(pairs)
+        arrays = {name: np.array([float(v) for v in values])
+                  for name, *values in rows}
+        fields = {key: parse(header[key]) for key, parse in cls.HEADER.items()}
     except ValueError as exc:
-        raise ConfigError(f"malformed {cls.KIND} predictor file: {exc}") \
-            from exc
+        raise ConfigError(f"malformed {kind} predictor file: {exc}") from exc
+    if header["converged"] not in ("0", "1"):
+        raise ConfigError(f"{kind} predictor file has converged="
+                          f"{header['converged']!r}, not 0 or 1")
+    if any(a.size == 0 for a in arrays.values()):
+        raise ConfigError(f"{kind} predictor file has an empty array")
+    if len({a.size for name, a in arrays.items() if "knots" in name}) > 1:
+        raise ConfigError(f"{kind} predictor file has knot arrays of two "
+                          "lengths")
+    return cls(**fields, **arrays, converged=header["converged"] == "1")

@@ -13,6 +13,7 @@ import io
 import json
 import math
 import os
+from collections import namedtuple
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -23,9 +24,7 @@ from . import fenchel
 FILE_MAGIC = "#simlearn"
 FILE_VERSION = "v1"
 
-# the choices of MarginalSpec.kind, Corruption.kind and label_space
-MARGINAL_KINDS = ("standard_gaussian", "uniform_ball", "laplace_product",
-                  "student_t")
+# the choices of Corruption.kind and label_space (MarginalSpec.kind: below)
 CORRUPTION_KINDS = ("none", "flip_region", "bounded_noise",
                     "constant_override")
 LABEL_SPACES = ("interval", "binary")
@@ -34,6 +33,38 @@ LABEL_SPACES = ("interval", "binary")
 # ---------------------------------------------------------------------------
 # Marginals
 # ---------------------------------------------------------------------------
+
+
+def _sample_ball(rng, spec, n):
+    g = rng.standard_normal((n, spec.dim))
+    g /= np.linalg.norm(g, axis=1, keepdims=True)
+    radii = rng.random(n) ** (1.0 / spec.dim)
+    return g * radii[:, None]
+
+
+# One row per marginal kind: ``sample`` draws (n, dim) features at scale 1,
+# ``second_moment`` bounds E[(v.x)^2] over unit v, and ``tails`` holds the
+# declared (lam, gamma) classes by their largest scale, in increasing scale;
+# the ball's and the Laplace product's tails exceed theirs above scale 1.
+MarginalKind = namedtuple("MarginalKind", "sample second_moment tails")
+MARGINALS = {
+    "standard_gaussian": MarginalKind(
+        lambda rng, spec, n: rng.standard_normal((n, spec.dim)),
+        lambda spec: spec.scale ** 2,
+        # (1, 2) requires scale^2 <= 1/2: 2*Phibar(r/s) <= exp(-r^2) then
+        ((2 ** -0.5 + 1e-12, (1.0, 2.0)), (1.0, (2.0, 1.5)))),
+    "uniform_ball": MarginalKind(
+        _sample_ball, lambda spec: spec.scale ** 2 / (spec.dim + 2),
+        ((1.0, (3.0, 2.0)),)),
+    "laplace_product": MarginalKind(
+        lambda rng, spec, n: rng.laplace(size=(n, spec.dim)),
+        lambda spec: 2.0 * spec.scale ** 2,
+        ((2 ** -0.5 + 1e-12, (1.0, 1.0)), (1.0, (2.0, 1.0)))),
+    "student_t": MarginalKind(
+        lambda rng, spec, n: rng.standard_t(spec.dof, size=(n, spec.dim)),
+        lambda spec: spec.scale ** 2 * spec.dof / (spec.dof - 2), ()),
+}
+MARGINAL_KINDS = tuple(MARGINALS)
 
 
 @dataclass(frozen=True)
@@ -54,7 +85,7 @@ class MarginalSpec:
     augment_constant: bool = False
 
     def __post_init__(self):
-        if self.kind not in MARGINAL_KINDS:
+        if self.kind not in MARGINALS:
             raise ConfigError(f"unknown marginal kind {self.kind!r}")
         if self.dim < 1:
             raise ConfigError("dim must be >= 1")
@@ -67,32 +98,15 @@ class MarginalSpec:
 
     @property
     def second_moment(self):
-        s2 = self.scale ** 2
-        if self.kind == "standard_gaussian":
-            lam = s2
-        elif self.kind == "uniform_ball":
-            lam = s2 / (self.dim + 2)
-        elif self.kind == "laplace_product":
-            lam = 2.0 * s2
-        else:
-            lam = s2 * self.dof / (self.dof - 2)
+        lam = MARGINALS[self.kind].second_moment(self)
         return max(lam, 1.0) if self.augment_constant else lam
 
     @property
     def concentration(self):
         if self.augment_constant:
             return None
-        if self.kind == "standard_gaussian":
-            # (1, 2) requires scale^2 <= 1/2: 2*Phibar(r/s) <= exp(-r^2) then
-            if self.scale ** 2 <= 0.5 + 1e-12:
-                return (1.0, 2.0)
-            return (2.0, 1.5) if self.scale <= 1.0 else None
-        if self.kind == "uniform_ball":
-            return (3.0, 2.0)
-        if self.kind == "laplace_product":
-            return (1.0, 1.0) if self.scale <= 1.0 / math.sqrt(2.0) + 1e-12 \
-                else (2.0, 1.0)
-        return None
+        return next((tail for largest, tail in MARGINALS[self.kind].tails
+                     if self.scale <= largest), None)
 
 
 def sample_marginal(spec, n, seed):
@@ -100,20 +114,8 @@ def sample_marginal(spec, n, seed):
     if n < 1:
         raise InvalidInputError("need n >= 1")
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0xFEA7]))
-    d = spec.dim
-    if spec.kind == "standard_gaussian":
-        x = rng.standard_normal((n, d)) * spec.scale
-    elif spec.kind == "uniform_ball":
-        g = rng.standard_normal((n, d))
-        g /= np.linalg.norm(g, axis=1, keepdims=True)
-        radii = rng.random(n) ** (1.0 / d)
-        x = g * radii[:, None] * spec.scale
-    elif spec.kind == "laplace_product":
-        x = rng.laplace(0.0, spec.scale, size=(n, d))
-    elif spec.kind == "student_t":
-        x = rng.standard_t(spec.dof, size=(n, d)) * spec.scale
-    else:  # pragma: no cover - guarded in __post_init__
-        raise ConfigError(f"unknown marginal kind {spec.kind!r}")
+    x = MARGINALS[spec.kind].sample(rng, spec, n)
+    x *= spec.scale
     if spec.augment_constant:
         x = np.hstack([x, np.ones((n, 1))])
     return x
@@ -193,16 +195,14 @@ def planted_direction(dim, norm, seed, constant_weight=None):
     is pinned to that value and the rest of the norm budget goes to a random
     direction over the leading coordinates.
     """
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x9A37]))
-    if constant_weight is None:
-        w = rng.standard_normal(dim)
-        w *= norm / np.linalg.norm(w)
-        return w
-    if abs(constant_weight) > norm:
+    pinned = [] if constant_weight is None else [constant_weight]
+    if pinned and abs(constant_weight) > norm:
         raise InvalidInputError("constant weight exceeds the norm budget")
-    w = rng.standard_normal(dim - 1)
-    w *= math.sqrt(norm ** 2 - constant_weight ** 2) / np.linalg.norm(w)
-    return np.concatenate([w, [constant_weight]])
+    free_norm = math.sqrt(norm ** 2 - constant_weight ** 2) if pinned else norm
+    rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x9A37]))
+    w = rng.standard_normal(dim - len(pinned))
+    w *= free_norm / np.linalg.norm(w)
+    return np.concatenate([w, pinned])
 
 
 def generate_labels(features, model, seed):
@@ -292,19 +292,13 @@ def make_dataset(marginal, model, n, seed):
     return Dataset(x, y, model.label_space, int(seed), marginal, model, opt)
 
 
-def _format_row(row):
-    return " ".join("%.17g" % v for v in row)
-
-
 def serialize_dataset(ds):
     """Canonical text serialization (header plus one line per example)."""
     buf = io.StringIO()
-    buf.write(f"{FILE_MAGIC} {FILE_VERSION} n={ds.n} d={ds.d} "
-              f"labels={ds.label_space} seed={ds.seed}\n")
-    data = np.hstack([ds.features, ds.labels[:, None]])
-    for row in data:
-        buf.write(_format_row(row))
-        buf.write("\n")
+    np.savetxt(buf, np.hstack([ds.features, ds.labels[:, None]]),
+               fmt="%.17g", comments="",
+               header=f"{FILE_MAGIC} {FILE_VERSION} n={ds.n} d={ds.d} "
+                      f"labels={ds.label_space} seed={ds.seed}")
     return buf.getvalue()
 
 
@@ -359,6 +353,9 @@ def load_dataset(path):
                 rows[i] = [float(v) for v in vals]
             except ValueError as exc:
                 raise ConfigError(f"non-numeric value on row {i}") from exc
+        if extra := fh.readline():
+            raise ConfigError(f"more than the header's n={n} rows: "
+                              f"line {n + 2} is {extra.strip()!r}")
     if not np.all(np.isfinite(rows)):
         raise ConfigError("non-finite values in dataset file")
     ds = Dataset(rows[:, :d], rows[:, d], label_space, seed)

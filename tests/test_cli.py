@@ -931,6 +931,30 @@ def test_readme_example_config_parses():
     assert len(cfg.units()) == 2 * 3 * 2
 
 
+@pytest.mark.parametrize("kind, scale, check, theorem", [
+    ("laplace_product", 1.0, "logistic_absolute",
+     "logistic_absolute_transfer"),
+    ("laplace_product", 2.0, "logistic_absolute",
+     "logistic_absolute_inapplicable"),
+    ("uniform_ball", 1.0, "logistic_squared", "logistic_squared_transfer"),
+    ("uniform_ball", 3.0, "logistic_squared", "logistic_squared_inapplicable"),
+])
+def test_a_logistic_check_needs_a_declared_tail_class(tmp_path, kind, scale,
+                                                      check, theorem):
+    # the ball and the Laplace product declare a tail class up to scale 1
+    # only: above it their tails exceed it, and the theorem does not apply
+    cfg = base_config(checks=[check])
+    cfg["data"].update(n_train=1000, n_eval=1000,
+                       marginal={"kind": kind, "dim": 3, "scale": scale})
+    cfg["data"]["label_model"]["label_space"] = "binary"
+    out = tmp_path / "sweep.csv"
+    assert cli.main(["experiment", "--config", write_config(tmp_path, cfg),
+                     "--out", str(out)]) == 0
+    rows = [acceptance.parse_row(line)
+            for line in out.read_text().splitlines()[1:]]
+    assert [row.theorem for row in rows] == [theorem]
+
+
 def test_resume_of_a_complete_csv_runs_no_unit(tmp_path, monkeypatch):
     # logistic_squared is inapplicable on a plain-Gaussian marginal, so the
     # unit writes one theorem row and one <kind>_inapplicable row

@@ -729,6 +729,34 @@ def test_read_predictor_rejects_foreign_text(text, cls):
         learners.read_predictor(text, cls)
 
 
+SIM_TEXT = "#simlearn-predictor v2 kind=sim converged=0\n" \
+    "w 0.5 -0.25\nknots_t -1 0 1\nknots_u 0.25 0.5 0.75\n"
+
+
+@pytest.mark.parametrize("text, cls, message", [
+    (GLM_TEXT + "w 5 6 7\n", learners.GlmPredictor,
+     r"has \['w', 'w'\], not \['w'\]"),
+    (GLM_TEXT + "bias 1\n", learners.GlmPredictor,
+     r"has \['w', 'bias'\], not \['w'\]"),
+    (GLM_TEXT.replace("converged=1", "converged=1 bias=2"),
+     learners.GlmPredictor,
+     r"has \['activation_tag', 'converged', 'bias'\], not"),
+    (GLM_TEXT.replace("converged=1", "converged=1 converged=0"),
+     learners.GlmPredictor,
+     r"has \['activation_tag', 'converged', 'converged'\], not"),
+    (GLM_TEXT.replace("converged=1", "converged=7"), learners.GlmPredictor,
+     "converged='7', not 0 or 1"),
+    (GLM_TEXT.replace("w 0.5 -0.25", "w"), learners.GlmPredictor,
+     "an empty array"),
+    (SIM_TEXT.replace("knots_u 0.25 0.5 0.75", "knots_u 0.25 0.5"),
+     learners.SimPredictor, "knot arrays of two lengths"),
+], ids=["repeated_array", "unknown_array", "unknown_key", "repeated_key",
+        "converged_not_a_flag", "empty_array", "knot_lengths"])
+def test_read_predictor_rejects_lines_no_writer_writes(text, cls, message):
+    with pytest.raises(ConfigError, match=message):
+        learners.read_predictor(text, cls)
+
+
 def test_matching_gd_converged_only_when_tol_stop_fires():
     # converged means certified: the Frank-Wolfe gap met GAP_TOL
     ds, _ = planted_sigmoid(5000, 73)

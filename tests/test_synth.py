@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -19,12 +20,19 @@ def unit_directions(d, k, seed):
 # ---------------------------------------------------------------------------
 
 
+# the spec test_second_moment_bound samples for each marginal kind; a kind
+# with no entry here fails collection
+MOMENT_SPECS = {
+    "standard_gaussian": dict(dim=5),
+    "uniform_ball": dict(dim=3),
+    "laplace_product": dict(dim=2, scale=2 ** -0.5),
+    "student_t": dict(dim=4, dof=5),
+}
+
+
 @pytest.mark.parametrize("spec", [
-    synth.MarginalSpec("standard_gaussian", 5),
-    synth.MarginalSpec("uniform_ball", 3),
-    synth.MarginalSpec("laplace_product", 2, scale=2 ** -0.5),
-    synth.MarginalSpec("student_t", 4, dof=5),
-])
+    synth.MarginalSpec(kind, **MOMENT_SPECS[kind])
+    for kind in synth.MARGINAL_KINDS])
 def test_second_moment_bound(spec):
     x = synth.sample_marginal(spec, 100_000, 7)
     for v in unit_directions(spec.total_dim, 20, 5):
@@ -55,6 +63,29 @@ def test_concentration_tails(spec):
         s = np.abs(x @ v)
         for r in (1.0, 2.0, 3.0):
             assert np.mean(s >= r) <= 2.0 * lam_c * math.exp(-r ** gamma)
+
+
+@pytest.mark.parametrize("kind, largest, tail", [
+    (kind, largest, tail) for kind in synth.MARGINAL_KINDS
+    for largest, tail in synth.MARGINALS[kind].tails])
+def test_declared_tail_class_holds_up_to_its_largest_scale(kind, largest,
+                                                           tail):
+    spec = synth.MarginalSpec(kind, 2, scale=largest)
+    assert spec.concentration == tail
+    lam_c, gamma = tail
+    x = synth.sample_marginal(spec, 100_000, 29)
+    for v in unit_directions(2, 20, 31):
+        s = np.abs(x @ v)
+        for r in (0.5, 1.0, 2.0, 3.0):
+            assert np.mean(s >= r) <= lam_c * math.exp(-r ** gamma) + 0.01
+
+
+@pytest.mark.parametrize("kind, scale", [("uniform_ball", 3.0),
+                                         ("laplace_product", 2.0),
+                                         ("standard_gaussian", 1.5),
+                                         ("student_t", 1.0)])
+def test_no_tail_class_above_the_largest_declared_scale(kind, scale):
+    assert synth.MarginalSpec(kind, 2, scale=scale).concentration is None
 
 
 def test_laplace_tail_example():
@@ -207,6 +238,54 @@ def test_round_trip_bytes(tmp_path):
     assert back.label_model == ds.label_model
 
 
+# sha256 of the serialization of one small dataset per marginal kind, with
+# and without the constant feature; a kind with no entry here fails
+DATASET_SHA256 = {
+    ("standard_gaussian", False):
+    "067e9ca95751e8b24043c61f244dbd72fb172724f39114e2ecb4835c515eba73",
+    ("standard_gaussian", True):
+    "e524d43318a55d7b0eef3d925cdf1f1762168a2e15d69f15f4a7fe4b8758dac8",
+    ("uniform_ball", False):
+    "9526a147462f52926e23b0eea1dafa17f207463cd214c220f3c5e5b0e8df9a3c",
+    ("uniform_ball", True):
+    "176978cfc1b4a0c47bfee0b55865c531909b1cddd04dad92267a96278c5c2514",
+    ("laplace_product", False):
+    "2d018ba63afcf7b086bb7448b486c6c88d9c99a37070ce4a0a958363addafc9e",
+    ("laplace_product", True):
+    "e0a374705893e0520525b72328e9c0031010fd75125c551c0134f5c393f30396",
+    ("student_t", False):
+    "b44f5ff2e4caf84e76ad5af9c2c968f4fc187b8f6dfca82359269cc12a273673",
+    ("student_t", True):
+    "32c90e69be5ff925523b21c9ca4f3b19041b45e57cad418aa42bd9371d7d0815",
+}
+
+
+@pytest.mark.parametrize("augment", [False, True])
+@pytest.mark.parametrize("kind", synth.MARGINAL_KINDS)
+def test_serialized_dataset_bytes_are_pinned(kind, augment):
+    spec = synth.MarginalSpec(kind, 2, augment_constant=augment)
+    w = synth.planted_direction(spec.total_dim, 1.0, 3)
+    ds = synth.make_dataset(spec, synth.LabelModel(tuple(w), "sigmoid"), 6, 11)
+    text = synth.serialize_dataset(ds)
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        DATASET_SHA256[kind, augment]
+
+
+@pytest.mark.parametrize("args, expected", [
+    ((3, 1.0, 5),
+     [0.26992389275381085, -0.9507146868177938, 0.15258661930055817]),
+    ((1, 0.7, 0), [-0.7]),
+    ((4, 1.5, 21, -0.7),
+     [-0.6993741362275833, -0.7570855620923804, 0.8352827480842557, -0.7]),
+    ((6, 2.0, 90, 0.2),
+     [0.06283490674673013, -1.8369759847055311, 0.3099703234513524,
+      0.5747867134428164, 0.3938396104232573, 0.2]),
+    ((2, 1.0, 7, 0.0), [-1.0, 0.0]),
+])
+def test_planted_direction_is_pinned(args, expected):
+    assert synth.planted_direction(*args).tolist() == expected
+
+
 def test_reproducibility_same_spec_seed():
     a = small_dataset()
     b = small_dataset()
@@ -298,4 +377,17 @@ def test_non_finite_rejected(tmp_path):
     lines[2] = " ".join(cols)
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ConfigError, match="non-finite"):
+        synth.load_dataset(path)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda lines: [lines[0].replace("n=10", "n=3")] + lines[1:],
+     "more than the header's n=3 rows: line 5 is '"),
+    (lambda lines: lines + ["garbage"],
+     "more than the header's n=10 rows: line 12 is 'garbage'"),
+], ids=["more_rows_than_n", "trailing_garbage"])
+def test_rows_beyond_the_header_rejected(tmp_path, edit, message):
+    path, lines = _saved_lines(tmp_path)
+    path.write_text("\n".join(edit(lines)) + "\n")
+    with pytest.raises(ConfigError, match=message):
         synth.load_dataset(path)
