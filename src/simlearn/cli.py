@@ -24,7 +24,6 @@ import itertools
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from . import acceptance, config as config_mod, fenchel, learners, synth, \
     transfer
@@ -198,11 +197,13 @@ def cmd_experiment(args):
             needed.append(unit)
 
     # one task per seed, whose units share their draws; the pool starts all
-    # its processes at once: no more than the tasks
+    # its processes at once: no more than the tasks.  It and the
+    # multiprocessing modules under it load only here, when a pool runs.
     by_seed = [list(units) for _, units in itertools.groupby(
         sorted(needed, key=lambda unit: unit.seed), lambda unit: unit.seed)]
     workers = min(args.workers, len(by_seed))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             produced = list(pool.map(_run_seed, by_seed))
     else:

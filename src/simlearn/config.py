@@ -254,26 +254,33 @@ CONFIG = {
 }
 
 
-def _planted_direction(total_dim, norm=None, direction_seed=0,
+def _planted_direction(marginal, norm=None, direction_seed=0,
                        constant_weight=None):
-    """A planted direction of ``norm``, as a tuple of floats."""
+    """A planted direction of ``norm``, as a tuple of floats; a
+    ``constant_weight`` pins the weight of the marginal's intercept
+    feature, so it needs one."""
     if norm is None:
         raise ConfigError("missing key 'norm' in label_model")
     if constant_weight is not None and abs(constant_weight) > norm:
         raise ConfigError(f"'constant_weight' in label_model must be at "
                           f"most 'norm' = {norm!r} in absolute value, "
                           f"not {constant_weight!r}")
+    if constant_weight is not None and not marginal.augment_constant:
+        raise ConfigError(f"'constant_weight' in label_model must be null "
+                          f"or left out when the marginal has no "
+                          f"'augment_constant', not {constant_weight!r}")
     return tuple(map(float, synth.planted_direction(
-        total_dim, norm, direction_seed, constant_weight)))
+        marginal.total_dim, norm, direction_seed, constant_weight)))
 
 
-def _label_model(total_dim, activation, planted_w=None, **model):
+def _label_model(marginal, activation, planted_w=None, **model):
     """The label model: ``planted_w``, or a planted direction; the keys that
     draw the direction must be left out when ``planted_w`` is given."""
     direction = {key: model.pop(key) for key in
                  ("norm", "direction_seed", "constant_weight") if key in model}
+    total_dim = marginal.total_dim
     if planted_w is None:
-        planted_w = _planted_direction(total_dim, **direction)
+        planted_w = _planted_direction(marginal, **direction)
     elif direction:
         key, value = next(iter(direction.items()))
         raise ConfigError(f"{key!r} in label_model must be left out when "
@@ -291,7 +298,7 @@ def parse_config(obj):
     top = _fields(obj, CONFIG, "config")
     del top["schema_version"]
     data = top.pop("data")
-    data["label_model"] = _label_model(data["marginal"].total_dim,
+    data["label_model"] = _label_model(data["marginal"],
                                        **data["label_model"])
     cfg = ExperimentConfig(**data, **top)
     # rows are keyed by the check's theorem tag, and by instance, seed and

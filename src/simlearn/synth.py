@@ -193,11 +193,15 @@ def planted_direction(dim, norm, seed, constant_weight=None):
 
     With ``constant_weight`` set, the last coordinate (the intercept feature)
     is pinned to that value and the rest of the norm budget goes to a random
-    direction over the leading coordinates.
+    direction over the leading coordinates, of which there must be at least
+    one.
     """
     pinned = [] if constant_weight is None else [constant_weight]
     if pinned and abs(constant_weight) > norm:
         raise InvalidInputError("constant weight exceeds the norm budget")
+    if pinned and dim < 2:
+        raise InvalidInputError("a constant weight needs a free coordinate "
+                                f"beside it; dim is {dim}")
     free_norm = math.sqrt(norm ** 2 - constant_weight ** 2) if pinned else norm
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x9A37]))
     w = rng.standard_normal(dim - len(pinned))

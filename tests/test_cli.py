@@ -423,7 +423,7 @@ def test_experiment_pool_is_no_larger_than_the_units(tmp_path, monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", Recorder)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", Recorder)
     cfg = base_config(seeds=[1, 2])
     cfg["data"].update(n_train=500, n_eval=500)
     cfg_path = write_config(tmp_path, cfg)
@@ -785,6 +785,11 @@ def test_planted_w_alone_is_the_label_models_direction():
      "not 'bool'"),
     (lambda c: c["data"]["label_model"].update(constant_weight=-2.5),
      "'constant_weight' in label_model must be at most 'norm' = 2.0"),
+    # constant_weight pins the intercept feature's weight; without one it
+    # pinned the last ordinary feature's
+    (lambda c: c["data"]["label_model"].update(constant_weight=0.2),
+     "'constant_weight' in label_model must be null or left out when the "
+     "marginal has no 'augment_constant', not 0.2"),
     # a Student-t marginal with dof <= 2 has no bounded second moments
     (lambda c: c["data"]["marginal"].update(kind="student_t", dof=2),
      "'dof' in marginal must be an integer greater than 2, not 2"),
@@ -833,7 +838,8 @@ def test_planted_w_alone_is_the_label_models_direction():
         "instance_corruption_not_an_object", "laplace_scale_negative",
         "gaussian_scale_zero", "norm_negative", "ball_scale_negative",
         "marginal_kind", "corruption_kind", "corruption_kind_not_a_string",
-        "label_space", "constant_weight_above_norm", "student_t_dof_two",
+        "label_space", "constant_weight_above_norm",
+        "constant_weight_without_augment_constant", "student_t_dof_two",
         "gaussian_with_dof",
         "planted_w_with_norm", "planted_w_with_default_direction_seed",
         "planted_w_with_null_constant_weight", "learners_missing",

@@ -269,24 +269,33 @@ def test_glmtron_constant_labels_stay_at_zero():
     assert pred.converged and len(pred.trace) == 2
 
 
-def glmtron_to_the_cap(ds, tag, B, iters=500, tol=1e-8):
-    """GLMtron without the fixed-point stop: ``(w, converged)``."""
+def glmtron_reference(ds, tag, B, iters=500, tol=1e-8, fixed_point_stop=True):
+    """GLMtron in its plainest form, the clipped error always taken and the
+    residual formed twice: ``(w, converged, trace)``; without
+    ``fixed_point_stop`` it runs on from a fixed point to the cap."""
     act = fenchel.pair_from_tag(tag)
     x, y = ds.features, ds.labels
     w = np.zeros(ds.d)
     best_w, best_err = w.copy(), math.inf
+    trace = []
     for t in range(iters):
         mean = act(x @ w)
         err = learners.squared_error(np.clip(mean, 0.0, 1.0), y)
+        s = x.T @ (y - mean) / ds.n
+        trace.append({"iter": t, "err2": err, "w": w,
+                      "gap": B * float(np.linalg.norm(s)) - float(s @ w)})
         if t > 0 and best_err - tol <= err <= best_err + tol:
-            return w, True
+            return w, True, trace
         if err < best_err:
             best_err, best_w = err, w.copy()
-        w = learners.project_ball(w + x.T @ (y - mean) / ds.n, B)
-    return best_w, False
+        w, w_prev = learners.project_ball(w + s, B), w
+        if (fixed_point_stop and err > best_err + tol
+                and np.array_equal(w, w_prev)):
+            break
+    return best_w, False, trace
 
 
-def test_glmtron_fixed_point_returns_what_the_cap_returns():
+def fixed_point_dataset():
     # with an intercept and binary labels the squared error is least early
     # on and rises as the matching loss falls, until an update returns w
     # bit for bit
@@ -295,12 +304,46 @@ def test_glmtron_fixed_point_returns_what_the_cap_returns():
     model = synth.LabelModel(tuple(w), "sigmoid", label_space="binary",
                              corruption=synth.Corruption("flip_region",
                                                          mass=0.1))
-    ds = synth.make_dataset(spec, model, 5000, 43)
+    return synth.make_dataset(spec, model, 5000, 43)
+
+
+def test_glmtron_fixed_point_returns_what_the_cap_returns():
+    ds = fixed_point_dataset()
     pred = learners.train_glmtron(ds, "sigmoid", 2.0, iters=500)
-    ref_w, ref_converged = glmtron_to_the_cap(ds, "sigmoid", 2.0, iters=500)
+    ref_w, ref_converged, _ = glmtron_reference(ds, "sigmoid", 2.0,
+                                                iters=500,
+                                                fixed_point_stop=False)
     assert not ref_converged and not pred.converged
     assert np.array_equal(pred.w, ref_w)
     assert len(pred.trace) < 500
+
+
+def leaky_relu_dataset():
+    # leaky_relu means a(x.w) leave [0, 1]: the error is the clipped mean's
+    w = synth.planted_direction(5, 2.0, 91)
+    model = synth.LabelModel(tuple(w), "leaky_relu(0.1)")
+    return synth.make_dataset(GAUSS5, model, 5000, 47)
+
+
+@pytest.mark.parametrize("make, tag", [(fixed_point_dataset, "sigmoid"),
+                                       (leaky_relu_dataset,
+                                        "leaky_relu(0.1)")],
+                         ids=["sigmoid_fixed_point", "leaky_relu_clipped"])
+def test_glmtron_matches_the_reference_loop_bit_for_bit(make, tag):
+    ds = make()
+    pred = learners.train_glmtron(ds, tag, 2.0, iters=500)
+    ref_w, ref_converged, ref_trace = glmtron_reference(ds, tag, 2.0,
+                                                        iters=500)
+    mean = fenchel.pair_from_tag(tag)(ds.features @ ref_trace[-1]["w"])
+    assert np.any((mean < 0.0) | (mean > 1.0)) == (tag != "sigmoid")
+    assert np.array_equal(pred.w, ref_w)
+    assert pred.converged == ref_converged
+    assert len(pred.trace) == len(ref_trace)
+    for got, want in zip(pred.trace, ref_trace):
+        assert got["iter"] == want["iter"]
+        assert got["err2"] == want["err2"]
+        assert np.array_equal(got["w"], want["w"])
+        assert got["gap"] == want["gap"]
 
 
 def test_glmtron_update_is_negative_matching_loss_gradient():
@@ -750,8 +793,13 @@ SIM_TEXT = "#simlearn-predictor v2 kind=sim converged=0\n" \
      "an empty array"),
     (SIM_TEXT.replace("knots_u 0.25 0.5 0.75", "knots_u 0.25 0.5"),
      learners.SimPredictor, "knot arrays of two lengths"),
+    # np.interp predicted 0.9, 0.1, 0.1 at scores -1, 0, 1 from these
+    (SIM_TEXT.replace("knots_t -1 0 1", "knots_t 1 0 -1")
+     .replace("knots_u 0.25 0.5 0.75", "knots_u 0.9 0.5 0.1"),
+     learners.SimPredictor, "knots_t that is not strictly increasing"),
 ], ids=["repeated_array", "unknown_array", "unknown_key", "repeated_key",
-        "converged_not_a_flag", "empty_array", "knot_lengths"])
+        "converged_not_a_flag", "empty_array", "knot_lengths",
+        "knots_t_not_increasing"])
 def test_read_predictor_rejects_lines_no_writer_writes(text, cls, message):
     with pytest.raises(ConfigError, match=message):
         learners.read_predictor(text, cls)

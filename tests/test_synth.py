@@ -286,6 +286,16 @@ def test_planted_direction_is_pinned(args, expected):
     assert synth.planted_direction(*args).tolist() == expected
 
 
+@pytest.mark.parametrize("args, message", [
+    ((3, 1.0, 0, -1.5), "exceeds the norm budget"),
+    # it returned (0.2,), of norm 0.2 where 1.3 was asked for
+    ((1, 1.3, 0, 0.2), "needs a free coordinate beside it; dim is 1"),
+], ids=["pin_above_norm", "no_free_coordinate"])
+def test_planted_direction_rejects_a_pin_it_cannot_honour(args, message):
+    with pytest.raises(InvalidInputError, match=message):
+        synth.planted_direction(*args)
+
+
 def test_reproducibility_same_spec_seed():
     a = small_dataset()
     b = small_dataset()
