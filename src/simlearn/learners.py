@@ -296,16 +296,8 @@ def train_glmtron(dataset, activation_tag, B, iters=500, tol=1e-8):
     Each trace entry records the iterate ``w``, from which any per-iterate
     loss can be recomputed, and its Frank-Wolfe gap ``B*||s|| - s.w`` over
     the ball, where ``s`` is the update (the negative loss gradient).
-
-    Each iteration forms the residual ``r = y - a(x.w)`` once and takes the
-    update ``s = x.T r / n`` from it.  The error is that of the clipped
-    mean, ``mean(e*e)`` with ``e = y - clip(a(x.w), 0, 1)``; where the
-    activation's range lies in [0, 1] (``sigmoid``, ``identity_clamped``)
-    its means do too, the clip is the identity and the error is
-    ``mean(r*r)``, bit for bit.
     """
     act = fenchel.pair_from_tag(activation_tag)
-    clips = act.range_lo < 0.0 or act.range_hi > 1.0
     x, y = dataset.features, dataset.labels
     n = dataset.n
     w = np.zeros(dataset.d)
@@ -313,10 +305,8 @@ def train_glmtron(dataset, activation_tag, B, iters=500, tol=1e-8):
     trace = []
     for t in range(iters):
         mean = act(x @ w)
-        r = y - mean
-        e = y - np.clip(mean, 0.0, 1.0) if clips else r
-        err = float(np.mean(e * e))
-        s = x.T @ r / n
+        err = squared_error(np.clip(mean, 0.0, 1.0), y)
+        s = x.T @ (y - mean) / n
         trace.append({"iter": t, "err2": err, "w": w,
                       "gap": B * float(np.linalg.norm(s)) - float(s @ w)})
         if t > 0 and best_err - tol <= err <= best_err + tol:    # stalled
@@ -449,11 +439,9 @@ def train_isotron(dataset, B, iters=50):
     GLMtron-style step against the fitted activation.  The activation is
     evaluated at the points it was fitted on, where it takes the fitted
     values (tied scores share one), so knots are made once, for the returned
-    round.  The round's error ``mean(r*r)`` and its step ``x.T r / n`` come
-    from one residual ``r = y - pred`` of the clipped prediction.  Runs all
-    ``iters`` rounds and returns the best-squared-error round; it is flagged
-    converged when the last weight step moved ``w`` by at most
-    ``ISOTRON_STEP_TOL`` in norm, so the iterates had come to rest.
+    round.  Runs all ``iters`` rounds and returns the best-squared-error
+    round; it is flagged converged when the last weight step moved ``w`` by
+    at most ``ISOTRON_STEP_TOL`` in norm, so the iterates had come to rest.
     """
     x, y = dataset.features, dataset.labels
     n = dataset.n
@@ -467,12 +455,11 @@ def train_isotron(dataset, B, iters=50):
         t_sorted = scores[order]
         u_fit = lipschitz_isotonic_fit(t_sorted, y[order])
         pred[order] = np.clip(u_fit, 0.0, 1.0)
-        r = y - pred
-        err = float(np.mean(r * r))
+        err = squared_error(pred, y)
         trace.append({"iter": t, "err2": err})
         if best is None or err < best[0]:
             best = (err, w, t_sorted, u_fit)
-        w_next = project_ball(w + x.T @ r / n, B)
+        w_next = project_ball(w + x.T @ (y - pred) / n, B)
         _check_finite(w_next)
         step = float(np.linalg.norm(w_next - w))
         w = w_next

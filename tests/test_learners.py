@@ -270,9 +270,9 @@ def test_glmtron_constant_labels_stay_at_zero():
 
 
 def glmtron_reference(ds, tag, B, iters=500, tol=1e-8, fixed_point_stop=True):
-    """GLMtron in its plainest form, the clipped error always taken and the
-    residual formed twice: ``(w, converged, trace)``; without
-    ``fixed_point_stop`` it runs on from a fixed point to the cap."""
+    """GLMtron written out as a plain loop, the clipped error always taken:
+    ``(w, converged, trace)``; without ``fixed_point_stop`` it runs on from
+    a fixed point to the cap."""
     act = fenchel.pair_from_tag(tag)
     x, y = ds.features, ds.labels
     w = np.zeros(ds.d)
