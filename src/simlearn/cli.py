@@ -96,7 +96,7 @@ def cmd_train(args):
                                  cfg.n_eval, seed + 1)
     pairs = [fenchel.pair_from_tag(t) for t in cfg.pairs]
     for entry in cfg.learners:
-        predictor = config_mod.train_learner(entry, train_ds, seed)
+        predictor = config_mod.train_learner(entry, train_ds)
         name = entry["name"]
         pred_path = os.path.join(out_dir, f"{name}.predictor.txt")
         with open(pred_path, "w") as fh:
@@ -193,7 +193,7 @@ def cmd_experiment(args):
                           for theorem in (transfer.CHECKS[kind][0],
                                           f"{kind}_inapplicable"))
                       for kind, _ in cfg.checks)
-        if missing or not existing:
+        if missing:
             needed.append(unit)
 
     # one task per seed, whose units share their draws; the pool starts all

@@ -171,21 +171,15 @@ OMNI_OPTIONS = {
                             <= 1e-9),
     "round_cap": CAP, "bernoulli_reduction": FLAG}
 
-# algorithm -> (needs an "activation" tag?, option -> its kind,
-#               trainer(entry, dataset, B, seed, **options))
+# algorithm -> (needs an "activation" tag?, option -> its kind).  An entry
+# trains as learners.train_<algorithm>(dataset, [pair,] B, **options), the
+# pair parsed from its activation tag
 ALGORITHMS = {
-    "omnipredictor": (False, OMNI_OPTIONS, lambda e, ds, B, seed, **o:
-                      learners.train_omnipredictor(ds, B, seed, **o)),
-    "glmtron": (True, {"iters": CAP, "tol": NON_NEGATIVE},
-                lambda e, ds, B, seed, **o:
-                learners.train_glmtron(ds, e["activation"], B, **o)),
-    "isotron": (False, {"iters": CAP}, lambda e, ds, B, seed, **o:
-                learners.train_isotron(ds, B, **o)),
-    "logistic": (False, {}, lambda e, ds, B, seed:
-                 learners.train_logistic(ds, B)),
-    "matching_gd": (True, {}, lambda e, ds, B, seed:
-                    learners.train_matching_gd(
-                        ds, fenchel.pair_from_tag(e["activation"]), B)),
+    "omnipredictor": (False, OMNI_OPTIONS),
+    "glmtron": (True, {"iters": CAP, "tol": NON_NEGATIVE}),
+    "isotron": (False, {"iters": CAP}),
+    "logistic": (False, {}),
+    "matching_gd": (True, {}),
 }
 
 # the keys of every learner entry; ALGORITHMS adds each algorithm's own.
@@ -203,7 +197,7 @@ def _learner_entry(value, key, where):
     algo = None
     if type(value) is dict and "algorithm" in value:
         algo = LEARNER["algorithm"].read(value["algorithm"], "algorithm", key)
-    needs_activation, options, _ = ALGORITHMS.get(algo, (False, {}, None))
+    needs_activation, options = ALGORITHMS.get(algo, (False, {}))
     table = {**LEARNER, **options,
              **({"activation": _need(TAG)} if needs_activation else {})}
     entry = _object(table).read(value, key, where)
@@ -245,7 +239,7 @@ CONFIG = {
     "learners": _need(_list(Kind(_learner_entry), nonempty=True)),
     "pairs": _list(TAG),
     "checks": _list(_scalar("a check name", lambda v: type(v) is str,
-                            _check)),
+                            _check), nonempty=True),
     "eps": NON_NEGATIVE,
     "seeds": _list(COUNT, nonempty=True),
     "instances": _list(_object({"name": _need(NAME), "corruption": CORRUPTION},
@@ -330,9 +324,15 @@ def load_config(path):
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
 
 
-def train_learner(entry, dataset, seed):
+def train_learner(entry, dataset):
     """Run the algorithm of a parsed learner entry on a dataset; returns the
-    predictor.  Options the entry leaves out keep the trainer's defaults."""
-    _, options, trainer = ALGORITHMS[entry["algorithm"]]
-    return trainer(entry, dataset, entry["norm_bound"], seed,
-                   **{key: entry[key] for key in options if key in entry})
+    predictor.  Options the entry leaves out keep the trainer's defaults.
+    The trainer is looked up on ``learners`` at each call, so a wrapper set
+    there sees the call."""
+    algorithm = entry["algorithm"]
+    needs_activation, options = ALGORITHMS[algorithm]
+    pair = ([fenchel.pair_from_tag(entry["activation"])] if needs_activation
+            else [])
+    return getattr(learners, f"train_{algorithm}")(
+        dataset, *pair, entry["norm_bound"],
+        **{key: entry[key] for key in options if key in entry})

@@ -85,8 +85,7 @@ def weak_learner_sample_requirement(d, second_moment, B, eps):
                          / eps ** 2))
 
 
-def weak_learn(features, z, B, eps, *, second_moment=1.0,
-               enforce_sample_size=True):
+def weak_learn(features, z, B, eps, *, enforce_sample_size=True):
     """Accept-and-return or reject based on the correlation vector mean(z x).
 
     Accepts iff ``||mean(z x)|| > 3 eps / (4 B)`` and then returns that vector
@@ -104,7 +103,7 @@ def weak_learn(features, z, B, eps, *, second_moment=1.0,
         raise InvalidInputError("eps and B must be positive")
     n, d = x.shape
     if enforce_sample_size:
-        need = weak_learner_sample_requirement(d, second_moment, B, eps)
+        need = weak_learner_sample_requirement(d, 1.0, B, eps)  # lambda = 1
         if n < need:
             raise PreconditionError(
                 f"weak learner needs at least {need} samples "
@@ -138,8 +137,7 @@ def fit_calibration_table(idx, labels, bucket_width):
     sums = np.bincount(idx, weights=labels, minlength=n_buckets)
     counts = np.bincount(idx, minlength=n_buckets)
     mids = (np.arange(n_buckets) + 0.5) * bucket_width
-    with np.errstate(invalid="ignore"):
-        values = np.where(counts > 0, sums / np.maximum(counts, 1), mids)
+    values = np.where(counts > 0, sums / np.maximum(counts, 1), mids)
     return np.clip(values, DEFAULT_OUTPUT_CLAMP, 1.0 - DEFAULT_OUTPUT_CLAMP)
 
 
@@ -179,7 +177,7 @@ class OmniPredictor:
                                     self.bucket_width, self.values.size)]
 
 
-def train_omnipredictor(dataset, B, seed=0, *, eps_ma=0.02,
+def train_omnipredictor(dataset, B, *, eps_ma=0.02,
                         bucket_width=DEFAULT_BUCKET_WIDTH,
                         round_cap=DEFAULT_ROUND_CAP,
                         bernoulli_reduction=False):
@@ -196,7 +194,8 @@ def train_omnipredictor(dataset, B, seed=0, *, eps_ma=0.02,
     learner rejects, which ends training; the bucket means keep the
     training calibration error at or below the output clamp, so there is no
     separate calibration test.  ``round_cap`` is a guard.
-    ``bernoulli_reduction`` trains on Bernoulli(y) labels.  The rounds use a
+    ``bernoulli_reduction`` trains on Bernoulli(y) labels, drawn from the
+    sample's own seed, ``dataset.seed``.  The rounds use a
     column-major copy of the features (faster BLAS for few columns), made
     here because it moves the last bits of ``score_w``.
     """
@@ -204,8 +203,9 @@ def train_omnipredictor(dataset, B, seed=0, *, eps_ma=0.02,
     y = dataset.labels.astype(float)
     ladder = (bucket_width / (B * math.sqrt(dataset.second_moment))
               * 2.0 ** np.arange(-6, 5))
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x0821]))
     if bernoulli_reduction and dataset.label_space == "interval":
+        rng = np.random.default_rng(
+            np.random.SeedSequence([int(dataset.seed), 0x0821]))
         y = (rng.random(y.shape) < y).astype(float)
     n_buckets = int(round(1.0 / bucket_width))
 
@@ -283,41 +283,41 @@ def squared_error(pred, labels):
     return float(np.mean((pred - labels) ** 2))
 
 
-def train_glmtron(dataset, activation_tag, B, iters=500, tol=1e-8):
+def train_glmtron(dataset, pair, B, iters=500, tol=1e-8):
     """Unit-step projected updates w += mean((y - a(w.x)) x).
 
     The update equals the negative gradient of the empirical matching loss
-    of the activation.  Stops at the first iterate whose squared error is
-    within ``tol`` of the running minimum.  At the cap, or at a fixed point
-    (an update that returns ``w`` bit for bit, so every later iterate would
-    repeat it) whose error is above that minimum by more than ``tol``, it
-    returns the running-minimum iterate, non-converged; the trace ends there.
+    of ``pair``, the :class:`fenchel.FenchelPair` of the activation a.
+    Stops at the first iterate whose squared error is within ``tol`` of the
+    running minimum.  At the cap, or at a fixed point (an update that
+    returns ``w`` bit for bit, so every later iterate would repeat it) whose
+    error is above that minimum by more than ``tol``, it returns the
+    running-minimum iterate, non-converged; the trace ends there.
 
     Each trace entry records the iterate ``w``, from which any per-iterate
     loss can be recomputed, and its Frank-Wolfe gap ``B*||s|| - s.w`` over
     the ball, where ``s`` is the update (the negative loss gradient).
     """
-    act = fenchel.pair_from_tag(activation_tag)
     x, y = dataset.features, dataset.labels
     n = dataset.n
     w = np.zeros(dataset.d)
     best_w, best_err = w.copy(), math.inf
     trace = []
     for t in range(iters):
-        mean = act(x @ w)
+        mean = pair(x @ w)
         err = squared_error(np.clip(mean, 0.0, 1.0), y)
         s = x.T @ (y - mean) / n
         trace.append({"iter": t, "err2": err, "w": w,
                       "gap": B * float(np.linalg.norm(s)) - float(s @ w)})
         if t > 0 and best_err - tol <= err <= best_err + tol:    # stalled
-            return GlmPredictor(w, act.tag, converged=True, trace=trace)
+            return GlmPredictor(w, pair.tag, converged=True, trace=trace)
         if err < best_err:
             best_err, best_w = err, w.copy()
         w, w_prev = project_ball(w + s, B), w
         _check_finite(w)
         if err > best_err + tol and np.array_equal(w, w_prev):
             break    # a fixed point that never stalls
-    return GlmPredictor(best_w, act.tag, converged=False, trace=trace)
+    return GlmPredictor(best_w, pair.tag, converged=False, trace=trace)
 
 
 # ---------------------------------------------------------------------------

@@ -323,35 +323,14 @@ def check_logistic_absolute(p, report, dataset, B):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class PconceptReport:
-    disagreement: float
-    err1: float
-    stderr: float
-    draws: int
-
-    @property
-    def gap(self):
-        return abs(self.disagreement - self.err1)
-
-    @property
-    def bound(self):
-        """The allowance on the gap: three standard errors."""
-        return 3.0 * self.stderr
-
-    @property
-    def slack(self):
-        return self.bound - self.gap
-
-    def within(self):
-        return self.gap <= self.bound
-
-
 def pconcept_disagreement(p, dataset, resamples=100_000, seed=0):
-    """Monte-Carlo estimate of P[y != y_p] with y_p ~ Bernoulli(p(x)).
+    """The p-concept identity as a check: a Monte-Carlo estimate of
+    P[y != y_p], y_p ~ Bernoulli(p(x)), equals the absolute error of the
+    predictor on binary labels.
 
-    For binary labels this equals the absolute error of the predictor; the
-    report carries both, with the binomial standard error of the estimate.
+    lhs is |disagreement - err1| and rhs three binomial standard errors of
+    the estimate; it passes when lhs <= rhs.  ``params`` holds the
+    disagreement, err1, the standard error and the number of draws.
     """
     if dataset.label_space != "binary":
         raise InvalidInputError("p-concept disagreement needs binary labels")
@@ -368,20 +347,15 @@ def pconcept_disagreement(p, dataset, resamples=100_000, seed=0):
     rate = disagree / draws
     stderr = math.sqrt(max(rate * (1.0 - rate), 1e-12) / draws)
     err1 = float(np.mean(np.abs(y - p)))
-    return PconceptReport(rate, err1, stderr, draws)
+    gap, bound = abs(rate - err1), 3.0 * stderr
+    return BoundCheck("pconcept_identity", gap, bound, bound - gap,
+                      gap <= bound, {"disagreement": rate, "err1": err1,
+                                     "stderr": stderr, "draws": draws})
 
 
 # ---------------------------------------------------------------------------
 # The check table
 # ---------------------------------------------------------------------------
-
-
-def _pconcept_check(p, dataset, seed=0):
-    """The p-concept identity as a check: |disagreement - err1| within the
-    report's bound."""
-    rep = pconcept_disagreement(p, dataset, seed=seed)
-    return BoundCheck("pconcept_identity", rep.gap, rep.bound, rep.slack,
-                      rep.within())
 
 
 # check kind -> (theorem tag, number of activation tags, runner).  A config
@@ -412,5 +386,5 @@ CHECKS = {
                           check_logistic_absolute(p, rep, ds, B)),
     "pconcept": ("pconcept_identity", 0,
                  lambda p, rep, ds, B, eps, seed:
-                 _pconcept_check(p, ds, seed=seed)),
+                 pconcept_disagreement(p, ds, seed=seed)),
 }

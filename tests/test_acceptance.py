@@ -195,9 +195,10 @@ def test_criterion_08_fails_when_disagreement_leaves_err1(monkeypatch):
     disagreement = transfer.pconcept_disagreement
 
     def shifted(*args, **kwargs):
-        rep = disagreement(*args, **kwargs)
-        rep.disagreement += 0.05
-        return rep
+        chk = disagreement(*args, **kwargs)
+        gap = abs(chk.params["disagreement"] + 0.05 - chk.params["err1"])
+        return dataclasses.replace(chk, lhs=gap, slack=chk.rhs - gap,
+                                   passed=gap <= chk.rhs)
 
     monkeypatch.setattr(transfer, "pconcept_disagreement", shifted)
     res = acceptance.criterion_8(SEED)
@@ -463,10 +464,10 @@ def _constant_learner(train):
 def _shuffled_labels(train):
     # one fixed permutation of the training labels: the learner sees the
     # right marginal and label distribution, but no link between them
-    def fit(entry, dataset, seed):
+    def fit(entry, dataset):
         perm = np.random.default_rng(0).permutation(dataset.n)
         return train(entry, dataclasses.replace(
-            dataset, labels=dataset.labels[perm]), seed)
+            dataset, labels=dataset.labels[perm]))
     return fit
 
 

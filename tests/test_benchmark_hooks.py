@@ -27,21 +27,27 @@ def test_tracer_wraps_every_hook_and_restores_it():
     try:
         tracing.install_simlearn(tracer)
         patched = list(tracer._patched)
-        # the check table looks its runners up at call time, so a check
-        # run through it is seen by its wrapper
+        # the check table and config.train_learner look their functions up
+        # at call time, so a check or a trainer run through them is seen by
+        # its wrapper
         acceptance.run_units([config.Unit(
             "probe", synth.MarginalSpec("standard_gaussian", 3),
             synth.LabelModel((0.5, 0.0, 0.0), "sigmoid"), 200, 200, 1,
-            {"name": "logistic", "algorithm": "logistic", "norm_bound": 1.0},
-            [("sim_sqrt", ()), ("bilipschitz", ("identity",))], 0.05)],
+            entry, [("sim_sqrt", ()), ("bilipschitz", ("identity",))], 0.05)
+            for entry in (
+                {"name": "logistic", "algorithm": "logistic",
+                 "norm_bound": 1.0},
+                {"name": "glmtron", "algorithm": "glmtron", "norm_bound": 1.0,
+                 "activation": "sigmoid", "iters": 5})],
             acceptance.run_unit)
     finally:
         tracer.uninstall()
     totals = tracer.totals()
-    assert totals["transfer.check_sim_bound"][0] == 1
-    assert totals["config.train_learner"][0] == 1
+    assert totals["transfer.check_sim_bound"][0] == 2
+    assert totals["config.train_learner"][0] == 2
+    assert totals["learners.train_glmtron"][0] == 1
     # the premise hook reads the PremiseEstimate of a matching-loss check
-    assert totals["transfer.measure_premise"][0] == 1
+    assert totals["transfer.measure_premise"][0] == 2
     assert totals["learners.train_matching_gd"][0] >= 1
     # the pair's maps are wrapped on the base class, which every pair shares
     assert totals["fenchel.g"][0] >= 1

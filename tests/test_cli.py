@@ -5,7 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from simlearn import acceptance, cli, config, synth, transfer
+from simlearn import acceptance, cli, config, fenchel, learners, synth, \
+    transfer
 from simlearn.learners import GlmPredictor, read_predictor, write_predictor
 
 
@@ -326,7 +327,7 @@ def test_unit_rows_carry_the_check_table_tag(check, marginal, label_space):
 def test_every_algorithm_trains_through_the_table(algorithm):
     # an entry holds only the keys its algorithm takes; count options
     # (iteration and round caps) are set to 5, which bounds the trace
-    needs_activation, options, _ = config.ALGORITHMS[algorithm]
+    needs_activation, options = config.ALGORITHMS[algorithm]
     entry = {"name": algorithm, "algorithm": algorithm, "norm_bound": 2.0}
     if needs_activation:
         entry["activation"] = "sigmoid"
@@ -336,11 +337,15 @@ def test_every_algorithm_trains_through_the_table(algorithm):
     entry.update(caps)
     cfg = config.parse_config(base_config(learners=[entry]))
     ds = synth.make_dataset(cfg.marginal, cfg.label_model, 500, 1)
-    predictor = config.train_learner(cfg.learners[0], ds, 1)
+    predictor = config.train_learner(cfg.learners[0], ds)
     p = predictor.predict(ds.features)
     assert p.shape == (500,) and np.all((p >= 0.0) & (p <= 1.0))
     if caps:
         assert len(predictor.trace) <= 5
+    # the table's call is train_<algorithm>(dataset, [pair,] B, **options)
+    pair = [fenchel.pair_from_tag("sigmoid")] if needs_activation else []
+    direct = getattr(learners, f"train_{algorithm}")(ds, *pair, 2.0, **caps)
+    assert write_predictor(predictor) == write_predictor(direct)
 
 
 def test_experiment_empty_learners(tmp_path, capsys):
@@ -566,6 +571,7 @@ def test_experiment_unknown_check(tmp_path):
     (["bilipschitz:nonsense"], "unknown activation tag 'nonsense'"),
     (["bilipschitz:identity", "bilipschitz:leaky_relu(0.1)",
       "logistic_squared"], "only one 'bilipschitz' check"),
+    ([], "'checks' in config"),
 ])
 def test_experiment_rejects_malformed_checks(tmp_path, capsys, checks,
                                              needle):

@@ -15,6 +15,7 @@ from simlearn.errors import (
 )
 
 GAUSS5 = synth.MarginalSpec("standard_gaussian", 5)
+SIGMOID = fenchel.pair_from_tag("sigmoid")
 
 
 def planted_sigmoid(n, seed, d=5, B=2.0, **model_kw):
@@ -83,7 +84,7 @@ def test_weak_learn_z_range_validated():
 def test_omnipredictor_constant_labels():
     x = synth.sample_marginal(GAUSS5, 5000, 7)
     ds = synth.Dataset(x, np.full(5000, 0.3), "interval", 7, marginal=GAUSS5)
-    omni = learners.train_omnipredictor(ds, 2.0, seed=1, eps_ma=0.02)
+    omni = learners.train_omnipredictor(ds, 2.0, eps_ma=0.02)
     assert omni.converged
     p = omni.predict(x)
     assert np.max(np.abs(p - 0.3)) <= learners.DEFAULT_BUCKET_WIDTH + 0.02
@@ -91,7 +92,7 @@ def test_omnipredictor_constant_labels():
 
 def test_omnipredictor_realizable_invariants():
     ds, _ = planted_sigmoid(50_000, 11)
-    omni = learners.train_omnipredictor(ds, 2.0, seed=2, eps_ma=0.02)
+    omni = learners.train_omnipredictor(ds, 2.0, eps_ma=0.02)
     p = omni.predict(ds.features)
     assert np.all((p > 0.0) & (p < 1.0))
     resid = ds.labels - p
@@ -104,7 +105,7 @@ def test_omnipredictor_heldout_generalization_smoke():
     # the two calibrated-multiaccuracy inequalities, with doubled epsilon,
     # on a fresh sample from the same distribution
     train, w = planted_sigmoid(50_000, 13)
-    omni = learners.train_omnipredictor(train, 2.0, seed=3, eps_ma=0.02)
+    omni = learners.train_omnipredictor(train, 2.0, eps_ma=0.02)
     spec = synth.MarginalSpec("standard_gaussian", 5)
     held = synth.make_dataset(spec, train.label_model, 50_000, 14)
     p = omni.predict(held.features)
@@ -117,7 +118,7 @@ def test_omnipredictor_noise_labels_near_best_constant():
     x = synth.sample_marginal(GAUSS5, 40_000, 17)
     y = np.random.default_rng(18).random(40_000)
     ds = synth.Dataset(x, y, "interval", 17, marginal=GAUSS5)
-    omni = learners.train_omnipredictor(ds, 2.0, seed=4)
+    omni = learners.train_omnipredictor(ds, 2.0)
     p = omni.predict(x)
     assert abs(np.mean(p) - 0.5) <= 0.02
     # per pair, the predictor's matching loss is within eps of the best
@@ -136,7 +137,7 @@ def test_omnipredictor_steps_follow_config():
     # (B sqrt(lambda)), k = -6..4, and the training err2 falls every round
     ds, _ = planted_sigmoid(20_000, 19)
     for bucket_width in (learners.DEFAULT_BUCKET_WIDTH, 0.05):
-        omni = learners.train_omnipredictor(ds, 2.0, seed=5, eps_ma=0.02,
+        omni = learners.train_omnipredictor(ds, 2.0, eps_ma=0.02,
                                             bucket_width=bucket_width)
         scale = bucket_width / (2.0 * math.sqrt(ds.second_moment))
         ladder = [scale * 2.0 ** k for k in range(-6, 5)]
@@ -157,7 +158,7 @@ def test_omnipredictor_stalls_when_no_rung_lowers_the_error(monkeypatch):
     direction[-1] = 2.0
     monkeypatch.setattr(learners, "weak_learn", lambda *a, **k:
                         learners.LinearWeakLearnerResult(True, direction, 1.0))
-    omni = learners.train_omnipredictor(ds, 2.0, seed=5)
+    omni = learners.train_omnipredictor(ds, 2.0)
     assert not omni.converged
     assert len(omni.trace) == 1 and omni.trace[-1]["stalled"]
     assert "sigma" not in omni.trace[-1]
@@ -169,7 +170,7 @@ def test_omnipredictor_converges_exactly_when_the_weak_learner_rejects():
     # means of the training labels, so the training calibration error is
     # zero up to the output clamp and needs no test of its own
     ds, _ = planted_sigmoid(20_000, 19)
-    omni = learners.train_omnipredictor(ds, 2.0, seed=5, eps_ma=0.02)
+    omni = learners.train_omnipredictor(ds, 2.0, eps_ma=0.02)
     assert omni.converged
     *rounds, last = omni.trace
     assert rounds and all("sigma" in step for step in rounds)
@@ -178,7 +179,7 @@ def test_omnipredictor_converges_exactly_when_the_weak_learner_rejects():
     assert learners.calibration_error(omni.predict(ds.features), ds.labels) \
         <= learners.DEFAULT_OUTPUT_CLAMP
     # the same fit stopped by the cap before the rejecting round
-    capped = learners.train_omnipredictor(ds, 2.0, seed=5, eps_ma=0.02,
+    capped = learners.train_omnipredictor(ds, 2.0, eps_ma=0.02,
                                           round_cap=len(rounds))
     assert not capped.converged
     assert capped.trace == rounds
@@ -186,11 +187,21 @@ def test_omnipredictor_converges_exactly_when_the_weak_learner_rejects():
 
 def test_omnipredictor_bernoulli_reduction_flag():
     ds, _ = planted_sigmoid(30_000, 23)
-    omni = learners.train_omnipredictor(ds, 2.0, seed=6, eps_ma=0.04,
+    omni = learners.train_omnipredictor(ds, 2.0, eps_ma=0.04,
                                         bernoulli_reduction=True)
     p = omni.predict(ds.features)
     # trained on resampled binary labels, still close in squared error
     assert learners.squared_error(p, ds.labels) <= 0.02
+
+
+def test_omnipredictor_bernoulli_draw_follows_the_sample_seed():
+    # the Bernoulli labels are drawn from the seed the sample carries
+    ds, _ = planted_sigmoid(5000, 23)
+    fits = [learners.train_omnipredictor(
+        dataclasses.replace(ds, seed=seed), 2.0, eps_ma=0.04,
+        bernoulli_reduction=True).score_w for seed in (23, 23, 24)]
+    assert np.array_equal(fits[0], fits[1])
+    assert not np.array_equal(fits[0], fits[2])
 
 
 @pytest.mark.parametrize("label_space", ["interval", "binary"])
@@ -199,8 +210,8 @@ def test_omnipredictor_same_fit_from_either_feature_layout(label_space):
     ds, _ = planted_sigmoid(20_000, 19, label_space=label_space)
     fortran = dataclasses.replace(ds, features=np.asfortranarray(ds.features))
     assert ds.features.flags.c_contiguous and fortran.features.flags.f_contiguous
-    a = learners.train_omnipredictor(ds, 2.0, seed=5)
-    b = learners.train_omnipredictor(fortran, 2.0, seed=5)
+    a = learners.train_omnipredictor(ds, 2.0)
+    b = learners.train_omnipredictor(fortran, 2.0)
     assert np.array_equal(a.values, b.values)
     assert len(a.trace) == len(b.trace) and a.converged == b.converged
     assert np.array_equal(a.predict(ds.features), b.predict(ds.features))
@@ -232,7 +243,7 @@ PINNED_OMNI_VALUES = [
 
 def test_omnipredictor_pinned_rounds_and_values():
     ds, _ = planted_sigmoid(20_000, 19)
-    omni = learners.train_omnipredictor(ds, 2.0, seed=5)
+    omni = learners.train_omnipredictor(ds, 2.0)
     assert omni.converged and len(omni.trace) == PINNED_OMNI_ROUNDS
     np.testing.assert_allclose(omni.values, PINNED_OMNI_VALUES, rtol=1e-12,
                                atol=0)
@@ -240,7 +251,7 @@ def test_omnipredictor_pinned_rounds_and_values():
 
 def test_omnipredictor_serialization_roundtrip():
     ds, _ = planted_sigmoid(10_000, 29)
-    omni = learners.train_omnipredictor(ds, 2.0, seed=7)
+    omni = learners.train_omnipredictor(ds, 2.0)
     text = learners.write_predictor(omni)
     back = learners.read_predictor(text, learners.OmniPredictor)
     assert learners.write_predictor(back) == text
@@ -255,14 +266,14 @@ def test_omnipredictor_serialization_roundtrip():
 
 def test_glmtron_realizable_recovery():
     ds, _ = planted_sigmoid(10_000, 31)
-    pred = learners.train_glmtron(ds, "sigmoid", 2.0, iters=500)
+    pred = learners.train_glmtron(ds, SIGMOID, 2.0, iters=500)
     assert learners.squared_error(pred.predict(ds.features), ds.labels) <= 1e-3
 
 
 def test_glmtron_constant_labels_stay_at_zero():
     x = synth.sample_marginal(GAUSS5, 2000, 37)
     ds = synth.Dataset(x, np.full(2000, 0.5), "interval", 37)
-    pred = learners.train_glmtron(ds, "sigmoid", 2.0, iters=50)
+    pred = learners.train_glmtron(ds, SIGMOID, 2.0, iters=50)
     assert np.all(pred.w == 0.0)
     # w = 0 is a fixed point whose error is the running minimum, so the
     # next iterate stalls within tol: converged, as without the stop
@@ -309,7 +320,7 @@ def fixed_point_dataset():
 
 def test_glmtron_fixed_point_returns_what_the_cap_returns():
     ds = fixed_point_dataset()
-    pred = learners.train_glmtron(ds, "sigmoid", 2.0, iters=500)
+    pred = learners.train_glmtron(ds, SIGMOID, 2.0, iters=500)
     ref_w, ref_converged, _ = glmtron_reference(ds, "sigmoid", 2.0,
                                                 iters=500,
                                                 fixed_point_stop=False)
@@ -331,7 +342,8 @@ def leaky_relu_dataset():
                          ids=["sigmoid_fixed_point", "leaky_relu_clipped"])
 def test_glmtron_matches_the_reference_loop_bit_for_bit(make, tag):
     ds = make()
-    pred = learners.train_glmtron(ds, tag, 2.0, iters=500)
+    pred = learners.train_glmtron(ds, fenchel.pair_from_tag(tag), 2.0,
+                                  iters=500)
     ref_w, ref_converged, ref_trace = glmtron_reference(ds, tag, 2.0,
                                                         iters=500)
     mean = fenchel.pair_from_tag(tag)(ds.features @ ref_trace[-1]["w"])
@@ -367,7 +379,7 @@ def test_glmtron_matching_loss_trace_non_increasing():
     ds, _ = planted_sigmoid(
         20_000, 43,
         corruption=synth.Corruption("flip_region", mass=0.1))
-    pred = learners.train_glmtron(ds, "sigmoid", 2.0, iters=100)
+    pred = learners.train_glmtron(ds, SIGMOID, 2.0, iters=100)
     # each iterate's loss, from the same scores the fit computed
     pair = fenchel.pair_from_tag("sigmoid")
     losses = [learners.empirical_matching_loss(pair, ds.features @ step["w"],
@@ -379,7 +391,7 @@ def test_glmtron_matching_loss_trace_non_increasing():
 def test_glmtron_records_its_frank_wolfe_gap_per_iterate():
     # B*||s|| >= s.w on the ball, so a gap below 0 is rounding at most
     ds, _ = planted_sigmoid(10_000, 31)
-    pred = learners.train_glmtron(ds, "sigmoid", 2.0, iters=500)
+    pred = learners.train_glmtron(ds, SIGMOID, 2.0, iters=500)
     gaps = [step["gap"] for step in pred.trace]
     assert len(gaps) > 2 and all(gap >= -1e-12 for gap in gaps)
     assert gaps[-1] < gaps[0]
@@ -406,7 +418,7 @@ def test_glmtron_pinned_weights_and_iterations():
     ds, _ = planted_sigmoid(
         20_000, 43,
         corruption=synth.Corruption("flip_region", mass=0.1))
-    pred = learners.train_glmtron(ds, "sigmoid", 2.0)
+    pred = learners.train_glmtron(ds, SIGMOID, 2.0)
     assert pred.converged and len(pred.trace) == 54
     np.testing.assert_allclose(pred.w, PINNED_GLMTRON_W, rtol=1e-12, atol=0)
 
@@ -745,7 +757,7 @@ def test_matching_gd_divergence_error():
 
 def test_glm_predictor_serialization_roundtrip():
     ds, _ = planted_sigmoid(1000, 79)
-    pred = learners.train_glmtron(ds, "sigmoid", 2.0, iters=20)
+    pred = learners.train_glmtron(ds, SIGMOID, 2.0, iters=20)
     text = learners.write_predictor(pred)
     back = learners.read_predictor(text, learners.GlmPredictor)
     assert learners.write_predictor(back) == text

@@ -190,6 +190,22 @@ def test_dimension_mismatch():
         synth.generate_labels(x, model, 0)
 
 
+def test_unknown_corruption_kind_and_label_space_rejected():
+    with pytest.raises(ConfigError, match="unknown corruption kind 'smudge'"):
+        synth.Corruption("smudge")
+    with pytest.raises(ConfigError, match="label_space must be one of"):
+        synth.LabelModel((0.5, 0.0, 0.0), "sigmoid", label_space="ternary")
+
+
+def test_unclipped_means_inside_the_interval_are_kept():
+    # clip=False returns the activation's means when they stay in [0, 1]
+    w = synth.planted_direction(3, 2.0, 5)
+    model = synth.LabelModel(tuple(w), "sigmoid", clip=False)
+    x = synth.sample_marginal(synth.MarginalSpec("standard_gaussian", 3), 100, 1)
+    assert np.array_equal(model.conditional_mean(x),
+                          model.activation(x @ model.w))
+
+
 def test_unclipped_range_violation():
     w = synth.planted_direction(3, 2.0, 5)
     model = synth.LabelModel(tuple(w), "identity", clip=False)

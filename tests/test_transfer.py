@@ -7,6 +7,8 @@ import pytest
 from simlearn import fenchel, learners, synth, transfer
 from simlearn.errors import InvalidInputError, NoConvergenceError
 
+SIGMOID = fenchel.pair_from_tag("sigmoid")
+
 
 def planted_dataset(act="sigmoid", n=20_000, seed=5, d=5, B=2.0, **kw):
     spec = synth.MarginalSpec("standard_gaussian", d)
@@ -48,7 +50,7 @@ def test_evaluate_constant_on_coin_labels():
 
 def test_evaluate_jensen_always_holds():
     ds = planted_dataset(corruption=synth.Corruption("bounded_noise", level=0.3))
-    pred = learners.train_glmtron(ds, "sigmoid", 2.0, iters=30)
+    pred = learners.train_glmtron(ds, SIGMOID, 2.0, iters=30)
     rep = transfer.evaluate(pred.predict(ds.features), ds)
     assert rep.err1 ** 2 <= rep.err2 + 1e-12
 
@@ -93,7 +95,7 @@ def test_premise_ball_minimiser_is_at_least_as_strict_as_the_planted_weights():
     ds = planted_dataset(n=10_000, corruption=synth.Corruption(
         "flip_region", mass=0.1))
     pair = fenchel.pair_from_tag("sigmoid")
-    p = learners.train_glmtron(ds, "sigmoid", 2.0, iters=10).predict(ds.features)
+    p = learners.train_glmtron(ds, SIGMOID, 2.0, iters=10).predict(ds.features)
     prem = transfer.measure_premise(p, ds, pair, 2.0)
     planted_loss = float(transfer.linear_matching_losses(
         ds, pair, ds.label_model.w)[0])
@@ -218,6 +220,23 @@ def test_general_activation_adversarial_slope():
     assert chk.passed
 
 
+def test_general_activation_guards():
+    # the approximation term needs the planted weights, and the stand-in
+    # must be bi-Lipschitz
+    g_pair = fenchel.pair_from_tag("identity_clamped")
+    phi_pair = fenchel.perturb_bilipschitz(g_pair, 0.05)
+    ds = planted_dataset("identity_clamped", n=200)
+    p = planted_predictions(ds)
+    rep = transfer.evaluate(p, ds)
+    bare = synth.Dataset(ds.features, ds.labels, ds.label_space, ds.seed)
+    with pytest.raises(InvalidInputError, match="lacks a planted model"):
+        transfer.check_general_activation_transfer(p, rep, bare, g_pair,
+                                                   phi_pair, 1.5)
+    with pytest.raises(InvalidInputError, match="must be bi-Lipschitz"):
+        transfer.check_general_activation_transfer(p, rep, ds, g_pair,
+                                                   g_pair, 1.5)
+
+
 # ---------------------------------------------------------------------------
 # sqrt-opt bound
 # ---------------------------------------------------------------------------
@@ -225,7 +244,7 @@ def test_general_activation_adversarial_slope():
 
 def test_sim_bound_realizable_degenerates():
     ds = planted_dataset(n=20_000)
-    pred = learners.train_glmtron(ds, "sigmoid", 2.0, iters=200)
+    pred = learners.train_glmtron(ds, SIGMOID, 2.0, iters=200)
     chk = transfer.check_sim_bound(
         transfer.evaluate(pred.predict(ds.features), ds), ds, 2.0, eps=0.05)
     assert chk.params["opt_hat"] == 0.0
@@ -257,7 +276,7 @@ def test_sim_bound_scaling_probe():
                                      "constant_override", mass=0.05, value=0.0))
         train = synth.make_dataset(spec, model, 20_000, 28)
         ev = synth.make_dataset(spec, model, 30_000, 29)
-        omni = learners.train_omnipredictor(train, B, seed=6)
+        omni = learners.train_omnipredictor(train, B)
         chk = transfer.check_sim_bound(
             transfer.evaluate(omni.predict(ev.features), ev), ev, B, eps=0.05)
         needed.append(chk.extras["c_needed"])
@@ -353,10 +372,11 @@ def test_pconcept_zero_predictor_zero_labels():
     x = synth.sample_marginal(synth.MarginalSpec("standard_gaussian", 3),
                               10_000, 41)
     ds = synth.Dataset(x, np.zeros(10_000), "binary", 41)
-    rep = transfer.pconcept_disagreement(constant(ds, 0.0), ds,
+    chk = transfer.pconcept_disagreement(constant(ds, 0.0), ds,
                                          resamples=10_000, seed=8)
-    assert rep.disagreement == 0.0
-    assert rep.err1 == 0.0
+    assert chk.params["disagreement"] == 0.0
+    assert chk.params["err1"] == 0.0
+    assert chk.lhs == 0.0 and chk.passed
 
 
 def test_pconcept_half_coin():
@@ -365,10 +385,10 @@ def test_pconcept_half_coin():
                               100_000, 44)
     ds = synth.Dataset(x, (rng.random(100_000) < 0.5).astype(float),
                        "binary", 44)
-    rep = transfer.pconcept_disagreement(constant(ds, 0.5), ds,
+    chk = transfer.pconcept_disagreement(constant(ds, 0.5), ds,
                                          resamples=100_000, seed=9)
-    assert rep.err1 == pytest.approx(0.5, abs=0.01)
-    assert rep.within()
+    assert chk.params["err1"] == pytest.approx(0.5, abs=0.01)
+    assert chk.passed
 
 
 def test_pconcept_needs_binary():
@@ -379,6 +399,10 @@ def test_pconcept_needs_binary():
 
 def test_pconcept_planted_sigmoid_within_three_se():
     ds = planted_dataset(n=100_000, label_space="binary")
-    rep = transfer.pconcept_disagreement(planted_predictions(ds), ds,
+    chk = transfer.pconcept_disagreement(planted_predictions(ds), ds,
                                          resamples=100_000, seed=10)
-    assert rep.within()
+    assert chk.theorem_tag == "pconcept_identity"
+    assert chk.lhs == abs(chk.params["disagreement"] - chk.params["err1"])
+    assert chk.rhs == 3.0 * chk.params["stderr"]
+    assert chk.slack == chk.rhs - chk.lhs and chk.passed
+    assert chk.params["draws"] == 100_000
