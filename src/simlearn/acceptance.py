@@ -1,11 +1,11 @@
 """The acceptance suite: one function per criterion, shared by pytest and
 the ``verify`` command.
 
-Each criterion returns a :class:`CriterionResult` with a pass flag, the
-measured quantities (as CSV rows with a fixed schema) and its runtime
-budget.  All randomness is derived from one base seed, so repeated runs
-with the same seed are bit-identical; the CSV writer emits ``runtime_ms``
-as 0 so the artifact bytes do not depend on the clock.
+Each criterion returns a :class:`CriterionResult` with the measured
+quantities (as CSV rows with a fixed schema, each with its own verdict) and
+its runtime budget.  All randomness is derived from one base seed, so
+repeated runs with the same seed are bit-identical; the CSV writer emits
+``runtime_ms`` as 0 so the artifact bytes do not depend on the clock.
 """
 
 from __future__ import annotations
@@ -41,6 +41,13 @@ class Row:
     slack: float
     c_report: float
     runtime_ms: int = 0
+    # whether the row's gate passed and its learner converged; not written
+    passed: bool = field(default=True, compare=False)
+    converged: bool = field(default=True, compare=False)
+
+    @property
+    def key(self):
+        return self.instance, self.learner, self.theorem
 
     def render(self):
         def num(v):
@@ -58,8 +65,8 @@ def run_unit(unit, train, ev):
     """Train the unit's learner on ``train``, predict ``ev`` and evaluate
     once, and run each ``(kind, tags)`` check of ``transfer.CHECKS`` on that
     one report; a check that does not apply becomes a failed
-    ``<kind>_inapplicable`` check.  Returns
-    ``(predictor, [(BoundCheck, Row)], train_ms)``."""
+    ``<kind>_inapplicable`` check.  Returns ``([(BoundCheck, Row)],
+    train_ms)``, each row with its check's verdict and the learner's flag."""
     t0 = time.time()
     pred = config.train_learner(unit.entry, train)
     train_ms = int((time.time() - t0) * 1000)
@@ -79,8 +86,9 @@ def run_unit(unit, train, ev):
             unit.instance, unit.entry["name"],
             chk.params.get("opt_hat", chk.params.get("opt1_hat")),
             report.err2, report.err1, chk.theorem_tag, chk.rhs, chk.slack,
-            chk.extras.get("c_needed"))))
-    return pred, out, train_ms
+            chk.extras.get("c_needed"), passed=chk.passed,
+            converged=pred.converged)))
+    return out, train_ms
 
 
 def _read_only(a):
@@ -130,31 +138,27 @@ def run_units(units, run):
     return out
 
 
-def _premise_row(instance, learner, opt_hat, theorem, eps, gap):
-    """A premise gap against its allowance ``eps``: slack ``eps - gap``."""
+def _premise_row(instance, learner, opt_hat, theorem, eps, gap, converged):
+    """A premise gap against its allowance ``eps``: slack ``eps - gap`` >= 0."""
     return Row(instance, learner, opt_hat, None, None, theorem, eps,
-               eps - gap, gap)
+               eps - gap, gap, passed=eps - gap >= 0.0, converged=converged)
 
 
 def _run_table(units, gate=lambda chk: True, premise_eps=None):
-    """Run units of one check each: whether every check passed and meets
-    ``gate``, the rows in unit order, and the instances whose learner did
-    not converge (reported, not gated).  With ``premise_eps``, a check's
-    row is followed by a ``<kind>_premise`` row gating its ``eps_hat``."""
-    ok, rows, nonconv = True, [], []
-    for unit, (pred, [(chk, row)], _) in zip(units,
-                                             run_units(units, run_unit)):
-        ok &= chk.passed and gate(chk)
+    """The rows of units of one check each, in unit order, a check's row
+    passing when the check passed and meets ``gate``; with ``premise_eps``,
+    each is followed by a ``<kind>_premise`` row gating its ``eps_hat``."""
+    rows = []
+    for unit, ([(chk, row)], _) in zip(units, run_units(units, run_unit)):
+        row.passed = row.passed and gate(chk)
         rows.append(row)
         # an inapplicable check measured no premise and has failed already
         if premise_eps is not None and "eps_hat" in chk.params:
             rows.append(_premise_row(row.instance, row.learner, row.opt_hat,
                                      f"{unit.checks[0][0]}_premise",
-                                     premise_eps, chk.params["eps_hat"]))
-            ok &= rows[-1].slack >= 0.0
-        if not pred.converged:
-            nonconv.append(row.instance)
-    return ok, rows, nonconv
+                                     premise_eps, chk.params["eps_hat"],
+                                     row.converged))
+    return rows
 
 
 @dataclass
@@ -167,6 +171,21 @@ class CriterionResult:
     details: dict = field(default_factory=dict)
     rows: list = field(default_factory=list)
 
+    @classmethod
+    def of(cls, number, name, t0, budget_s, rows, details):
+        """The result of ``rows``, timed from ``t0``: it passes when every
+        row passed.  ``details`` gains the ``failed`` rows' keys, the
+        ``nonconverged`` instances, once each, and the ``vacuous`` rows' keys:
+        those bounding err2 or err1, both in [0, 1], by an rhs >= 1."""
+        details.update(
+            failed=[row.key for row in rows if not row.passed],
+            nonconverged=list(dict.fromkeys(
+                row.instance for row in rows if not row.converged)),
+            vacuous=[row.key for row in rows if row.rhs >= 1.0
+                     and (row.err2 is not None or row.err1 is not None)])
+        return cls(number, name, all(row.passed for row in rows),
+                   time.time() - t0, budget_s, details, rows)
+
     @property
     def ok(self):
         return self.passed and self.runtime_s <= self.budget_s
@@ -176,6 +195,9 @@ class CriterionResult:
         extra = "" if self.passed else " (criterion failed)"
         if self.passed and not self.ok:
             extra = f" (over budget {self.budget_s:.0f}s)"
+        if self.details.get("failed"):
+            extra += " failed: " + ", ".join(":".join(key)
+                                             for key in self.details["failed"])
         if self.details.get("nonconverged"):
             extra += " nonconverged: " + ", ".join(self.details["nonconverged"])
         return (f"[{state}] {self.number:2d} {self.name} "
@@ -217,15 +239,14 @@ CRITERIA = {}
 def _criterion(number, name, budget_s):
     """Register a criterion body as ``CRITERIA[number]``.
 
-    The body returns ``(passed, details, rows)``; the registered function
-    times it and returns the :class:`CriterionResult`."""
+    The body returns ``(rows, details)``; the registered function times it
+    and returns their :meth:`CriterionResult.of`."""
     def register(body):
         @functools.wraps(body)
         def criterion(seed=DEFAULT_SEED, **options):
             t0 = time.time()
-            passed, details, rows = body(seed, **options)
-            return CriterionResult(number, name, bool(passed),
-                                   time.time() - t0, budget_s, details, rows)
+            return CriterionResult.of(number, name, t0, budget_s,
+                                      *body(seed, **options))
         CRITERIA[number] = criterion
         return criterion
     return register
@@ -246,25 +267,20 @@ def _learner(algorithm, B, **options):
 @_criterion(1, "distortion sandwiches", 5.0)
 def criterion_1(seed, grid_n=100, tags=("identity", "leaky_relu(0.1)")):
     """Bi-Lipschitz sandwiches of the pairs in ``tags``, then the KL and
-    cross-entropy sandwiches; ``details["violations"]`` lists failed rows."""
+    cross-entropy sandwiches; a row's rhs, the identity gap of a bi-Lipschitz
+    row and 0 for the others, and its worst slack must be within 1e-9 of 0."""
+    reports = [(tag, "bilipschitz_sandwich", fenchel.bilipschitz_sandwich_report(
+        fenchel.pair_from_tag(tag), grid_n=grid_n)) for tag in tags] + [
+        ("sigmoid", "kl_sandwich", fenchel.kl_sandwich_report(grid_n)),
+        ("sigmoid", "crossentropy_absolute_sandwich",
+         fenchel.crossentropy_absolute_report(grid_n))]
     rows = []
-    for tag in tags:
-        rep = fenchel.bilipschitz_sandwich_report(fenchel.pair_from_tag(tag),
-                                                  grid_n=grid_n)
-        rows.append(Row(f"grid{grid_n}", tag, None, None, None,
-                        "bilipschitz_sandwich", rep["identity_gap"],
-                        min(rep["lower_slack"], rep["upper_slack"]), None))
-    for suite, rep in (("kl_sandwich", fenchel.kl_sandwich_report(grid_n)),
-                       ("crossentropy_absolute_sandwich",
-                        fenchel.crossentropy_absolute_report(grid_n))):
-        rows.append(Row(f"grid{grid_n}", "sigmoid", None, None, None, suite,
-                        0.0, min(rep["lower_slack"], rep["upper_slack"]),
-                        None))
-    # rhs is the identity gap of a bi-Lipschitz row, 0 for the others
-    violations = [(r.theorem, r.learner) for r in rows
-                  if not (r.slack >= -1e-9 and r.rhs <= 1e-9)]
-    return not violations, {"worst_slack": min(r.slack for r in rows),
-                            "violations": violations}, rows
+    for tag, suite, rep in reports:
+        gap = rep.get("identity_gap", 0.0)
+        slack = min(rep["lower_slack"], rep["upper_slack"])
+        rows.append(Row(f"grid{grid_n}", tag, None, None, None, suite, gap,
+                        slack, None, passed=slack >= -1e-9 and gap <= 1e-9))
+    return rows, {}
 
 
 # ---------------------------------------------------------------------------
@@ -278,16 +294,16 @@ BUILTIN_TAGS = ("identity", "identity_clamped", "relu", "leaky_relu(0.1)",
 @_criterion(2, "link duality", 5.0)
 def criterion_2(seed):
     grid_n, tol = 1000, 1e-8
-    rows, ok = [], True
+    rows = []
     r = fenchel.interior_grid(grid_n)
     for tag in BUILTIN_TAGS + ("perturbed(identity_clamped,0.05)",
                                "perturbed(relu,0.05)"):
         pair = fenchel.pair_from_tag(tag)
         gap = float(np.max(np.abs(pair(pair.f_prime(r)) - r)))
-        ok &= gap <= tol
         rows.append(Row(f"grid{grid_n}", tag, None, None, None,
-                        "link_duality", tol, tol - gap, None))
-    return ok, {"max_gap": tol - min(r.slack for r in rows)}, rows
+                        "link_duality", tol, tol - gap, None,
+                        passed=gap <= tol))
+    return rows, {}
 
 
 # ---------------------------------------------------------------------------
@@ -334,14 +350,15 @@ def criterion_3(seed):
         if learners.weak_learn(x, coin(3000 + trial), 1.0, eps).accepted:
             null_accepts += 1
     sound_fail += null_accepts
-    ok = comp_fail <= 5 and sound_fail == 0
     rows = [Row(f"planted_x1_n{n}_d{d}", "weak_learner", None, None, None,
-                "weak_completeness", 5.0, 5.0 - comp_fail, None),
+                "weak_completeness", 5.0, 5.0 - comp_fail, None,
+                passed=comp_fail <= 5),
             Row(f"null_n{n}_d{d}", "weak_learner", None, None, None,
-                "weak_soundness", 0.0, -float(sound_fail), None)]
-    return ok, {"completeness_failures": comp_fail,
-                "null_accepts": null_accepts,
-                "soundness_failures": sound_fail}, rows
+                "weak_soundness", 0.0, -float(sound_fail), None,
+                passed=sound_fail == 0)]
+    return rows, {"completeness_failures": comp_fail,
+                  "null_accepts": null_accepts,
+                  "soundness_failures": sound_fail}
 
 
 # ---------------------------------------------------------------------------
@@ -366,15 +383,12 @@ def criterion_4(seed):
                              4_000, seed + 34)
     iso = config.train_learner(_learner("isotron", 1.0, iters=100), dsr)
     err_iso = learners.squared_error(iso.predict(dsr.features), dsr.labels)
-    ok = err_glm <= 1e-3 and err_iso <= 1e-2
-    rows = [Row("realizable_sigmoid_d5", "glmtron", 0.0, err_glm, None,
-                "realizable_recovery", 1e-3, 1e-3 - err_glm, None),
+    return [Row("realizable_sigmoid_d5", "glmtron", 0.0, err_glm, None,
+                "realizable_recovery", 1e-3, 1e-3 - err_glm, None,
+                passed=err_glm <= 1e-3, converged=glm.converged),
             Row("realizable_ramp_d3", "isotron", 0.0, err_iso, None,
-                "realizable_recovery", 1e-2, 1e-2 - err_iso, None)]
-    nonconv = [row.instance for row, pred in zip(rows, (glm, iso))
-               if not pred.converged]
-    return ok, {"glmtron_err2": err_glm, "isotron_err2": err_iso,
-                "nonconverged": nonconv}, rows
+                "realizable_recovery", 1e-2, 1e-2 - err_iso, None,
+                passed=err_iso <= 1e-2, converged=iso.converged)], {}
 
 
 # ---------------------------------------------------------------------------
@@ -405,8 +419,7 @@ def criterion_5(seed):
             synth.LabelModel(tuple(w), act_tag, corruption=corr), 20_000,
             100_000, seed + 42, entry, [("bilipschitz", (act_tag,))], None)
             for opt_name, corr in opts]
-    ok, rows, nonconv = _run_table(units, premise_eps=PREMISE_EPS_5)
-    return ok, {"nonconverged": nonconv}, rows
+    return _run_table(units, premise_eps=PREMISE_EPS_5), {}
 
 
 # ---------------------------------------------------------------------------
@@ -434,16 +447,13 @@ def criterion_6(seed):
             ("opt.09", synth.Corruption("constant_override", mass=0.11,
                                         value=0.0))]
     w = synth.planted_direction(6, B, seed + 61, constant_weight=0.2)
-    ok, rows, nonconv = _run_table([config.Unit(
+    return _run_table([config.Unit(
         f"{mname}_{oname}", spec,
         synth.LabelModel(tuple(w), "sigmoid", corruption=corr), 20_000,
         50_000, seed + 62, _learner("omnipredictor", B), [("sim_sqrt", ())],
         SIM_SUITE_EPS)
-        for mname, spec in marginals for oname, corr in opts])
-    # c_needed; an inapplicable check has none and has failed already
-    c_report = max(row.c_report or 0.0 for row in rows)
-    ok &= c_report <= transfer.SIM_C
-    return ok, {"c_report": c_report, "nonconverged": nonconv}, rows
+        for mname, spec in marginals for oname, corr in opts],
+        lambda chk: chk.extras["c_needed"] <= transfer.SIM_C), {}
 
 
 # ---------------------------------------------------------------------------
@@ -463,18 +473,17 @@ def criterion_7(seed):
     ev = synth.make_dataset(spec, model, 20_000, seed + 73)
     omni = config.train_learner(_learner("omnipredictor", B), train)
     p = omni.predict(ev.features)
-    rows, ok = [], True
+    rows = []
     for pair in fenchel.default_registered_pairs():
         try:
             gap = transfer.measure_premise(p, ev, pair, B).raw_slack
         except NoConvergenceError:
             gap = math.inf    # an uncertified comparator proves nothing
         rows.append(_premise_row("realizable_sigmoid", f"omni/{pair.tag}", 0.0,
-                                 "omni_simultaneity", SIMULTANEITY_EPS, gap))
-        ok &= fenchel.registration_gate(pair).ok and rows[-1].slack >= 0.0
-    return ok, {"max_eps_report": max(r.c_report for r in rows),
-                "nonconverged": [] if omni.converged
-                else ["realizable_sigmoid"]}, rows
+                                 "omni_simultaneity", SIMULTANEITY_EPS, gap,
+                                 omni.converged))
+        rows[-1].passed &= fenchel.registration_gate(pair).ok
+    return rows, {}
 
 
 # ---------------------------------------------------------------------------
@@ -484,7 +493,7 @@ def criterion_7(seed):
 
 @_criterion(8, "p-concept identity", 30.0)
 def criterion_8(seed):
-    rows, ok = [], True
+    rows = []
     spec = synth.MarginalSpec("laplace_product", 4, scale=2 ** -0.5)
     w = synth.planted_direction(4, 10.0, seed + 81)
     model = synth.LabelModel(tuple(w), "sigmoid", label_space="binary")
@@ -505,11 +514,10 @@ def criterion_8(seed):
     for name, predictor, ds in cases:
         chk = transfer.pconcept_disagreement(predictor.predict(ds.features),
                                              ds, seed=seed + 87)
-        ok &= chk.passed
         rows.append(Row(name, "pconcept", None, None, chk.params["err1"],
-                        chk.theorem_tag, chk.rhs, chk.slack, None))
-    return ok, {"nonconverged": [] if pred.converged
-                else ["planted_sigmoid"]}, rows
+                        chk.theorem_tag, chk.rhs, chk.slack, None,
+                        passed=chk.passed, converged=predictor.converged))
+    return rows, {}
 
 
 # ---------------------------------------------------------------------------
@@ -547,7 +555,7 @@ def criterion_9(seed):
     # squared-error side: subgaussian marginal, interval labels
     spec = synth.MarginalSpec("standard_gaussian", 4, scale=2 ** -0.5)
     w = synth.planted_direction(4, 1.0, seed + 91)
-    ok, rows, nonconv = _run_table(
+    rows = _run_table(
         [config.Unit(f"gauss_{nm}", spec, synth.LabelModel(
             tuple(w), "sigmoid", corruption=synth.Corruption(
                 "constant_override", mass=mass, value=0.0)),
@@ -565,30 +573,26 @@ def criterion_9(seed):
     mc = float(vals.mean())
     se = float(vals.std(ddof=1)) / math.sqrt(n_eval)
     oracle = transfer.gaussian_abs_exp_tail(2.0, s_planted ** 2)
-    ok &= mc <= oracle + 3.0 * se
     rows.append(Row("gauss_tail_r2", "oracle", None, None, None,
                     "gaussian_tail_oracle", oracle + 3.0 * se,
-                    oracle + 3.0 * se - mc, None))
+                    oracle + 3.0 * se - mc, None,
+                    passed=mc <= oracle + 3.0 * se))
 
     # absolute-error side: subexponential marginal, binary labels
     spec2 = synth.MarginalSpec("laplace_product", 4, scale=2 ** -0.5)
     abs_cases = [(10.0, synth.Corruption("none"), "opt.1"),
                  (100.0, synth.Corruption("none"), "opt.01"),
                  (10.0, synth.Corruption("flip_region", mass=0.05), "flip.05")]
-    abs_ok, abs_rows, abs_nonconv = _run_table(
+    # c_needed <= 20 is a regression guard, not a derived constant
+    return rows + _run_table(
         [config.Unit(f"laplace_{nm}", spec2, synth.LabelModel(
             tuple(synth.planted_direction(4, B, seed + 96)), "sigmoid",
             label_space="binary", corruption=corr),
             n_train, n_eval, seed + 97, _learner("logistic", B),
             [("logistic_absolute", ())], None)
-         for B, corr, nm in abs_cases], _rhs_matches_decimal, PREMISE_EPS_9)
-    # c_needed of the transfer rows; an inapplicable check has none and has
-    # failed already
-    c_abs = max((row.c_report for row in abs_rows
-                 if row.theorem == "logistic_absolute_transfer"), default=0.0)
-    ok &= abs_ok and c_abs <= 20.0  # regression guard, not a derived constant
-    return ok, {"c_report_absolute": c_abs,
-                "nonconverged": nonconv + abs_nonconv}, rows + abs_rows
+         for B, corr, nm in abs_cases],
+        lambda chk: (_rhs_matches_decimal(chk)
+                     and chk.extras["c_needed"] <= 20.0), PREMISE_EPS_9), {}
 
 
 # ---------------------------------------------------------------------------
@@ -616,9 +620,9 @@ def criterion_10(seed, prior_results):
     except ConfigError:
         ok = False
     rows = [Row("probe_1_2_8", "verify", None, None, None,
-                "artifact_determinism", 1.0, 1.0 if ok else -1.0, None)]
-    return CriterionResult(10, "artifact determinism", bool(ok),
-                           time.time() - t0, 60.0, {}, rows)
+                "artifact_determinism", 1.0, 1.0 if ok else -1.0, None,
+                passed=ok)]
+    return CriterionResult.of(10, "artifact determinism", t0, 60.0, rows, {})
 
 
 def run_all(seed=DEFAULT_SEED):

@@ -128,14 +128,13 @@ def cmd_distortion_check(args):
     tags = [t.strip() for t in fenchel.split_top_level(args.pairs)] \
         if args.pairs else ["identity", "leaky_relu(0.1)"]
     res = acceptance.criterion_1(grid_n=grid_n, tags=tags)
-    violations = res.details["violations"]
     print(f"{'suite':34s} {'pair':22s} {'worst slack':>14s}")
     for row in res.rows:
         print(f"{row.theorem:34s} {row.learner:22s} {row.slack:14.3e}"
-              + ("  VIOLATED" if (row.theorem, row.learner) in violations
-                 else ""))
-    if violations:
-        print("violations: " + ", ".join(f"{s} ({p})" for s, p in violations))
+              + ("" if row.passed else "  VIOLATED"))
+    if not res.passed:
+        print("violations: " + ", ".join(f"{row.theorem} ({row.learner})"
+                                         for row in res.rows if not row.passed))
         return 1
     return EXIT_OK
 
@@ -146,13 +145,12 @@ def cmd_distortion_check(args):
 
 
 def _row_key(row):
-    return tuple(map(acceptance.csv_text,
-                     (row.instance, row.learner, row.theorem)))
+    return tuple(map(acceptance.csv_text, row.key))
 
 
 def _run_instance(unit, train, ev):
     """The rows of one experiment unit, each carrying its training time."""
-    _, checked, train_ms = acceptance.run_unit(unit, train, ev)
+    checked, train_ms = acceptance.run_unit(unit, train, ev)
     for _, row in checked:
         row.runtime_ms = train_ms
     return [row for _, row in checked]

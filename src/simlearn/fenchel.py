@@ -174,7 +174,10 @@ class PiecewiseLinearActivation(FenchelPair):
     left knot; the first knot for the left extension), the value of ``a``
     and the integral of ``a`` from 0 there, and its slope.  Each map looks up
     the segment of each argument and evaluates one polynomial in the
-    distance from the anchor, as exact far beyond a knot as near it.
+    distance from the anchor, as exact far beyond a knot as near it.  ``g``
+    anchors the segments on either side of score 0 at 0 instead, where ``a``
+    is ``a(0)`` and its integral 0: near 0 it then sums small terms, not the
+    difference of two large ones.
     """
 
     def __init__(self, knots_t, knots_v, slope_left, slope_right,
@@ -208,6 +211,11 @@ class PiecewiseLinearActivation(FenchelPair):
         at_knots = np.concatenate((-np.cumsum(traps[:m][::-1])[::-1],
                                    np.cumsum(traps[m:])))
         self._seg_g = np.concatenate((at_knots[:1], at_knots))
+        # g's anchors; a segment anchored at 0 already keeps its entries
+        near = np.array([np.sum(knots_t < 0.0), m])
+        near = near[self._seg_t[near] != 0.0]
+        self._g_t, self._g_v = self._seg_t.copy(), self._seg_v.copy()
+        self._g_t[near], self._g_v[near], self._seg_g[near] = 0.0, pts_v[m], 0.0
         lo = -np.inf if self.slope_left > 0 else knots_v[0]
         hi = np.inf if self.slope_right > 0 else knots_v[-1]
         super().__init__(tag, np.min(self._seg_s), np.max(self._seg_s), lo, hi)
@@ -227,8 +235,8 @@ class PiecewiseLinearActivation(FenchelPair):
 
     def _g(self, t):
         j = self._segment(t, self.knots_t, np.greater_equal)
-        dt = t - self._seg_t[j]
-        return self._seg_g[j] + self._seg_v[j] * dt + self._seg_s[j] * dt * dt / 2.0
+        dt = t - self._g_t[j]
+        return self._seg_g[j] + self._g_v[j] * dt + self._seg_s[j] * dt * dt / 2.0
 
     def _da(self, t):
         # at a knot, the slope to its right

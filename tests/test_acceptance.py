@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from simlearn import acceptance, config, learners, synth, transfer
+from simlearn import acceptance, config, fenchel, learners, synth, transfer
 from simlearn.errors import InvalidInputError
 
 SEED = acceptance.DEFAULT_SEED
@@ -87,13 +87,13 @@ def test_criterion_05_bilipschitz_transfer(suite):
 def test_criterion_06_sqrt_opt_suite(suite):
     res = suite[6]
     _assert_criterion(res)
-    assert res.details["c_report"] <= transfer.SIM_C
+    assert max(row.c_report for row in res.rows) <= transfer.SIM_C
 
 
 def test_criterion_07_simultaneity(suite):
     res = suite[7]
     _assert_criterion(res)
-    assert res.details["max_eps_report"] <= acceptance.SIMULTANEITY_EPS
+    assert max(row.c_report for row in res.rows) <= acceptance.SIMULTANEITY_EPS
 
 
 def test_criterion_07_fails_when_a_comparator_is_uncertified(monkeypatch):
@@ -112,6 +112,24 @@ def test_criterion_07_fails_when_a_comparator_is_uncertified(monkeypatch):
     slacks = {row.learner: row.slack for row in res.rows}
     assert slacks.pop(f"omni/{uncertified}") == -math.inf
     assert all(0.0 <= slack < math.inf for slack in slacks.values())
+
+
+def test_criterion_07_fails_on_a_failed_registration_gate(monkeypatch):
+    # the bounded-link premise of a pair gates that pair's row only
+    gate = fenchel.registration_gate
+
+    def failing(pair):
+        res = gate(pair)
+        return dataclasses.replace(res, violated="upper") \
+            if pair.tag == "sigmoid" else res
+
+    monkeypatch.setattr(fenchel, "registration_gate", failing)
+    res = acceptance.criterion_7(SEED)
+    assert not res.passed
+    assert res.details["failed"] == [
+        ("realizable_sigmoid", "omni/sigmoid", "omni_simultaneity")]
+    assert "(criterion failed) failed: " \
+        "realizable_sigmoid:omni/sigmoid:omni_simultaneity" in res.summary()
 
 
 def _dynamic_openblas():
@@ -209,7 +227,50 @@ def test_criterion_08_fails_when_disagreement_leaves_err1(monkeypatch):
 def test_criterion_09_logistic_formulas(suite):
     res = suite[9]
     _assert_criterion(res)
-    assert res.details["c_report_absolute"] <= 20.0
+    assert max(row.c_report for row in res.rows
+               if row.theorem == "logistic_absolute_transfer") <= 20.0
+
+
+def test_criterion_09_fails_when_the_tail_check_fails(monkeypatch):
+    # transfer.CHECKS looks the check up at call time
+    check = transfer.check_logistic_squared
+
+    def tail_fails(*args, **kwargs):
+        chk = check(*args, **kwargs)
+        chk.extras["tail_pass"] = False
+        return chk
+
+    monkeypatch.setattr(transfer, "check_logistic_squared", tail_fails)
+    res = acceptance.criterion_9(SEED)
+    assert not res.passed
+    assert res.details["failed"] == [
+        (f"gauss_{name}", "logistic", "logistic_squared_transfer")
+        for name in ("opt.01", "opt.1")]
+
+
+def test_vacuous_rows_are_named(suite):
+    # err2 and err1 lie in [0, 1], so a row that bounds one of them by an
+    # rhs of at least 1 cannot fail; the CSV does not mark them
+    vacuous = {number: res.details["vacuous"]
+               for number, res in suite.items() if res.details["vacuous"]}
+    assert vacuous == {
+        6: [(f"{marginal}_{opt}", "omnipredictor", "sim_sqrt_transfer")
+            for marginal in ("gaussian", "ball", "laplace")
+            for opt in ("opt.01", "opt.09")],
+        9: [("gauss_opt.1", "logistic", "logistic_squared_transfer")]
+        + [(f"laplace_{name}", "logistic", "logistic_absolute_transfer")
+           for name in ("opt.1", "opt.01", "flip.05")]}
+
+
+def _assert_verdict_is_rows(res):
+    assert res.passed == all(row.passed for row in res.rows)
+    assert res.details["failed"] == [(row.instance, row.learner, row.theorem)
+                                     for row in res.rows if not row.passed]
+
+
+def test_a_criterion_passes_when_its_rows_pass(suite):
+    for res in suite.values():
+        _assert_verdict_is_rows(res)
 
 
 def test_seed_override_changes_draws_not_outcomes():
@@ -307,7 +368,7 @@ def test_criterion_04_fails_with_a_constant_activation_fit(monkeypatch):
                         lambda t, y: np.full(len(y), np.mean(y)))
     res = acceptance.criterion_4(SEED)
     assert not res.passed
-    assert res.details["isotron_err2"] > 1e-2
+    assert {row.learner: row.err2 for row in res.rows}["isotron"] > 1e-2
 
 
 @pytest.mark.parametrize("number", [5, 6])
@@ -385,7 +446,7 @@ def test_transfer_criteria_train_once_per_unit(monkeypatch):
 
 def _alone(unit):
     """The unit's rows from its own draw, as ``synth.make_dataset`` makes it."""
-    _, checked, _ = acceptance.run_unit(
+    checked, _ = acceptance.run_unit(
         unit, synth.make_dataset(unit.marginal, unit.model, unit.n_train,
                                  unit.seed),
         synth.make_dataset(unit.marginal, unit.model, unit.n_eval,
@@ -402,7 +463,7 @@ def test_transfer_tables_share_draws_and_keep_their_rows(monkeypatch):
     def record(units, run):
         results = run_units(units, run)
         tables.append((units, [[row.render() for _, row in checked]
-                               for _, checked, _ in results]))
+                               for checked, _ in results]))
         return results
 
     monkeypatch.setattr(acceptance, "run_units", record)
@@ -486,7 +547,10 @@ def test_a_faulty_learner_fails_the_criterion(monkeypatch, fault, number):
     # every learner under test trains through config.train_learner
     monkeypatch.setattr(config, "train_learner",
                         FAULTS[fault](config.train_learner))
-    assert not acceptance.CRITERIA[number](SEED).passed
+    res = acceptance.CRITERIA[number](SEED)
+    assert not res.passed
+    _assert_verdict_is_rows(res)
+    assert res.details["failed"]
 
 
 def test_criterion_10_fails_on_a_broken_row_renderer(monkeypatch):

@@ -282,6 +282,30 @@ def test_piecewise_linear_maps_are_exact(pl, extra):
             assert abs(pair.f_prime(r) - t) <= tol, (t, s)
 
 
+@pytest.mark.parametrize("pl, t", [
+    (([9.7], [0.0775], 3.82, 2.94), 1e-9),
+    (([-1.0, 0.0, 2.0], [-0.5, 0.25, 1.0], 0.5, 0.3), -1e-9),
+], ids=["left_extension", "span_left_of_a_knot_at_0"])
+def test_piecewise_linear_g_is_accurate_near_zero(pl, t):
+    # the segment that holds t is anchored at a distant knot, where the
+    # integral is far from g(t); anchored there, g cancelled to a relative
+    # error of 5e-8 and 1e-8
+    g = F.PiecewiseLinearActivation(*pl).g(t)
+    assert abs(Fraction(g) - _exact_integral(*pl, t)) <= 4 * math.ulp(abs(g))
+
+
+@pytest.mark.parametrize("tag", ["identity", "identity_clamped", "relu",
+                                 "leaky_relu(0.1)",
+                                 "perturbed(identity_clamped,0.05)",
+                                 "perturbed(relu,0.05)"])
+def test_builtin_piecewise_linear_g_keeps_the_knot_anchors(tag):
+    # each has a knot at 0 and none to its left: g's anchors are a's, bit for
+    # bit, so its values are unchanged
+    pair = F.pair_from_tag(tag)
+    assert pair._g_t.tobytes() == pair._seg_t.tobytes()
+    assert pair._g_v.tobytes() == pair._seg_v.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # perturbation
 # ---------------------------------------------------------------------------
