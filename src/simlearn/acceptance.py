@@ -66,7 +66,8 @@ def run_unit(unit, train, ev):
     once, and run each ``(kind, tags)`` check of ``transfer.CHECKS`` on that
     one report; a check that does not apply becomes a failed
     ``<kind>_inapplicable`` check.  Returns ``([(BoundCheck, Row)],
-    train_ms)``, each row with its check's verdict and the learner's flag."""
+    train_ms)``, each row keyed by ``transfer.check_key``, with its check's
+    verdict and the learner's flag; a premise row leaves out the errors."""
     t0 = time.time()
     pred = config.train_learner(unit.entry, train)
     train_ms = int((time.time() - t0) * 1000)
@@ -74,6 +75,7 @@ def run_unit(unit, train, ev):
     report = transfer.evaluate(p, ev)
     out = []
     for kind, tags in unit.checks:
+        learner, _ = transfer.check_key(unit.entry["name"], kind, tags)
         try:
             chk = transfer.CHECKS[kind][2](p, report, ev,
                                            unit.entry["norm_bound"], unit.eps,
@@ -82,12 +84,13 @@ def run_unit(unit, train, ev):
             chk = transfer.BoundCheck(
                 f"{kind}_inapplicable", 0.0, 0.0, -1.0, False,
                 {"opt_hat": ev.certified_opt_upper_bound})
+        errors = ((None, None) if kind == "premise"
+                  else (report.err2, report.err1))
         out.append((chk, Row(
-            unit.instance, unit.entry["name"],
-            chk.params.get("opt_hat", chk.params.get("opt1_hat")),
-            report.err2, report.err1, chk.theorem_tag, chk.rhs, chk.slack,
-            chk.extras.get("c_needed"), passed=chk.passed,
-            converged=pred.converged)))
+            unit.instance, learner,
+            chk.params.get("opt_hat", chk.params.get("opt1_hat")), *errors,
+            chk.theorem_tag, chk.rhs, chk.slack, chk.extras.get("c_needed"),
+            passed=chk.passed, converged=pred.converged)))
     return out, train_ms
 
 
@@ -145,19 +148,20 @@ def _premise_row(instance, learner, opt_hat, theorem, eps, gap, converged):
 
 
 def _run_table(units, gate=lambda chk: True, premise_eps=None):
-    """The rows of units of one check each, in unit order, a check's row
+    """The rows of ``units``, in unit and then check order, a check's row
     passing when the check passed and meets ``gate``; with ``premise_eps``,
-    each is followed by a ``<kind>_premise`` row gating its ``eps_hat``."""
+    each check that measured an ``eps_hat`` is followed by a
+    ``<kind>_premise`` row gating it."""
     rows = []
-    for unit, ([(chk, row)], _) in zip(units, run_units(units, run_unit)):
-        row.passed = row.passed and gate(chk)
-        rows.append(row)
-        # an inapplicable check measured no premise and has failed already
-        if premise_eps is not None and "eps_hat" in chk.params:
-            rows.append(_premise_row(row.instance, row.learner, row.opt_hat,
-                                     f"{unit.checks[0][0]}_premise",
-                                     premise_eps, chk.params["eps_hat"],
-                                     row.converged))
+    for unit, (checked, _) in zip(units, run_units(units, run_unit)):
+        for (kind, _), (chk, row) in zip(unit.checks, checked):
+            row.passed = row.passed and gate(chk)
+            rows.append(row)
+            # an inapplicable check measured no premise and has failed already
+            if premise_eps is not None and "eps_hat" in chk.params:
+                rows.append(_premise_row(
+                    row.instance, row.learner, row.opt_hat, f"{kind}_premise",
+                    premise_eps, chk.params["eps_hat"], row.converged))
     return rows
 
 
@@ -253,8 +257,8 @@ def _criterion(number, name, budget_s):
 
 
 def _learner(algorithm, B, **options):
-    """The learner entry of ``algorithm``, named after it, for
-    :func:`config.train_learner`."""
+    """The learner entry of ``algorithm``, named after it unless
+    ``options`` give a ``name``, for :func:`config.train_learner`."""
     return {"name": algorithm, "algorithm": algorithm, "norm_bound": B,
             **options}
 
@@ -349,6 +353,7 @@ def criterion_3(seed):
             sound_fail += 1
         if learners.weak_learn(x, coin(3000 + trial), 1.0, eps).accepted:
             null_accepts += 1
+        del x    # one 8 MB sample alive at a time, not two while drawing
     sound_fail += null_accepts
     rows = [Row(f"planted_x1_n{n}_d{d}", "weak_learner", None, None, None,
                 "weak_completeness", 5.0, 5.0 - comp_fail, None,
@@ -465,25 +470,17 @@ SIMULTANEITY_EPS = 0.05
 
 @_criterion(7, "omnipredictor simultaneity", 300.0)
 def criterion_7(seed):
+    """One omnipredictor, with a premise check per registered pair."""
     B = 2.0
-    spec = synth.MarginalSpec("standard_gaussian", 5, augment_constant=True)
     w = synth.planted_direction(6, B, seed + 71, constant_weight=0.2)
-    model = synth.LabelModel(tuple(w), "sigmoid")
-    train = synth.make_dataset(spec, model, 30_000, seed + 72)
-    ev = synth.make_dataset(spec, model, 20_000, seed + 73)
-    omni = config.train_learner(_learner("omnipredictor", B), train)
-    p = omni.predict(ev.features)
-    rows = []
-    for pair in fenchel.default_registered_pairs():
-        try:
-            gap = transfer.measure_premise(p, ev, pair, B).raw_slack
-        except NoConvergenceError:
-            gap = math.inf    # an uncertified comparator proves nothing
-        rows.append(_premise_row("realizable_sigmoid", f"omni/{pair.tag}", 0.0,
-                                 "omni_simultaneity", SIMULTANEITY_EPS, gap,
-                                 omni.converged))
-        rows[-1].passed &= fenchel.registration_gate(pair).ok
-    return rows, {}
+    return _run_table([config.Unit(
+        "realizable_sigmoid",
+        synth.MarginalSpec("standard_gaussian", 5, augment_constant=True),
+        synth.LabelModel(tuple(w), "sigmoid"), 30_000, 20_000, seed + 72,
+        _learner("omnipredictor", B, name="omni"),
+        [("premise", (pair.tag,))
+         for pair in fenchel.default_registered_pairs()],
+        SIMULTANEITY_EPS)]), {}
 
 
 # ---------------------------------------------------------------------------

@@ -182,17 +182,16 @@ def cmd_experiment(args):
                         from exc
                 existing[_row_key(row)] = row
 
-    needed = []
-    for unit in cfg.units():
-        key_prefix = tuple(map(acceptance.csv_text,
-                               (unit.instance, unit.entry["name"])))
-        # a check's row carries its theorem tag, or <kind>_inapplicable
-        missing = any(all((*key_prefix, theorem) not in existing
-                          for theorem in (transfer.CHECKS[kind][0],
-                                          f"{kind}_inapplicable"))
-                      for kind, _ in cfg.checks)
-        if missing:
-            needed.append(unit)
+    def written(unit, kind, tags):
+        """Whether ``existing`` holds the row of a check of ``unit``: its
+        theorem tag's, or a ``<kind>_inapplicable`` one."""
+        learner, theorem = transfer.check_key(unit.entry["name"], kind, tags)
+        return any(tuple(map(acceptance.csv_text, (unit.instance, learner,
+                                                   tag))) in existing
+                   for tag in (theorem, f"{kind}_inapplicable"))
+
+    needed = [unit for unit in cfg.units()
+              if not all(written(unit, *check) for check in unit.checks)]
 
     # one task per seed, whose units share their draws; the pool starts all
     # its processes at once: no more than the tasks.  It and the

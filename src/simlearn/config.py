@@ -108,12 +108,13 @@ def _tag(value):
 
 
 def _check(value):
-    """A check name, ``kind`` and its ``:tag`` parts, as (kind, tags)."""
+    """A check name, ``kind`` and its ``:tag`` parts, as (kind, tags), each
+    tag spelt canonically: a premise row names its pair by its tag."""
     kind, *tags = value.split(":")
     if len(tags) != transfer.CHECKS[kind][1]:
         raise ConfigError(f"check {value!r} needs {transfer.CHECKS[kind][1]}"
                           f" activation tag(s) after {kind!r}")
-    return kind, tuple(map(_tag, tags))
+    return kind, tuple(fenchel.pair_from_tag(_tag(tag)).tag for tag in tags)
 
 
 def _fields(obj, table, where):
@@ -295,11 +296,14 @@ def parse_config(obj):
     data["label_model"] = _label_model(data["marginal"],
                                        **data["label_model"])
     cfg = ExperimentConfig(**data, **top)
-    # rows are keyed by the check's theorem tag, and by instance, seed and
-    # learner name as a CSV row writes them (acceptance.csv_text turns ","
-    # into ";"): a repeat would overwrite the rows of an earlier unit
+    # rows are keyed by instance, seed and learner name as a CSV row writes
+    # them (acceptance.csv_text turns "," into ";"), and by the columns
+    # transfer.check_key gives each check: a repeat would overwrite the rows
+    # of an earlier unit or check
     for error, values in (
-            ("only one {!r} check may be listed", [k for k, _ in cfg.checks]),
+            ("only one {!r} check may be listed",
+             [kind + transfer.check_key("", kind, tags)[0]
+              for kind, tags in cfg.checks]),
             ("duplicate learner name {!r}", [e["name"] for e in cfg.learners]),
             ("duplicate instance name {!r}", [n for n, _ in cfg.instances]),
             ("duplicate seed {!r}", cfg.seeds)):

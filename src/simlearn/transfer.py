@@ -318,6 +318,25 @@ def check_logistic_absolute(p, report, dataset, B):
                    extras)
 
 
+def check_premise(p, dataset, pair, B, eps):
+    """The premise of omniprediction for one pair: the signed matching-loss
+    gap of ``p`` against the pair's norm-B ball minimiser
+    (:func:`measure_premise`), within the allowance ``eps``.  An uncertified
+    comparator proves nothing and gives gap inf.  It passes when
+    ``eps - gap >= 0`` and the pair passes :func:`fenchel.registration_gate`,
+    the bounded-link premise under which omniprediction is stated; the gap,
+    the least allowance that passes, is its ``c_needed``."""
+    try:
+        gap = measure_premise(p, dataset, pair, B).raw_slack
+    except NoConvergenceError:
+        gap = math.inf
+    passed = eps - gap >= 0.0 and fenchel.registration_gate(pair).ok
+    return BoundCheck("omni_simultaneity", gap, eps, eps - gap, bool(passed),
+                      {"pair": pair.tag, "B": B,
+                       "opt_hat": dataset.certified_opt_upper_bound},
+                      {"c_needed": gap})
+
+
 # ---------------------------------------------------------------------------
 # p-concept disagreement
 # ---------------------------------------------------------------------------
@@ -362,9 +381,11 @@ def pconcept_disagreement(p, dataset, resamples=100_000, seed=0):
 # names a check as ``kind`` followed by that many ``:tag`` parts, which
 # ``config.parse_config`` splits into ``(kind, tags)``.  A runner takes the
 # predictions, their ErrorReport, the evaluation sample, the norm bound B,
-# the sqrt-opt slack eps, the unit's seed and then the activation tags, and
-# returns a BoundCheck carrying the theorem tag, which keys the rows of a
-# resumed sweep.  ``acceptance.run_unit`` is the one caller.
+# the unit's eps, the unit's seed and then the activation tags, and returns
+# a BoundCheck carrying the theorem tag.  The unit's eps is the additive
+# slack of the sqrt-opt bound to ``sim_sqrt`` and the allowance of the gap
+# to ``premise``; the other kinds ignore it.  ``acceptance.run_unit`` is
+# the one caller, and :func:`check_key` keys each check's rows.
 CHECKS = {
     "sim_sqrt": ("sim_sqrt_transfer", 0,
                  lambda p, rep, ds, B, eps, seed:
@@ -387,4 +408,16 @@ CHECKS = {
     "pconcept": ("pconcept_identity", 0,
                  lambda p, rep, ds, B, eps, seed:
                  pconcept_disagreement(p, ds, seed=seed)),
+    "premise": ("omni_simultaneity", 1,
+                lambda p, rep, ds, B, eps, seed, tag:
+                check_premise(p, ds, fenchel.pair_from_tag(tag), B, eps)),
 }
+
+
+def check_key(name, kind, tags):
+    """The (learner, theorem) columns that key the row of check ``(kind,
+    tags)`` on the learner ``name``.  A premise row names its pair after the
+    learner, ``<name>/<tag>``, so premise checks of several pairs key apart;
+    a check of any other kind writes one row per learner."""
+    return (f"{name}/{tags[0]}" if kind == "premise" else name,
+            CHECKS[kind][0])

@@ -12,6 +12,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -477,6 +478,75 @@ def test_transfer_tables_share_draws_and_keep_their_rows(monkeypatch):
     assert counts == {5: 2, 6: 6}
     for units, shared in tables:
         assert shared == [_alone(unit) for unit in units]
+
+
+def test_criterion_07_is_one_table_unit(monkeypatch):
+    # one omnipredictor, one premise check per registered pair, drawn by
+    # run_units: one train and one eval sample, no dataset of its own
+    tables, draws = [], []
+    run_units, sample = acceptance.run_units, synth.sample_marginal
+
+    def record(units, run):
+        results = run_units(units, run)
+        tables.append((units, [row.render() for checked, _ in results
+                               for _, row in checked]))
+        return results
+
+    monkeypatch.setattr(acceptance, "run_units", record)
+    monkeypatch.setattr(synth, "sample_marginal", lambda *args: (
+        draws.append(args) or sample(*args)))
+    monkeypatch.setattr(synth, "make_dataset", _never)
+    res = acceptance.criterion_7(SEED)
+    assert res.passed
+    ((units, rows),) = tables
+    (unit,) = units
+    assert unit.checks == [("premise", (pair.tag,))
+                           for pair in fenchel.default_registered_pairs()]
+    assert (unit.n_train, unit.n_eval, unit.seed, unit.eps) == (
+        30_000, 20_000, SEED + 72, acceptance.SIMULTANEITY_EPS)
+    assert [args[2] for args in draws] == [SEED + 72, SEED + 73]
+    assert rows == [row.render() for row in res.rows]
+    assert all(row.opt_hat == 0.0 and row.err2 is None and row.err1 is None
+               for row in res.rows)
+
+
+def _never(*args, **kwargs):
+    raise AssertionError("not called")
+
+
+def test_a_table_unit_runs_several_checks_in_order():
+    # each check's row, in check order, with its <kind>_premise row right
+    # after it; a premise check measures no eps_hat, so none follows it
+    spec = synth.MarginalSpec("standard_gaussian", 3, scale=2 ** -0.5)
+    unit = config.Unit(
+        "probe", spec, synth.LabelModel((0.5, 0.0, 0.0), "sigmoid"), 1000,
+        1000, 1, acceptance._learner("logistic", 1.0),
+        [("logistic_squared", ()), ("premise", ("sigmoid",)),
+         ("bilipschitz", ("identity",))], 0.05)
+    rows = acceptance._run_table([unit], premise_eps=1.0)
+    assert [(row.learner, row.theorem) for row in rows] == [
+        ("logistic", "logistic_squared_transfer"),
+        ("logistic", "logistic_squared_premise"),
+        ("logistic/sigmoid", "omni_simultaneity"),
+        ("logistic", "bilipschitz_transfer"),
+        ("logistic", "bilipschitz_premise")]
+    premise = rows[2]
+    assert premise.err2 is None and premise.rhs == 0.05
+    assert premise.slack == 0.05 - premise.c_report
+    # noiseless sigmoid labels: the planted direction minimises the sigmoid
+    # loss on every sample, and the fit and the comparator both recover it
+    assert abs(premise.c_report) <= 1e-9 and premise.passed
+
+
+def test_criterion_03_holds_one_sample_at_a_time():
+    # each trial's 8 MB sample is released before the next one is drawn
+    tracemalloc.start()
+    try:
+        assert acceptance.criterion_3(SEED).passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12e6
 
 
 def test_shared_data_is_read_only():

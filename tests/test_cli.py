@@ -308,6 +308,7 @@ LAPLACE = {"kind": "laplace_product", "dim": 3, "scale": 2 ** -0.5}
     ("logistic_squared", SUBGAUSS, "interval"),
     ("logistic_absolute", LAPLACE, "binary"),
     ("pconcept", GAUSS, "binary"),
+    ("premise:sigmoid", GAUSS, "interval"),
 ])
 def test_unit_rows_carry_the_check_table_tag(check, marginal, label_space):
     # the tag the table holds is the resume key of the row the unit writes
@@ -320,7 +321,7 @@ def test_unit_rows_carry_the_check_table_tag(check, marginal, label_space):
     assert row.theorem == transfer.CHECKS[check.split(":")[0]][0]
     assert set(transfer.CHECKS) == {"sim_sqrt", "bilipschitz", "general",
                                     "logistic_squared", "logistic_absolute",
-                                    "pconcept"}
+                                    "pconcept", "premise"}
 
 
 @pytest.mark.parametrize("algorithm", sorted(config.ALGORITHMS))
@@ -572,6 +573,12 @@ def test_experiment_unknown_check(tmp_path):
     (["bilipschitz:identity", "bilipschitz:leaky_relu(0.1)",
       "logistic_squared"], "only one 'bilipschitz' check"),
     ([], "'checks' in config"),
+    # a premise row is keyed by its pair: one check per pair, however the
+    # pair's tag is spelt
+    (["premise:sigmoid", "premise:identity", "premise:sigmoid"],
+     "only one 'premise/sigmoid' check"),
+    (["premise:leaky_relu(0.1)", "premise: leaky_relu(0.10)"],
+     "only one 'premise/leaky_relu(0.1;0.5)' check"),
 ])
 def test_experiment_rejects_malformed_checks(tmp_path, capsys, checks,
                                              needle):
@@ -976,6 +983,34 @@ def test_resume_of_a_complete_csv_runs_no_unit(tmp_path, monkeypatch):
     out = tmp_path / "sweep.csv"
     assert cli.main(["experiment", "--config", cfg_path, "--out", str(out)]) == 0
     assert "logistic_squared_inapplicable" in out.read_text()
+    before = out.read_bytes()
+    calls = []
+    run_instance = cli._run_instance
+    monkeypatch.setattr(cli, "_run_instance",
+                        lambda unit, *data: calls.append(unit)
+                        or run_instance(unit, *data))
+    assert cli.main(["experiment", "--config", cfg_path, "--out", str(out),
+                     "--resume"]) == 0
+    assert calls == []
+    assert out.read_bytes() == before
+
+
+def test_premise_checks_of_several_pairs_share_a_config(tmp_path,
+                                                        monkeypatch):
+    # a premise row names its pair after the learner, so each tag keys its
+    # own row; the unit's eps is each gap's allowance
+    cfg = base_config(checks=["premise:sigmoid", "premise:identity"])
+    cfg["data"].update(n_train=1000, n_eval=1000)
+    cfg_path = write_config(tmp_path, cfg)
+    out = tmp_path / "sweep.csv"
+    assert cli.main(["experiment", "--config", cfg_path, "--out", str(out)]) == 0
+    rows = [acceptance.parse_row(line)
+            for line in out.read_text().splitlines()[1:]]
+    assert [row.key for row in rows] == [
+        ("base_s1", f"glmtron/{tag}", "omni_simultaneity")
+        for tag in ("identity", "sigmoid")]
+    assert all(row.err2 is None and row.rhs == 0.05
+               and row.slack == 0.05 - row.c_report for row in rows)
     before = out.read_bytes()
     calls = []
     run_instance = cli._run_instance
